@@ -26,12 +26,28 @@ EXPORTABLE = tuple(f.lower() for f in FAMILIES) + (
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    try:
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _window(text: str) -> int:
+    """A truncation bound with a nonempty interior."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < replays.MARGIN + 1:
+        raise argparse.ArgumentTypeError(
+            f"window must be >= {replays.MARGIN + 1} to leave a nonempty interior, got {value}")
+    return value
 
 
 def cmd_verify(args) -> int:
     report = registry.run(claim_filter=args.claims, groups=args.group,
-                          ns=_int_list(args.n), window=args.window)
+                          ns=args.n, window=args.window)
     if args.format == "json-lines":
         for result in report.results:
             print(result.json_line())
@@ -87,8 +103,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run claims and report verdicts")
     verify.add_argument("--group", choices=("gvb", "sg", "all"), default="all")
-    verify.add_argument("--n", default="3,4,5,6", help="comma-separated strand counts")
-    verify.add_argument("--window", type=int, default=4, help="truncation bound")
+    verify.add_argument("--n", type=_int_list, default="3,4,5,6",
+                        help="comma-separated strand counts")
+    verify.add_argument("--window", type=_window, default=4, help="truncation bound, >= 3")
     verify.add_argument("--claims", default="", help="substring filter on claim ids")
     verify.add_argument("--format", choices=("table", "json-lines"), default="table")
     verify.set_defaults(func=cmd_verify)
@@ -100,7 +117,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser("replay", help="run a named elimination script")
     replay.add_argument("--script", required=True)
-    replay.add_argument("--window", type=int, required=True)
+    replay.add_argument("--window", type=_window, required=True, help=">= 3")
     replay.add_argument("--transcript", default="")
     replay.set_defaults(func=cmd_replay)
     return parser

@@ -289,7 +289,7 @@ def sg3_abelianization_certificate(window: int) -> AbelianRankCertificate:
     if torsion:
         raise CertificateError(f"certificate refused: torsion {torsion}")
     cols = [mat.index[g] for g in sorted(expected)]
-    rank = matrix_free_image_rank(mat.rows, len(mat.gens), cols)
+    rank = subgroup_rank(mat.rows, len(mat.gens), cols)
     if rank != len(expected):
         raise CertificateError(
             f"interior generators span rank {rank}, expected {len(expected)}")
@@ -297,13 +297,9 @@ def sg3_abelianization_certificate(window: int) -> AbelianRankCertificate:
     p0 = TruncatedPresentation.from_schema(simplified_derived("SG", 3), window)
     mat0 = relation_matrix(p0)
     cols0 = [mat0.index[g] for g in sorted(expected)]
-    rank0 = matrix_free_image_rank(mat0.rows, len(mat0.gens), cols0)
+    rank0 = subgroup_rank(mat0.rows, len(mat0.gens), cols0)
     return AbelianRankCertificate(window, rank, torsion, rank0 == rank,
                                   p.transcript_text())
-
-
-def matrix_free_image_rank(rows, ncols, cols) -> int:
-    return subgroup_rank(rows, ncols, cols)
 
 
 # ---------------------------------------------------------------------------

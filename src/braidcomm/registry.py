@@ -24,7 +24,7 @@ from . import abelian, quotients, replays
 from .catalog import catalog
 from .derived import verify_simplification
 from .rewriting import expansion_identity_holds
-from .tietze import TruncatedPresentation
+from .tietze import ReplayError, TruncatedPresentation
 
 VERDICTS = ("verified", "refuted", "externally-cited", "out-of-scope")
 
@@ -269,7 +269,10 @@ REGISTRY = build_registry()
 
 def run(claim_filter: str = "", groups: str = "all", ns=(3, 4, 5, 6),
         window: int = 4) -> VerificationReport:
-    """Execute matching claims and aggregate their verdicts."""
+    """Execute matching claims and aggregate their verdicts.
+
+    A runner that raises a certificate, replay or value error refutes its
+    claim; the remaining claims still run."""
     report = VerificationReport()
     wanted_groups = {"gvb", "sg", "ub"} if groups == "all" else {groups}
     ns = set(ns)
@@ -282,7 +285,11 @@ def run(claim_filter: str = "", groups: str = "all", ns=(3, 4, 5, 6),
             continue
         if claim.n is not None and claim.n not in ns:
             continue
-        verdict, detail = claim.runner(window)
+        try:
+            verdict, detail = claim.runner(window)
+        except (quotients.CertificateError, ReplayError, ValueError) as exc:
+            # a check that cannot complete refutes its claim, never the batch
+            verdict, detail = "refuted", f"{type(exc).__name__}: {exc}"
         report.results.append(ClaimResult(claim.id, claim.group, claim.n,
                                           window, verdict, detail))
     if claim_filter and not known:

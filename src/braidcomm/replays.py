@@ -1,11 +1,13 @@
 """Scripted elimination replays on truncated presentations.
 
 Each function below drives :class:`TruncatedPresentation` through one
-deterministic sequence of Tietze moves.  Recurrences ("iterate the
-relation finitely many times") become loops marching outward from the
-base values, ascending first, then descending; every step names its
-target and the origin of the defining relator, so a missing relator
-fails loudly with the step that broke.
+deterministic sequence of named phases: sweeps that eliminate a grid of
+generators, marches, derives, adjoins and renames.  Recurrences ("iterate
+the relation finitely many times") are marches, all run by :func:`_march`:
+outward from the base values, ascending first, then descending.  Every
+step names its target and the origin of the defining relator, so a
+missing relator fails loudly with the phase that broke.  The observer
+given to a script is fixed on the presentation when it is built.
 
 Window bookkeeping: parameters are instantiated over ``[-M, M]``; letters
 reach at most two steps past the window, and eliminations sweep exactly
@@ -33,6 +35,24 @@ def _window(M: int):
     return range(-M, M + 1)
 
 
+def _march(p: TruncatedPresentation, step: str, target, via, up,
+           up_shift: int = -1, down_shift: int = 0) -> None:
+    """Eliminate ``target(x)`` for x in ``up`` via ``via(x + up_shift)``, then
+    for x = -1, ..., -M via ``via(x + down_shift)``.  Marching outward keeps
+    every defining relator resting on generators already solved nearer the
+    base values."""
+    for x in up:
+        p.eliminate(target(x), via(x + up_shift), step=step)
+    for x in range(-1, -p.window - 1, -1):
+        p.eliminate(target(x), via(x + down_shift), step=step)
+
+
+def _sweep(p: TruncatedPresentation, step: str, moves) -> None:
+    """Eliminate each ``(target, via)`` pair in order."""
+    for target, via in moves:
+        p.eliminate(target, via, step=step)
+
+
 # ---------------------------------------------------------------------------
 # simplification of the raw rewritten presentations
 
@@ -49,6 +69,7 @@ def _simplify_start(group: str, n: int, M: int, callback=None) -> TruncatedPrese
     p.gens = {g for g in p.gens if len(g[1]) == 3}
     for w in p.relators.values():
         p.gens.update(w.generators())
+    p.callback = callback
     if callback is not None:
         callback({"kind": "start", "presentation": p})
     return p
@@ -58,30 +79,19 @@ def simplify(group: str, n: int, M: int, callback=None) -> TruncatedPresentation
     """Collapse the raw presentation onto the two-parameter one."""
     p = _simplify_start(group, n, M, callback=callback)
     W = _window(M)
-    cb = callback
     # companion level-1 generators are trivial pairs
-    for m in W:
-        for k in W:
-            p.eliminate(("b", (m, k, 1)), _o("triv_b", m=m, k=k),
-                        step="kill b level-1", callback=cb)
+    _sweep(p, "kill b level-1",
+           ((("b", (m, k, 1)), _o("triv_b", m=m, k=k)) for m in W for k in W))
     # b[m,k,j] with j >= 3 does not depend on k
     for j in range(3, n):
         for m in W:
-            for k in range(1, M + 2):
-                p.eliminate(("b", (m, k, j)), _o("rw_comm_rr", m=m, k=k - 1, i=1, j=j),
-                            step=f"b k-collapse j={j}", callback=cb)
-            for k in range(-1, -M - 1, -1):
-                p.eliminate(("b", (m, k, j)), _o("rw_comm_rr", m=m, k=k, i=1, j=j),
-                            step=f"b k-collapse j={j}", callback=cb)
+            _march(p, f"b k-collapse j={j}", lambda k: ("b", (m, k, j)),
+                   lambda k: _o("rw_comm_rr", m=m, k=k, i=1, j=j), range(1, M + 2))
     # a[m,k,i] with i >= 3 does not depend on k
     for i in range(3, n):
         for m in W:
-            for k in range(1, M + 2):
-                p.eliminate(("a", (m, k, i)), _o("rw_comm_sr", m=m, k=k - 1, i=i, j=1),
-                            step=f"a k-collapse i={i}", callback=cb)
-            for k in range(-1, -M - 1, -1):
-                p.eliminate(("a", (m, k, i)), _o("rw_comm_sr", m=m, k=k, i=i, j=1),
-                            step=f"a k-collapse i={i}", callback=cb)
+            _march(p, f"a k-collapse i={i}", lambda k: ("a", (m, k, i)),
+                   lambda k: _o("rw_comm_sr", m=m, k=k, i=i, j=1), range(1, M + 2))
     # at level k=0 the crossing commutations collapse the m direction too;
     # the edge at m = M would need a trivial letter one step past the
     # window, so the march stops at m = M and a[M+1,0,j] stays boundary junk
@@ -89,32 +99,21 @@ def simplify(group: str, n: int, M: int, callback=None) -> TruncatedPresentation
     for j in range(3, n):
         for m in range(-M, M):
             p.derive_collapsed(_o("rw_comm_ss", m=m, k=0, i=1, j=j), level0,
-                               _o("edge_a", m=m, j=j), step=f"derive a m-edge j={j}",
-                               callback=cb)
-        for m in range(1, M + 1):
-            p.eliminate(("a", (m, 0, j)), _o("edge_a", m=m - 1, j=j),
-                        step=f"a m-collapse j={j}", callback=cb)
-        for m in range(-1, -M - 1, -1):
-            p.eliminate(("a", (m, 0, j)), _o("edge_a", m=m, j=j),
-                        step=f"a m-collapse j={j}", callback=cb)
+                               _o("edge_a", m=m, j=j), step=f"derive a m-edge j={j}")
+        _march(p, f"a m-collapse j={j}", lambda m: ("a", (m, 0, j)),
+               lambda m: _o("edge_a", m=m, j=j), range(1, M + 1))
     if group == "SG":
         # the same-strand mixed relation kills the whole a level-1 family
         for m in W:
-            for k in range(1, M + 2):
-                p.eliminate(("a", (m, k, 1)), _o("rw_comm_sr_eq", m=m, k=k - 1, i=1),
-                            step="a level-1 k-collapse", callback=cb)
-            for k in range(-1, -M - 1, -1):
-                p.eliminate(("a", (m, k, 1)), _o("rw_comm_sr_eq", m=m, k=k, i=1),
-                            step="a level-1 k-collapse", callback=cb)
-        for m in W:
-            p.eliminate(("a", (m, 0, 1)), _o("triv_a", m=m),
-                        step="a level-1 trivial", callback=cb)
+            _march(p, "a level-1 k-collapse", lambda k: ("a", (m, k, 1)),
+                   lambda k: _o("rw_comm_sr_eq", m=m, k=k, i=1), range(1, M + 2))
+        _sweep(p, "a level-1 trivial", ((("a", (m, 0, 1)), _o("triv_a", m=m)) for m in W))
     # record the renamings a[0,0,j] -> a[j], b[m,0,j] -> b[m,j]
     for j in range(3, n):
         if ("a", (0, 0, j)) in p.gens:
-            p.rename(("a", (0, 0, j)), ("a", (j,)), callback=cb)
+            p.rename(("a", (0, 0, j)), ("a", (j,)))
         for m in sorted(t for t in range(-M - 2, M + 3) if ("b", (t, 0, j)) in p.gens):
-            p.rename(("b", (m, 0, j)), ("b", (m, j)), callback=cb)
+            p.rename(("b", (m, 0, j)), ("b", (m, j)))
     return p
 
 
@@ -163,56 +162,34 @@ def _start(group: str, n: int, M: int, name: str, callback=None) -> TruncatedPre
 
 def gvb4_fingen(M: int, callback=None) -> TruncatedPresentation:
     """Collapse GVB'_4 onto nine generators."""
-    n = 4
-    p = _start("GVB", n, M, "fingen-gvb4", callback=callback)
+    p = _start("GVB", 4, M, "fingen-gvb4", callback=callback)
     W = _window(M)
-    cb = callback
     level0 = {("a", (t, 0, 1)) for t in range(-M - 2, M + 3)}
     # b[m,3] marches in m once the trivial level-0 letters are deleted
     for m in W:
         p.derive_collapsed(_o("comm_sr_1j", m=m, k=0, j=3), level0,
-                           _o("edge_b3", m=m), step="derive b[.,3] m-edge", callback=cb)
-    for m in range(1, M + 2):
-        p.eliminate(("b", (m, 3)), _o("edge_b3", m=m - 1), step="b[.,3] m-collapse", callback=cb)
-    for m in range(-1, -M - 1, -1):
-        p.eliminate(("b", (m, 3)), _o("edge_b3", m=m), step="b[.,3] m-collapse", callback=cb)
+                           _o("edge_b3", m=m), step="derive b[.,3] m-edge")
+    _march(p, "b[.,3] m-collapse", lambda m: ("b", (m, 3)),
+           lambda m: _o("edge_b3", m=m), range(1, M + 2))
     # the right mixed relation solves every b[m,k,2]
-    for k in W:
-        for m in range(-M + 2, M + 3):
-            p.eliminate(("b", (m, k, 2)), _o("mixed_r_2", m=m - 2, k=k),
-                        step="solve b[m,k,2]", callback=cb)
+    _sweep(p, "solve b[m,k,2]", ((("b", (m, k, 2)), _o("mixed_r_2", m=m - 2, k=k))
+                                 for k in W for m in range(-M + 2, M + 3)))
     # the companion recurrence now bounds k to {0,1,2} for a[m,k,2]
     for m in range(-M, M - 1):
-        for k in range(3, M + 2):
-            p.eliminate(("a", (m, k, 2)), _o("braid_rr_1", m=m + 2, k=k - 3),
-                        step="a[m,k,2] k-recurrence", callback=cb)
-        for k in range(-1, -M - 1, -1):
-            p.eliminate(("a", (m, k, 2)), _o("braid_rr_1", m=m + 2, k=k),
-                        step="a[m,k,2] k-recurrence", callback=cb)
+        _march(p, "a[m,k,2] k-recurrence", lambda k: ("a", (m, k, 2)),
+               lambda k: _o("braid_rr_1", m=m + 2, k=k), range(3, M + 2), up_shift=-3)
     # the crossing recurrence bounds m to {0,1}
     for k in (0, 1, 2):
-        for m in range(2, M + 3):
-            p.eliminate(("a", (m, k, 2)), _o("braid_ss_2", m=m - 2, k=k),
-                        step="a[m,k,2] m-recurrence", callback=cb)
-        for m in range(-1, -M - 1, -1):
-            p.eliminate(("a", (m, k, 2)), _o("braid_ss_2", m=m, k=k),
-                        step="a[m,k,2] m-recurrence", callback=cb)
+        _march(p, "a[m,k,2] m-recurrence", lambda m: ("a", (m, k, 2)),
+               lambda m: _o("braid_ss_2", m=m, k=k), range(2, M + 3), up_shift=-2)
     # a[m,k,1] is conjugate to a[0,k,1]
     for k in W:
-        for m in range(1, M + 2):
-            p.eliminate(("a", (m, k, 1)), _o("comm_ss_1j", m=m - 1, k=k, j=3),
-                        step="a[m,k,1] conjugation", callback=cb)
-        for m in range(-1, -M - 1, -1):
-            p.eliminate(("a", (m, k, 1)), _o("comm_ss_1j", m=m, k=k, j=3),
-                        step="a[m,k,1] conjugation", callback=cb)
+        _march(p, "a[m,k,1] conjugation", lambda m: ("a", (m, k, 1)),
+               lambda m: _o("comm_ss_1j", m=m, k=k, j=3), range(1, M + 2))
     # the left mixed relation expresses a[0,k,1] from levels 0 and 1
-    for k in range(2, M + 2):
-        p.eliminate(("a", (0, k, 1)), _o("mixed_l_1", m=-1, k=k - 1),
-                    step="a[0,k,1] recurrence", callback=cb)
-    for k in range(-1, -M - 1, -1):
-        p.eliminate(("a", (0, k, 1)), _o("mixed_l_1", m=-1, k=k),
-                    step="a[0,k,1] recurrence", callback=cb)
-    p.eliminate(("a", (0, 0, 1)), _o("triv_a", m=0), step="a[0,0,1] trivial", callback=cb)
+    _march(p, "a[0,k,1] recurrence", lambda k: ("a", (0, k, 1)),
+           lambda k: _o("mixed_l_1", m=-1, k=k), range(2, M + 2))
+    p.eliminate(("a", (0, 0, 1)), _o("triv_a", m=0), step="a[0,0,1] trivial")
     return p
 
 
@@ -222,52 +199,28 @@ def gvbn_fingen(n: int, M: int, callback=None) -> TruncatedPresentation:
         raise ValueError("this replay needs n >= 5")
     p = _start("GVB", n, M, f"fingen-gvb-n{n}", callback=callback)
     W = _window(M)
-    cb = callback
     # left mixed relation solves every b[m,k,2]
-    for k in W:
-        for m in range(-M + 2, M + 3):
-            p.eliminate(("b", (m, k, 2)), _o("mixed_l_1", m=m - 2, k=k),
-                        step="solve b[m,k,2]", callback=cb)
+    _sweep(p, "solve b[m,k,2]", ((("b", (m, k, 2)), _o("mixed_l_1", m=m - 2, k=k))
+                                 for k in W for m in range(-M + 2, M + 3)))
     # conjugation by b[.,4] collapses k for a[m,k,2]
     for m in W:
-        for k in range(1, M + 2):
-            p.eliminate(("a", (m, k, 2)), _o("comm_sr_2j", m=m, k=k - 1, j=4),
-                        step="a[m,k,2] k-collapse", callback=cb)
-        for k in range(-1, -M - 1, -1):
-            p.eliminate(("a", (m, k, 2)), _o("comm_sr_2j", m=m, k=k, j=4),
-                        step="a[m,k,2] k-collapse", callback=cb)
+        _march(p, "a[m,k,2] k-collapse", lambda k: ("a", (m, k, 2)),
+               lambda k: _o("comm_sr_2j", m=m, k=k, j=4), range(1, M + 2))
     # crossing recurrence bounds m to {0,1} at level k=0
-    for m in range(2, M + 3):
-        p.eliminate(("a", (m, 0, 2)), _o("braid_ss_2", m=m - 2, k=0),
-                    step="a[m,0,2] m-recurrence", callback=cb)
-    for m in range(-1, -M - 1, -1):
-        p.eliminate(("a", (m, 0, 2)), _o("braid_ss_2", m=m, k=0),
-                    step="a[m,0,2] m-recurrence", callback=cb)
+    _march(p, "a[m,0,2] m-recurrence", lambda m: ("a", (m, 0, 2)),
+           lambda m: _o("braid_ss_2", m=m, k=0), range(2, M + 3), up_shift=-2)
     # a[m,k,1] collapses to the trivial level-0 letters via b[.,3]
     for m in W:
-        for k in range(1, M + 2):
-            p.eliminate(("a", (m, k, 1)), _o("comm_sr_1j", m=m, k=k - 1, j=3),
-                        step="a[m,k,1] k-collapse", callback=cb)
-        for k in range(-1, -M - 1, -1):
-            p.eliminate(("a", (m, k, 1)), _o("comm_sr_1j", m=m, k=k, j=3),
-                        step="a[m,k,1] k-collapse", callback=cb)
-    for m in W:
-        p.eliminate(("a", (m, 0, 1)), _o("triv_a", m=m), step="a[m,0,1] trivial", callback=cb)
+        _march(p, "a[m,k,1] k-collapse", lambda k: ("a", (m, k, 1)),
+               lambda k: _o("comm_sr_1j", m=m, k=k, j=3), range(1, M + 2))
+    _sweep(p, "a[m,0,1] trivial", ((("a", (m, 0, 1)), _o("triv_a", m=m)) for m in W))
     # b[m,3] marches in m through the level-1 conjugation relators
-    for m in range(2, M + 2):
-        p.eliminate(("b", (m, 3)), _o("comm_ss_1j", m=m - 2, k=1, j=3),
-                    step="b[m,3] m-collapse", callback=cb)
-    for m in range(-1, -M - 1, -1):
-        p.eliminate(("b", (m, 3)), _o("comm_ss_1j", m=m, k=1, j=3),
-                    step="b[m,3] m-collapse", callback=cb)
+    _march(p, "b[m,3] m-collapse", lambda m: ("b", (m, 3)),
+           lambda m: _o("comm_ss_1j", m=m, k=1, j=3), range(2, M + 2), up_shift=-2)
     # and b[m,j], j >= 4, through the mixed commutations at level 0
     for j in range(4, n):
-        for m in range(2, M + 2):
-            p.eliminate(("b", (m, j)), _o("comm_sr_1j", m=m - 1, k=0, j=j),
-                        step=f"b[m,{j}] m-collapse", callback=cb)
-        for m in range(-1, -M - 1, -1):
-            p.eliminate(("b", (m, j)), _o("comm_sr_1j", m=m, k=0, j=j),
-                        step=f"b[m,{j}] m-collapse", callback=cb)
+        _march(p, f"b[m,{j}] m-collapse", lambda m: ("b", (m, j)),
+               lambda m: _o("comm_sr_1j", m=m, k=0, j=j), range(2, M + 2))
     return p
 
 
@@ -277,47 +230,26 @@ def sgn_fingen(n: int, M: int, callback=None) -> TruncatedPresentation:
         raise ValueError("this replay needs n >= 5")
     p = _start("SG", n, M, f"fingen-sg-n{n}", callback=callback)
     W = _window(M)
-    cb = callback
     # b[m,k,2] is conjugate to b[0,k,2] by powers of a[4]
     for k in W:
-        for m in range(1, M + 2):
-            p.eliminate(("b", (m, k, 2)), _o("comm_sr_j2", m=m - 1, k=k, i=4),
-                        step="b[m,k,2] m-collapse", callback=cb)
-        for m in range(-1, -M - 1, -1):
-            p.eliminate(("b", (m, k, 2)), _o("comm_sr_j2", m=m, k=k, i=4),
-                        step="b[m,k,2] m-collapse", callback=cb)
+        _march(p, "b[m,k,2] m-collapse", lambda m: ("b", (m, k, 2)),
+               lambda m: _o("comm_sr_j2", m=m, k=k, i=4), range(1, M + 2))
     # b[0,k,2] is conjugate to b[0,0,2] by powers of b[0,4]
-    for k in range(1, M + 2):
-        p.eliminate(("b", (0, k, 2)), _o("comm_rr_2j", m=0, k=k - 1, j=4),
-                    step="b[0,k,2] k-collapse", callback=cb)
-    for k in range(-1, -M - 1, -1):
-        p.eliminate(("b", (0, k, 2)), _o("comm_rr_2j", m=0, k=k, j=4),
-                    step="b[0,k,2] k-collapse", callback=cb)
+    _march(p, "b[0,k,2] k-collapse", lambda k: ("b", (0, k, 2)),
+           lambda k: _o("comm_rr_2j", m=0, k=k, j=4), range(1, M + 2))
     # b[m,j] does not depend on m
     for j in range(3, n):
-        for m in range(1, M + 2):
-            p.eliminate(("b", (m, j)), _o("comm_sr_1j", m=m - 1, j=j),
-                        step=f"b[m,{j}] m-collapse", callback=cb)
-        for m in range(-1, -M - 1, -1):
-            p.eliminate(("b", (m, j)), _o("comm_sr_1j", m=m, j=j),
-                        step=f"b[m,{j}] m-collapse", callback=cb)
+        _march(p, f"b[m,{j}] m-collapse", lambda m: ("b", (m, j)),
+               lambda m: _o("comm_sr_1j", m=m, j=j), range(1, M + 2))
     # conjugation by b[0,4] collapses k for a[m,k,2]
     for m in W:
-        for k in range(1, M + 2):
-            p.eliminate(("a", (m, k, 2)), _o("comm_sr_2j", m=m, k=k - 1, j=4),
-                        step="a[m,k,2] k-collapse", callback=cb)
-        for k in range(-1, -M - 1, -1):
-            p.eliminate(("a", (m, k, 2)), _o("comm_sr_2j", m=m, k=k, j=4),
-                        step="a[m,k,2] k-collapse", callback=cb)
+        _march(p, "a[m,k,2] k-collapse", lambda k: ("a", (m, k, 2)),
+               lambda k: _o("comm_sr_2j", m=m, k=k, j=4), range(1, M + 2))
     # two-term recurrence bounds m to {0,1} at level k=0
-    for m in range(2, M + 3):
-        p.eliminate(("a", (m, 0, 2)), _o("braid_ss_1", m=m - 2, k=0),
-                    step="a[m,0,2] m-recurrence", callback=cb)
-    for m in range(-1, -M - 1, -1):
-        p.eliminate(("a", (m, 0, 2)), _o("braid_ss_1", m=m, k=0),
-                    step="a[m,0,2] m-recurrence", callback=cb)
+    _march(p, "a[m,0,2] m-recurrence", lambda m: ("a", (m, 0, 2)),
+           lambda m: _o("braid_ss_1", m=m, k=0), range(2, M + 3), up_shift=-2)
     # the surviving b[0,0,2] is itself redundant
-    p.eliminate(("b", (0, 0, 2)), _o("mixed_r_1", m=0, k=0), step="solve b[0,0,2]", callback=cb)
+    p.eliminate(("b", (0, 0, 2)), _o("mixed_r_1", m=0, k=0), step="solve b[0,0,2]")
     return p
 
 
@@ -329,38 +261,26 @@ def gvb3_quotient_chain(M: int, callback=None) -> TruncatedPresentation:
     """Two successive quotients of GVB'_3 ending in a free presentation."""
     p = _start("GVB", 3, M, "gvb3-free-quotient", callback=callback)
     W = _window(M)
-    cb = callback
     # solve b[m,k,2] from the right mixed relation
-    for m in W:
-        for k in W:
-            p.eliminate(("b", (m, k, 2)), _o("mixed_r_1", m=m, k=k),
-                        step="solve b[m,k,2]", callback=cb)
+    _sweep(p, "solve b[m,k,2]",
+           ((("b", (m, k, 2)), _o("mixed_r_1", m=m, k=k)) for m in W for k in W))
     # quotient 1: force a[m,k,1] a[m+1,k,2] = 1
     p.add_relators(
         [(word((("a", (m, k, 1)), 1), (("a", (m + 1, k, 2)), 1)), _o("w", m=m, k=k))
-         for m in W for k in W],
-        note="adjoin", callback=cb)
-    for k in W:
-        for m in W:
-            p.eliminate(("a", (m + 1, k, 2)), _o("w", m=m, k=k),
-                        step="kill a[m,k,2] mod W", callback=cb)
+         for m in W for k in W])
+    _sweep(p, "kill a[m,k,2] mod W",
+           ((("a", (m + 1, k, 2)), _o("w", m=m, k=k)) for k in W for m in W))
     # quotient 2: force a[m+1,k,1] = a[m-1,k,1]
     p.add_relators(
         [(word((("a", (m + 1, k, 1)), -1), (("a", (m - 1, k, 1)), 1)), _o("v", m=m, k=k))
-         for m in W for k in W],
-        note="adjoin", callback=cb)
+         for m in W for k in W])
     for k in W:
-        for m in range(2, M + 2):
-            p.eliminate(("a", (m, k, 1)), _o("v", m=m - 1, k=k),
-                        step="a[m,k,1] two-step collapse", callback=cb)
-        for m in range(-1, -M - 1, -1):
-            p.eliminate(("a", (m, k, 1)), _o("v", m=m + 1, k=k),
-                        step="a[m,k,1] two-step collapse", callback=cb)
+        _march(p, "a[m,k,1] two-step collapse", lambda m: ("a", (m, k, 1)),
+               lambda m: _o("v", m=m, k=k), range(2, M + 2), down_shift=1)
     # a[1,k,1] inverts to a[0,k,1]
-    for k in W:
-        p.eliminate(("a", (1, k, 1)), _o("braid_ss_1", m=0, k=k),
-                    step="a[1,k,1] inversion", callback=cb)
-    p.eliminate(("a", (0, 0, 1)), _o("triv_a", m=0), step="a[0,0,1] trivial", callback=cb)
+    _sweep(p, "a[1,k,1] inversion",
+           ((("a", (1, k, 1)), _o("braid_ss_1", m=0, k=k)) for k in W))
+    p.eliminate(("a", (0, 0, 1)), _o("triv_a", m=0), step="a[0,0,1] trivial")
     return p
 
 
@@ -368,18 +288,11 @@ def sg3_beta_elimination(M: int, callback=None) -> TruncatedPresentation:
     """Eliminate b[m,k,2] from SG'_3 and bound m by the two-term recurrence."""
     p = _start("SG", 3, M, "sg3-abelianization", callback=callback)
     W = _window(M)
-    cb = callback
-    for m in W:
-        for k in W:
-            p.eliminate(("b", (m, k, 2)), _o("mixed_r_1", m=m, k=k),
-                        step="solve b[m,k,2]", callback=cb)
+    _sweep(p, "solve b[m,k,2]",
+           ((("b", (m, k, 2)), _o("mixed_r_1", m=m, k=k)) for m in W for k in W))
     for k in W:
-        for m in range(2, M + 3):
-            p.eliminate(("a", (m, k, 2)), _o("braid_ss_1", m=m - 2, k=k),
-                        step="a[m,k,2] m-recurrence", callback=cb)
-        for m in range(-1, -M - 1, -1):
-            p.eliminate(("a", (m, k, 2)), _o("braid_ss_1", m=m, k=k),
-                        step="a[m,k,2] m-recurrence", callback=cb)
+        _march(p, "a[m,k,2] m-recurrence", lambda m: ("a", (m, k, 2)),
+               lambda m: _o("braid_ss_1", m=m, k=k), range(2, M + 3), up_shift=-2)
     return p
 
 

@@ -263,19 +263,6 @@ def param_domains(pres: PresentationSchema, rel: RelatorSchema) -> dict[str, tup
     return out
 
 
-def _valid_instance(pres: PresentationSchema, w: Word) -> bool:
-    alphabet = pres.alphabet()
-    for g, _ in w.letters:
-        family, idx = g
-        domains = alphabet.domains(family, len(idx))
-        for value, dom in zip(idx, domains):
-            if dom is not None:
-                lo, hi = dom
-                if not (lo <= value <= hi):
-                    return False
-    return True
-
-
 def enumerate_bindings(pres: PresentationSchema, rel: RelatorSchema, window: int):
     """All guard-satisfying bindings: window params in [-window, window],
     strand params over their inferred ranges.  Lexicographic order."""
@@ -298,10 +285,11 @@ def enumerate_instances(pres: PresentationSchema, rel: RelatorSchema, window: in
     """Concrete relator words over the window, strand-valid only."""
     if window < 0:
         raise ValueError("window must be >= 0")
+    in_domain = pres.alphabet().in_domain
     out = []
     for bindings in enumerate_bindings(pres, rel, window):
         w = rel.instantiate(bindings)
-        if _valid_instance(pres, w):
+        if all(in_domain(g) for g, _ in w.letters):
             out.append(w)
     return out
 
@@ -310,28 +298,16 @@ def instance_set(pres: PresentationSchema, relators, window: int,
                  interior: int | None = None) -> set[Word]:
     """Canonical forms of all instances; optionally keep only words whose
     window coordinates all lie within [-interior, interior]."""
-    alphabet = pres.alphabet()
+    within = pres.alphabet().within_window
     out: set[Word] = set()
     for rel in relators:
         for w in enumerate_instances(pres, rel, window):
-            if interior is not None and not _within(alphabet, w, interior):
+            if interior is not None and not all(within(g, interior) for g, _ in w.letters):
                 continue
             c = canonical_cyclic(w)
             if c:
                 out.add(c)
     return out
-
-
-def _within(alphabet: Alphabet, w: Word, bound: int) -> bool:
-    for (family, idx), _ in w.letters:
-        for pos in alphabet.window_positions(family, len(idx)):
-            if abs(idx[pos]) > bound:
-                return False
-    return True
-
-
-def word_within_window(alphabet: Alphabet, w: Word, bound: int) -> bool:
-    return _within(alphabet, w, bound)
 
 
 def schema_sets_equal(pres_a: PresentationSchema, rels_a,

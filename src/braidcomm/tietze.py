@@ -21,7 +21,8 @@ one-letter relator; the copy is a product of conjugates of present
 relators, so the group is unchanged).
 
 Every move appends one transcript line; replays are deterministic, so
-transcripts are reproducible byte for byte.
+transcripts are reproducible byte for byte.  An observer ``callback``, fixed
+when the presentation is built, sees one event per move before it applies.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ def origin_of(label: str, bindings: dict[str, int]) -> Origin:
 
 
 class TruncatedPresentation:
-    def __init__(self, schema: PresentationSchema, window: int, name: str = ""):
+    def __init__(self, schema: PresentationSchema, window: int, name: str = "",
+                 callback=None):
         self.schema = schema
         self.alphabet = schema.alphabet()
         self.window = window
@@ -63,34 +65,27 @@ class TruncatedPresentation:
         self._gen_index: dict[Gen, set[int]] = {}
         self._next_id = 0
         self.transcript: list[str] = []
+        self.callback = callback
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def from_schema(cls, schema: PresentationSchema, window: int, name: str = "",
                     callback=None) -> "TruncatedPresentation":
-        p = cls(schema, window, name)
+        p = cls(schema, window, name, callback)
         p.gens.update(p.alphabet.gens_in_window(window))
+        in_domain = p.alphabet.in_domain
         for rel in schema.relators:
             for bindings in enumerate_bindings(schema, rel, window):
                 w = rel.instantiate(bindings)
-                if not p._strand_valid(w):
-                    continue
-                p._insert(w, origin_of(rel.label, bindings))
+                if all(in_domain(g) for g, _ in w.letters):
+                    p._insert(w, origin_of(rel.label, bindings))
         p.transcript.append(
             f"start {p.name} window {window}: {len(p.gens)} generators, {len(p.relators)} relators"
         )
         if callback is not None:
             callback({"kind": "start", "presentation": p})
         return p
-
-    def _strand_valid(self, w: Word) -> bool:
-        for (family, idx), _ in w.letters:
-            domains = self.alphabet.domains(family, len(idx))
-            for value, dom in zip(idx, domains):
-                if dom is not None and not (dom[0] <= value <= dom[1]):
-                    return False
-        return True
 
     def _insert(self, w: Word, origin: Origin) -> int:
         rid = self._next_id
@@ -149,32 +144,17 @@ class TruncatedPresentation:
         bound = self.window - margin
         if bound < 0:
             return set()
-        out = set()
-        for g in self.gens:
-            family, idx = g
-            positions = self.alphabet.window_positions(family, len(idx))
-            if all(abs(idx[p]) <= bound for p in positions):
-                out.add(g)
-        return out
-
-    def word_is_interior(self, w: Word, margin: int) -> bool:
-        bound = self.window - margin
-        for (family, idx), _ in w.letters:
-            for p in self.alphabet.window_positions(family, len(idx)):
-                if abs(idx[p]) > bound:
-                    return False
-        return True
+        return {g for g in self.gens if self.alphabet.within_window(g, bound)}
 
     def interior_relator_set(self, margin: int) -> set[Word]:
-        out = set()
-        for w in self.relators.values():
-            if w and self.word_is_interior(w, margin):
-                out.add(canonical_cyclic(w))
-        return out
+        bound = self.window - margin
+        within = self.alphabet.within_window
+        return {canonical_cyclic(w) for w in self.relators.values()
+                if w and all(within(g, bound) for g, _ in w.letters)}
 
     # -- moves ---------------------------------------------------------------
 
-    def eliminate(self, target: Gen, via: Origin, step: str = "", callback=None) -> Word:
+    def eliminate(self, target: Gen, via: Origin, step: str = "") -> Word:
         """Remove ``target`` using the relator with the given origin.
 
         The occurrence must be isolating: exactly one run, exponent +-1.
@@ -203,8 +183,8 @@ class TruncatedPresentation:
             old = self.relators[rid2]
             new = substitute(old, target, expression)
             touched.append((rid2, old, new))
-        if callback is not None:
-            callback({
+        if self.callback is not None:
+            self.callback({
                 "kind": "eliminate",
                 "target": target,
                 "defining_rid": rid,
@@ -223,12 +203,12 @@ class TruncatedPresentation:
         self.transcript.append(f"eliminate {fmt_gen(target)} via {w} := {expression}")
         return expression
 
-    def add_relators(self, words_with_origins, note: str = "adjoin", callback=None) -> None:
+    def add_relators(self, words_with_origins, note: str = "adjoin") -> None:
         for w, origin in words_with_origins:
             w = normalize(w.letters)
             rid = self._insert(w, origin)
-            if callback is not None:
-                callback({"kind": "adjoin", "word": w, "rid": rid})
+            if self.callback is not None:
+                self.callback({"kind": "adjoin", "word": w, "rid": rid})
             self.transcript.append(f"{note} {w}")
 
     def remove_relator(self, rid: int, note: str) -> None:
@@ -238,13 +218,13 @@ class TruncatedPresentation:
         self._remove(rid)
         self.transcript.append(f"absorb {w} ({note})")
 
-    def rename(self, old: Gen, new: Gen, callback=None) -> None:
+    def rename(self, old: Gen, new: Gen) -> None:
         if old not in self.gens:
             raise ReplayError(f"rename: generator {fmt_gen(old)} not present")
         if new in self.gens:
             raise ReplayError(f"rename: generator {fmt_gen(new)} already present")
-        if callback is not None:
-            callback({"kind": "rename", "old": old, "new": new})
+        if self.callback is not None:
+            self.callback({"kind": "rename", "old": old, "new": new})
         for rid in sorted(self.relators_containing(old)):
             w = self.relators[rid]
             self._replace(rid, Word._make(tuple(
@@ -254,8 +234,7 @@ class TruncatedPresentation:
         self.gens.add(new)
         self.transcript.append(f"rename {fmt_gen(old)} -> {fmt_gen(new)}")
 
-    def derive_collapsed(self, source: Origin, doomed, origin: Origin,
-                         step: str = "", callback=None) -> Word:
+    def derive_collapsed(self, source: Origin, doomed, origin: Origin, step: str = "") -> Word:
         """Adjoin a copy of ``source`` with all ``doomed`` letters deleted.
 
         Each doomed generator must carry a one-letter relator, which makes
@@ -273,10 +252,10 @@ class TruncatedPresentation:
             trivial_rids[g] = rid
         new = delete_generators(w, set(used))
         new_rid = self._insert(new, origin)
-        if callback is not None:
-            callback({"kind": "derive", "source_rid": src_rid, "source_word": w,
-                      "deleted": used, "trivial_rids": trivial_rids,
-                      "word": new, "rid": new_rid})
+        if self.callback is not None:
+            self.callback({"kind": "derive", "source_rid": src_rid, "source_word": w,
+                           "deleted": used, "trivial_rids": trivial_rids,
+                           "word": new, "rid": new_rid})
         self.transcript.append(
             f"derive {new if new else EMPTY} from {w} deleting {{{', '.join(fmt_gen(g) for g in used)}}}"
         )

@@ -125,9 +125,6 @@ class Word:
     def generators(self) -> set[Gen]:
         return {g for g, _ in self.letters}
 
-    def exponent_sum(self, g: Gen) -> int:
-        return sum(e for h, e in self.letters if h == g)
-
     def exponent_vector(self) -> dict[Gen, int]:
         """Image in the free abelianization: generator -> net exponent."""
         out: dict[Gen, int] = {}
@@ -281,22 +278,25 @@ class Alphabet:
     def window_positions(self, family: str, arity: int) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.domains(family, arity)) if d is None)
 
-    def validate_gen(self, g: Gen) -> None:
+    def in_domain(self, g: Gen) -> bool:
+        """Whether every ranged index of ``g`` lies in its declared range."""
         family, idx = g
-        domains = self.domains(family, len(idx))
-        for pos, (value, dom) in enumerate(zip(idx, domains)):
-            if dom is not None:
-                lo, hi = dom
-                if not (lo <= value <= hi):
-                    raise WordError(
-                        f"index {value} at position {pos} of {fmt_gen(g)} "
-                        f"outside declared range {lo}..{hi}"
-                    )
+        for value, dom in zip(idx, self.domains(family, len(idx))):
+            if dom is not None and not dom[0] <= value <= dom[1]:
+                return False
+        return True
+
+    def within_window(self, g: Gen, bound: int) -> bool:
+        """Whether every window coordinate of ``g`` lies in [-bound, bound]."""
+        family, idx = g
+        return all(abs(idx[p]) <= bound for p in self.window_positions(family, len(idx)))
 
     def make_word(self, letters) -> Word:
         """Validating word constructor; names the offending letter on error."""
-        for g, e in letters:
-            self.validate_gen(g)
+        for g, _ in letters:
+            if not self.in_domain(g):
+                raise WordError(f"{fmt_gen(g)} lies outside the declared index ranges "
+                                f"{self.domains(g[0], len(g[1]))}")
         return normalize(letters)
 
     def gens_in_window(self, bound: int) -> list[Gen]:

@@ -16,8 +16,7 @@ def _audited_presentation(M=3):
 
 def test_auditor_certifies_an_honest_elimination():
     auditor, p = _audited_presentation()
-    p.eliminate(("b", (0, 0, 2)), origin_of("mixed_r_1", {"m": 0, "k": 0}),
-                callback=auditor)
+    p.eliminate(("b", (0, 0, 2)), origin_of("mixed_r_1", {"m": 0, "k": 0}))
     report = auditor.finish(p, "demo", 3)
     assert report.steps_verified == 1
     assert len(report.epochs) == 1
@@ -32,9 +31,9 @@ def test_auditor_rejects_a_forged_substitution():
             step["touched"][0] = (rid, old, word(gen("a", 0, 0, 2)))
         auditor(step)
 
+    p.callback = forge
     with pytest.raises(AuditError, match="predicted row operation"):
-        p.eliminate(("b", (0, 0, 2)), origin_of("mixed_r_1", {"m": 0, "k": 0}),
-                    callback=forge)
+        p.eliminate(("b", (0, 0, 2)), origin_of("mixed_r_1", {"m": 0, "k": 0}))
 
 
 def test_auditor_rejects_a_forged_defining_sign():
@@ -45,9 +44,9 @@ def test_auditor_rejects_a_forged_defining_sign():
             step["sign"] = -step["sign"]
         auditor(step)
 
+    p.callback = forge
     with pytest.raises(AuditError, match="coefficient"):
-        p.eliminate(("b", (0, 0, 2)), origin_of("mixed_r_1", {"m": 0, "k": 0}),
-                    callback=forge)
+        p.eliminate(("b", (0, 0, 2)), origin_of("mixed_r_1", {"m": 0, "k": 0}))
 
 
 def test_auditor_requires_one_letter_backing_for_derives():
@@ -61,10 +60,11 @@ def test_auditor_requires_one_letter_backing_for_derives():
 
     gvb = TruncatedPresentation.from_schema(simplified_derived("GVB", 3), 3,
                                             callback=auditor)
+    gvb.callback = forge
     with pytest.raises(AuditError, match="one-letter row"):
         gvb.derive_collapsed(origin_of("braid_ss_1", {"m": 0, "k": 0}),
                              {("a", (m, 0, 1)) for m in range(-3, 4)},
-                             ("edge", 0), callback=forge)
+                             ("edge", 0))
 
 
 def test_auditor_detects_quotient_epochs():

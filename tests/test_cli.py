@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from braidcomm import cli, registry
+from braidcomm import cli, quotients, registry
 from braidcomm.grammar import parse_presentation
 from braidcomm.registry import ClaimResult, VerificationReport, emit_table
 
@@ -73,3 +74,35 @@ def test_replay_writes_transcript(tmp_path, capsys):
 
 def test_replay_unknown_script(capsys):
     assert cli.main(["replay", "--script", "nope", "--window", "3"]) == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("verify", "--window", "-3", "--claims", "expansion-identity"), "--window"),
+    (("verify", "--window", "2"), "--window"),
+    (("replay", "--script", "gvb3-free-quotient", "--window", "-1"), "--window"),
+    (("verify", "--n", "3,x"), "--n"),
+])
+def test_bad_window_or_n_exits_two_with_one_error_line(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+    assert "Traceback" not in captured.err
+
+
+def test_one_failing_claim_does_not_abort_the_batch(monkeypatch):
+    def broken(window):
+        raise quotients.CertificateError("forged failure")
+
+    claims = [dataclasses.replace(c, runner=broken) if c.id == "ambient-ab:sg:4" else c
+              for c in registry.REGISTRY]
+    monkeypatch.setattr(registry, "REGISTRY", claims)
+    report = registry.run(claim_filter="ambient-ab:sg", window=4)
+    verdicts = {r.claim: (r.verdict, r.detail) for r in report.results}
+    assert verdicts.pop("ambient-ab:sg:4") == ("refuted", "CertificateError: forged failure")
+    assert sorted(verdicts) == ["ambient-ab:sg:3", "ambient-ab:sg:5", "ambient-ab:sg:6"]
+    assert all(verdict == "verified" for verdict, _ in verdicts.values())
+    assert report.exit_status == 1
