@@ -25,12 +25,26 @@ EXPORTABLE = tuple(f.lower() for f in FAMILIES) + (
 )
 
 
-def _int_list(text: str) -> list[int]:
+def _strand_counts(text: str) -> list[int]:
+    """Comma-separated strand counts, each covered by some claim."""
     try:
-        return [int(part) for part in text.split(",") if part]
+        ns = [int(part) for part in text.split(",") if part]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+    covered = {c.n for c in registry.REGISTRY if c.n is not None}
+    unsupported = sorted(set(ns) - covered)
+    if unsupported:
+        raise argparse.ArgumentTypeError(
+            f"no claim covers n={unsupported}; choose from {sorted(covered)}")
+    return ns
+
+
+def _claim_filter(text: str) -> str:
+    """A substring of at least one claim id."""
+    if not any(text in c.id for c in registry.REGISTRY):
+        raise argparse.ArgumentTypeError(f"no claim id contains {text!r}")
+    return text
 
 
 def _window(text: str) -> int:
@@ -103,10 +117,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run claims and report verdicts")
     verify.add_argument("--group", choices=("gvb", "sg", "all"), default="all")
-    verify.add_argument("--n", type=_int_list, default="3,4,5,6",
+    verify.add_argument("--n", type=_strand_counts, default="3,4,5,6",
                         help="comma-separated strand counts")
     verify.add_argument("--window", type=_window, default=4, help="truncation bound, >= 3")
-    verify.add_argument("--claims", default="", help="substring filter on claim ids")
+    verify.add_argument("--claims", type=_claim_filter, default="",
+                        help="substring filter on claim ids")
     verify.add_argument("--format", choices=("table", "json-lines"), default="table")
     verify.set_defaults(func=cmd_verify)
 

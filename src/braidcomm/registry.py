@@ -1,8 +1,9 @@
 """Claim registry and verification reports.
 
 Every claim the batch runner knows is a data record binding an id, the
-group and strand count it concerns, a one-line statement, and the runner
-that checks it.  Verdicts come from a four-value enum:
+group and strand count it concerns, a one-line statement, the ids of the
+claims it requires, and the runner that checks it.  Verdicts come from a
+four-value enum:
 
   verified          the check ran and passed
   refuted           the check ran and failed
@@ -10,15 +11,17 @@ that checks it.  Verdicts come from a four-value enum:
   out-of-scope      tracked for the summary table but not examined
 
 Claims about groups that merely inherit a property through a verified
-surjection (finite generation and perfectness pass to quotients) run the
-certificates for the covering group and the surjection identification,
-then report "verified" with the inheritance spelled out in the detail.
+surjection (finite generation and perfectness pass to quotients) require
+the claims for the covering group and the surjection identification; their
+runners only spell the inheritance out.  ``run`` checks each claim at most
+once per call and refutes a claim whose prerequisite is not verified.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import abelian, quotients, replays
 from .catalog import catalog
@@ -34,7 +37,7 @@ class ClaimResult:
     claim: str
     group: str
     n: int | None
-    window: int | None
+    window: int | None  # the largest window the checks behind the verdict ran at
     verdict: str
     detail: str
 
@@ -63,20 +66,23 @@ def _verdict(ok: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# claim runners; each returns (verdict, detail)
+# claim runners; each is called as runner(window) and returns
+# (verdict, detail, window the check ran at).  A check that does not
+# truncate reports the requested window; one that checks nothing, None.
 
 
 def _run_expansion_identity(group: str, n: int, window: int):
     bound = min(window, 3)
     ok, checked = expansion_identity_holds(group, n, bound)
-    return _verdict(ok), f"{checked} (relator, key) pairs with |m|,|k| <= {bound}"
+    return _verdict(ok), f"{checked} (relator, key) pairs with |m|,|k| <= {bound}", bound
 
 
 def _run_relator_list(group: str, n: int, window: int):
-    rep = verify_simplification(group, n, max(window, 3))
+    M = max(window, 3)
+    rep = verify_simplification(group, n, M)
     detail = ("replayed collapse reproduces the stored list on the interior"
               if rep.ok else f"{len(rep.missing)} missing / {len(rep.extra)} extra relators")
-    return _verdict(rep.ok), detail
+    return _verdict(rep.ok), detail, M
 
 
 _FINGEN_SCRIPTS = {
@@ -91,106 +97,75 @@ def _run_fingen(group: str, n: int, window: int):
     survivors = p.surviving_interior(replays.MARGIN)
     expected = replays.expected_fingen_survivors(group, n)
     ok = survivors == expected
-    return _verdict(ok), f"{len(survivors)} interior generators survive the collapse at window {M}"
+    return _verdict(ok), f"{len(survivors)} interior generators survive the collapse at window {M}", M
 
 
-def _run_gvb3_not_fingen(group: str, n: int, window: int):
-    ranks = []
-    for M in (3, 4, min(max(window, 5), 7)):
-        ranks.append(quotients.free_quotient_certificate_gvb3(M).rank)
-    ok = ranks == sorted(set(ranks)) and all(
-        r == 2 * (M - 2) for r, M in zip(ranks, (3, 4, min(max(window, 5), 7))))
-    return _verdict(ok), f"free quotient ranks {ranks} grow with the window"
+def _run_gvb3_not_fingen(window: int):
+    windows = (3, 4, min(max(window, 5), 7))
+    ranks = [quotients.free_quotient_certificate_gvb3(M).rank for M in windows]
+    ok = ranks == sorted(set(ranks)) and all(r == 2 * (M - 2) for r, M in zip(ranks, windows))
+    return _verdict(ok), f"free quotient ranks {ranks} grow with the window", windows[-1]
 
 
-def _run_sg3_not_fingen(group: str, n: int, window: int):
+def _run_sg3_not_fingen(window: int):
     ranks = []
     windows = (4, 5, min(max(window, 6), 8))
     for M in windows:
         cert = quotients.sg3_abelianization_certificate(M)
         if not cert.cross_checked:
-            return "refuted", f"window {M}: replayed and direct ranks disagree"
+            return "refuted", f"window {M}: replayed and direct ranks disagree", M
         ranks.append(cert.free_rank)
     ok = ranks == sorted(set(ranks)) and all(
         r == 2 * (2 * (M - 2) + 1) for r, M in zip(ranks, windows))
-    return _verdict(ok), f"torsion-free quotient ranks {ranks} grow with the window"
-
-
-def _run_sg4_not_fingen(group: str, n: int, window: int):
-    match = quotients.sg3_as_quotient_of_sg4(max(window, 4)).match
-    sub_verdict, sub_detail = _run_sg3_not_fingen("SG", 3, window)
-    ok = match and sub_verdict == "verified"
-    return _verdict(ok), ("inherits from SG'_3 through the verified quotient map"
-                          if ok else "prerequisite check failed")
-
-
-def _run_ub_not_fingen(group: str, n: int, window: int):
-    edge = quotients.verify_diagram_edge("kappa", n).ok
-    if n == 3:
-        sub_verdict, _ = _run_sg3_not_fingen("SG", 3, window)
-    else:
-        sub_verdict, _ = _run_sg4_not_fingen("SG", 4, window)
-    ok = edge and sub_verdict == "verified"
-    return _verdict(ok), (f"inherits from SG'_{n} through the verified surjection"
-                          if ok else "prerequisite check failed")
+    return _verdict(ok), f"torsion-free quotient ranks {ranks} grow with the window", windows[-1]
 
 
 def _run_perfect(group: str, n: int, window: int):
     M = max(window, 4)
     rep = abelian.perfectness_window_check(group, n, M)
-    return _verdict(rep.perfect_on_interior), str(rep)
+    return _verdict(rep.perfect_on_interior), str(rep), M
 
 
-def _run_gvb3_not_perfect(group: str, n: int, window: int):
-    cert = quotients.free_quotient_certificate_gvb3(max(window, 4))
+def _run_gvb3_not_perfect(window: int):
+    M = max(window, 4)
+    cert = quotients.free_quotient_certificate_gvb3(M)
     ok = cert.rank > 0
     return _verdict(ok), (f"surjects onto a free group of rank {cert.rank}; "
-                          "its abelianization is nontrivial")
+                          "its abelianization is nontrivial"), M
 
 
-def _run_sg3_not_perfect(group: str, n: int, window: int):
-    cert = quotients.sg3_abelianization_certificate(max(window, 4))
+def _run_sg3_not_perfect(window: int):
+    M = max(window, 4)
+    cert = quotients.sg3_abelianization_certificate(M)
     ok = cert.free_rank > 0 and not cert.torsion
-    return _verdict(ok), f"abelianization has free rank {cert.free_rank} on the interior"
-
-
-def _run_sg4_not_perfect(group: str, n: int, window: int):
-    match = quotients.sg3_as_quotient_of_sg4(max(window, 4)).match
-    sub_verdict, _ = _run_sg3_not_perfect("SG", 3, window)
-    ok = match and sub_verdict == "verified"
-    return _verdict(ok), ("inherits from SG'_3 through the verified quotient map"
-                          if ok else "prerequisite check failed")
-
-
-def _run_gvb4_not_perfect(group: str, n: int, window: int):
-    return "externally-cited", ("recorded on outside authority; not machine-checked here")
+    return _verdict(ok), f"abelianization has free rank {cert.free_rank} on the interior", M
 
 
 def _run_ambient_ab(group: str, n: int, window: int):
     p = TruncatedPresentation.from_schema(catalog(group, n), 0)
     free_rank, torsion = abelian.abelian_invariants(p)
     ok = free_rank == 2 and not torsion
-    return _verdict(ok), f"ambient abelianization: free rank {free_rank}, torsion {torsion}"
+    return _verdict(ok), f"ambient abelianization: free rank {free_rank}, torsion {torsion}", window
 
 
-def _run_edge(edge: str):
-    def run(group: str, n: int, window: int):
-        rep = quotients.verify_diagram_edge(edge, n)
-        return _verdict(rep.ok), str(rep)
-    return run
+def _run_edge(edge: str, n: int, window: int):
+    rep = quotients.verify_diagram_edge(edge, n)
+    return _verdict(rep.ok), str(rep), window
 
 
-def _run_sg3_quotient(group: str, n: int, window: int):
+def _run_sg3_quotient(window: int):
     M = max(window, 4)
     main = quotients.sg3_as_quotient_of_sg4(M)
     mutated = quotients.sg3_as_quotient_of_sg4(M, keep={("b", (0, 3))})
     ok = main.match and not mutated.match
     return _verdict(ok), ("substitution matches and the mutation is detected"
-                          if ok else str(main))
+                          if ok else str(main)), M
 
 
-def _run_fp(group: str, n: int, window: int):
-    return "out-of-scope", "finite presentability is open and not examined"
+def _stated(verdict: str, detail: str):
+    """A runner that checks nothing itself: an inheritance spelled out once
+    its prerequisites are verified, a citation, or an untracked claim."""
+    return lambda window: (verdict, detail, None)
 
 
 @dataclass(frozen=True)
@@ -200,67 +175,63 @@ class Claim:
     n: int | None
     statement: str
     runner: object
+    requires: tuple[str, ...] = ()
 
 
 def build_registry() -> list[Claim]:
     claims: list[Claim] = []
 
-    def add(cid, group, n, statement, runner):
-        claims.append(Claim(cid, group, n, statement, runner))
+    def add(cid, group, n, statement, runner, requires=()):
+        claims.append(Claim(cid, group, n, statement, runner, requires))
 
     for g, tag in (("GVB", "gvb"), ("SG", "sg")):
         for n in (3, 4, 5, 6):
             add(f"expansion-identity:{tag}:{n}", tag, n,
                 f"rewriting then expanding every conjugated {g}_{n} relator returns it",
-                lambda w, g=g, n=n: _run_expansion_identity(g, n, w))
+                partial(_run_expansion_identity, g, n))
             add(f"relator-list:{tag}:{n}", tag, n,
                 f"the stored {g}'_{n} relator list is reproduced by replayed collapse",
-                lambda w, g=g, n=n: _run_relator_list(g, n, w))
-            add(f"ambient-ab:{tag}:{n}", tag, n,
-                f"{g}_{n} abelianizes to Z x Z",
-                lambda w, g=g, n=n: _run_ambient_ab(g, n, w))
+                partial(_run_relator_list, g, n))
+            add(f"ambient-ab:{tag}:{n}", tag, n, f"{g}_{n} abelianizes to Z x Z",
+                partial(_run_ambient_ab, g, n))
     add("fingen:gvb:4", "gvb", 4, "GVB'_4 is generated by 9 elements",
-        lambda w: _run_fingen("GVB", 4, w))
+        partial(_run_fingen, "GVB", 4))
     for n in (5, 6):
         add(f"fingen:gvb:{n}", "gvb", n, f"GVB'_{n} is generated by {3 * n - 7} elements",
-            lambda w, n=n: _run_fingen("GVB", n, w))
+            partial(_run_fingen, "GVB", n))
         add(f"fingen:sg:{n}", "sg", n, f"SG'_{n} is generated by {2 * n - 4} elements",
-            lambda w, n=n: _run_fingen("SG", n, w))
-    add("not-fingen:gvb:3", "gvb", 3, "GVB'_3 is not finitely generated",
-        lambda w: _run_gvb3_not_fingen("GVB", 3, w))
-    add("not-fingen:sg:3", "sg", 3, "SG'_3 is not finitely generated",
-        lambda w: _run_sg3_not_fingen("SG", 3, w))
-    add("not-fingen:sg:4", "sg", 4, "SG'_4 is not finitely generated",
-        lambda w: _run_sg4_not_fingen("SG", 4, w))
+            partial(_run_fingen, "SG", n))
+    sg3_to_sg4 = _stated("verified", "inherits from SG'_3 through the verified quotient map")
+    add("not-fingen:gvb:3", "gvb", 3, "GVB'_3 is not finitely generated", _run_gvb3_not_fingen)
+    add("not-fingen:sg:3", "sg", 3, "SG'_3 is not finitely generated", _run_sg3_not_fingen)
+    add("not-fingen:sg:4", "sg", 4, "SG'_4 is not finitely generated", sg3_to_sg4,
+        requires=("sg3-quotient-of-sg4", "not-fingen:sg:3"))
     for n in (3, 4):
         add(f"not-fingen:ub:{n}", "ub", n, f"UB'_{n} is not finitely generated",
-            lambda w, n=n: _run_ub_not_fingen("UB", n, w))
+            _stated("verified", f"inherits from SG'_{n} through the verified surjection"),
+            requires=(f"diagram:kappa:{n}", f"not-fingen:sg:{n}"))
     for g, tag in (("GVB", "gvb"), ("SG", "sg")):
         for n in (5, 6):
             add(f"perfect:{tag}:{n}", tag, n, f"{g}'_{n} is perfect",
-                lambda w, g=g, n=n: _run_perfect(g, n, w))
-    add("not-perfect:gvb:3", "gvb", 3, "GVB'_3 is not perfect",
-        lambda w: _run_gvb3_not_perfect("GVB", 3, w))
+                partial(_run_perfect, g, n))
+    add("not-perfect:gvb:3", "gvb", 3, "GVB'_3 is not perfect", _run_gvb3_not_perfect)
     add("not-perfect:gvb:4", "gvb", 4, "GVB'_4 is not perfect",
-        lambda w: _run_gvb4_not_perfect("GVB", 4, w))
-    add("not-perfect:sg:3", "sg", 3, "SG'_3 is not perfect",
-        lambda w: _run_sg3_not_perfect("SG", 3, w))
-    add("not-perfect:sg:4", "sg", 4, "SG'_4 is not perfect",
-        lambda w: _run_sg4_not_perfect("SG", 4, w))
+        _stated("externally-cited", "recorded on outside authority; not machine-checked here"))
+    add("not-perfect:sg:3", "sg", 3, "SG'_3 is not perfect", _run_sg3_not_perfect)
+    add("not-perfect:sg:4", "sg", 4, "SG'_4 is not perfect", sg3_to_sg4,
+        requires=("sg3-quotient-of-sg4", "not-perfect:sg:3"))
     for edge in sorted(quotients.EDGES):
         for n in (3, 4):
             grp = {"alpha": "gvb", "gamma": "gvb", "beta": "gvb", "delta": "gvb",
                    "omega": "sg", "zeta": "gvb", "xi": "ub", "kappa": "ub"}[edge]
             add(f"diagram:{edge}:{n}", grp, n,
                 f"quotient map {edge} at n={n} lands on its stated target",
-                lambda w, edge=edge, n=n: _run_edge(edge)("", n, w))
+                partial(_run_edge, edge, n))
     add("sg3-quotient-of-sg4", "sg", 4,
-        "killing a[3] and b[m,3] in SG'_4 gives exactly SG'_3",
-        lambda w: _run_sg3_quotient("SG", 4, w))
-    add("fp:gvb", "gvb", None, "finite presentability of GVB'_n",
-        lambda w: _run_fp("GVB", 0, w))
-    add("fp:sg", "sg", None, "finite presentability of SG'_n",
-        lambda w: _run_fp("SG", 0, w))
+        "killing a[3] and b[m,3] in SG'_4 gives exactly SG'_3", _run_sg3_quotient)
+    unexamined = _stated("out-of-scope", "finite presentability is open and not examined")
+    add("fp:gvb", "gvb", None, "finite presentability of GVB'_n", unexamined)
+    add("fp:sg", "sg", None, "finite presentability of SG'_n", unexamined)
     return claims
 
 
@@ -269,32 +240,44 @@ REGISTRY = build_registry()
 
 def run(claim_filter: str = "", groups: str = "all", ns=(3, 4, 5, 6),
         window: int = 4) -> VerificationReport:
-    """Execute matching claims and aggregate their verdicts.
+    """Execute the matching claims and everything they require; report the
+    matching ones in id order.
 
-    A runner that raises a certificate, replay or value error refutes its
-    claim; the remaining claims still run."""
-    report = VerificationReport()
+    Each claim is checked at most once per call.  A claim whose prerequisite
+    is not verified is refuted without running.  A runner that raises a
+    certificate, replay or value error refutes its claim; the remaining
+    claims still run."""
+    by_id = {c.id: c for c in REGISTRY}
+    if claim_filter and not any(claim_filter in cid for cid in by_id):
+        raise KeyError(f"no claim id matches {claim_filter!r}")
     wanted_groups = {"gvb", "sg", "ub"} if groups == "all" else {groups}
     ns = set(ns)
-    known = False
-    for claim in sorted(REGISTRY, key=lambda c: c.id):
-        if claim_filter and claim_filter not in claim.id:
-            continue
-        known = True
-        if claim.group not in wanted_groups:
-            continue
-        if claim.n is not None and claim.n not in ns:
-            continue
-        try:
-            verdict, detail = claim.runner(window)
-        except (quotients.CertificateError, ReplayError, ValueError) as exc:
-            # a check that cannot complete refutes its claim, never the batch
-            verdict, detail = "refuted", f"{type(exc).__name__}: {exc}"
-        report.results.append(ClaimResult(claim.id, claim.group, claim.n,
-                                          window, verdict, detail))
-    if claim_filter and not known:
-        raise KeyError(f"no claim id matches {claim_filter!r}")
-    return report
+    done: dict[str, ClaimResult] = {}
+
+    def check(claim: Claim) -> ClaimResult:
+        if claim.id in done:
+            return done[claim.id]
+        prereqs = [check(by_id[pid]) for pid in claim.requires]
+        failed = next((r for r in prereqs if r.verdict != "verified"), None)
+        used = None
+        if failed is not None:
+            verdict = "refuted"
+            detail = f"prerequisite {failed.claim} is {failed.verdict}: {failed.detail}"
+        else:
+            try:
+                verdict, detail, used = claim.runner(window)
+            except (quotients.CertificateError, ReplayError, ValueError) as exc:
+                # a check that cannot complete refutes its claim, never the batch
+                verdict, detail = "refuted", f"{type(exc).__name__}: {exc}"
+        windows = [w for w in (used, *(r.window for r in prereqs)) if w is not None]
+        done[claim.id] = ClaimResult(claim.id, claim.group, claim.n,
+                                     max(windows, default=None), verdict, detail)
+        return done[claim.id]
+
+    selected = [c for c in sorted(by_id.values(), key=lambda c: c.id)
+                if claim_filter in c.id and c.group in wanted_groups
+                and (c.n is None or c.n in ns)]
+    return VerificationReport([check(c) for c in selected])
 
 
 # ---------------------------------------------------------------------------

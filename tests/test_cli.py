@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -29,9 +30,36 @@ def test_verify_json_lines_is_deterministic(capsys):
     }]
 
 
+def one_error_line(capsys, argv) -> str:
+    """Run argv, expect exit 2 with nothing on stdout and one error line."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    return errors[0]
+
+
 def test_verify_unknown_claim_filter(capsys):
-    with pytest.raises(KeyError):
-        cli.main(["verify", "--claims", "nonsense-claim-id"])
+    error = one_error_line(capsys, ["verify", "--claims", "nonsense-claim-id"])
+    assert "argument --claims:" in error and "nonsense-claim-id" in error
+
+
+@pytest.mark.parametrize("claim,window,effective", [
+    ("fingen:sg:5", 3, 5),             # the replay clamps the window up
+    ("expansion-identity:sg:3", 6, 3),  # the identity check clamps it down
+    ("not-fingen:sg:4", 4, 6),          # the largest window of its prerequisites
+    ("fp:sg", 4, None),                 # nothing was checked
+])
+def test_verify_reports_the_effective_window(capsys, claim, window, effective):
+    status, out = run_cli(capsys, "verify", "--claims", claim, "--window", str(window),
+                          "--format", "json-lines")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert status == 0 and [r["claim"] for r in records] == [claim]
+    assert records[0]["window"] == effective
 
 
 def test_exit_status_tracks_refutations():
@@ -81,16 +109,10 @@ def test_replay_unknown_script(capsys):
     (("verify", "--window", "2"), "--window"),
     (("replay", "--script", "gvb3-free-quotient", "--window", "-1"), "--window"),
     (("verify", "--n", "3,x"), "--n"),
+    (("verify", "--n", "99"), "--n"),
 ])
 def test_bad_window_or_n_exits_two_with_one_error_line(capsys, argv, flag):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(list(argv))
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and f"argument {flag}:" in errors[0]
-    assert "Traceback" not in captured.err
+    assert f"argument {flag}:" in one_error_line(capsys, argv)
 
 
 def test_one_failing_claim_does_not_abort_the_batch(monkeypatch):
@@ -106,3 +128,89 @@ def test_one_failing_claim_does_not_abort_the_batch(monkeypatch):
     assert sorted(verdicts) == ["ambient-ab:sg:3", "ambient-ab:sg:5", "ambient-ab:sg:6"]
     assert all(verdict == "verified" for verdict, _ in verdicts.values())
     assert report.exit_status == 1
+
+
+def test_prerequisites_exist_and_form_no_cycle():
+    by_id = {c.id: c for c in registry.REGISTRY}
+    assert len(by_id) == len(registry.REGISTRY)
+    finished: set[str] = set()
+
+    def visit(cid, path):
+        assert cid in by_id, f"{path[-1]} requires unknown claim {cid}"
+        assert cid not in path, f"cycle through {path + (cid,)}"
+        if cid not in finished:
+            for pid in by_id[cid].requires:
+                visit(pid, path + (cid,))
+            finished.add(cid)
+
+    for cid in by_id:
+        visit(cid, ())
+
+
+def forged_refutation(window):
+    return "refuted", "forged refutation", 6
+
+
+def forged_error(window):
+    raise quotients.CertificateError("forged failure")
+
+
+@pytest.mark.parametrize("runner", [forged_refutation, forged_error])
+def test_refuted_prerequisite_refutes_its_heirs(monkeypatch, runner):
+    claims = [dataclasses.replace(c, runner=runner) if c.id == "not-fingen:sg:3" else c
+              for c in registry.REGISTRY]
+    monkeypatch.setattr(registry, "REGISTRY", claims)
+    report = registry.run(claim_filter="not-fingen", window=4)
+    results = {r.claim: r for r in report.results}
+    assert results["not-fingen:sg:3"].verdict == "refuted"
+    assert results["not-fingen:gvb:3"].verdict == "verified"
+    for heir in ("not-fingen:sg:4", "not-fingen:ub:3", "not-fingen:ub:4"):
+        assert results[heir].verdict == "refuted"
+        assert "prerequisite" in results[heir].detail
+        assert "not-fingen:sg:3" in results[heir].detail
+    assert report.exit_status == 1
+
+
+CHECKS = ("sg3_abelianization_certificate", "free_quotient_certificate_gvb3",
+          "sg3_as_quotient_of_sg4", "verify_diagram_edge")
+
+
+@pytest.fixture(scope="module")
+def counted_batch():
+    """One full batch at window 4, counting runner, certificate and edge calls."""
+    runner_calls: Counter = Counter()
+    check_calls: list = []
+
+    def counted_runner(claim):
+        def runner(window):
+            runner_calls[claim.id] += 1
+            return claim.runner(window)
+        return dataclasses.replace(claim, runner=runner)
+
+    def counted_check(name, fn):
+        def check(*args, **kwargs):
+            check_calls.append((name, args, repr(sorted(kwargs.items()))))
+            return fn(*args, **kwargs)
+        return check
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(registry, "REGISTRY", [counted_runner(c) for c in registry.REGISTRY])
+        for name in CHECKS:
+            mp.setattr(quotients, name, counted_check(name, getattr(quotients, name)))
+        report = registry.run(window=4)
+    return report, runner_calls, check_calls
+
+
+def test_a_batch_checks_each_claim_once(counted_batch):
+    report, runner_calls, check_calls = counted_batch
+    assert len(report.results) == len(registry.REGISTRY)
+    assert max(runner_calls.values()) == 1
+    assert len(check_calls) == 26 and len(set(check_calls)) == 24
+
+
+def test_single_claim_matches_the_batch(counted_batch):
+    report, _, _ = counted_batch
+    batch = {r.claim: r for r in report.results}
+    single = registry.run(claim_filter="not-fingen:ub:4", window=4)
+    assert [r.claim for r in single.results] == ["not-fingen:ub:4"]
+    assert single.results[0] == batch["not-fingen:ub:4"]
