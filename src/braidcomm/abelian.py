@@ -4,24 +4,27 @@ Everything here runs on arbitrary-precision Python integers; diagonal
 reduction can blow entries up even on small lattices, so fixed-width
 arithmetic is never acceptable.
 
-Two engines share the same pivot discipline (smallest absolute value,
-ties broken by lowest (row, column)):
+Two engines:
 
 * :func:`smith_normal_form` -- dense, returns the diagonal together with
   unimodular transforms ``U`` and ``V`` with ``U A V = D`` and the exact
-  determinants of both transforms.  Used on small matrices and wherever a
-  certificate is wanted.
+  determinants of both transforms.  Its pivot is the smallest absolute
+  value, ties broken by lowest (row, column).  Used on small matrices and
+  wherever a certificate is wanted.
 * :class:`LatticeReduction` -- sparse, column transform only.  Row
   operations never change the row space, so tracking ``V`` alone supports
   membership tests ``v in rowspace(A)`` (forced-trivial generators) and
   rank questions on matrices with thousands of rows.  Unit pivots are
-  eaten first with a fill-minimizing choice; whatever dense core remains
-  is finished by the dense engine.
+  eaten first by the Markowitz rule, least ``(fill, col, row)``; the rule
+  is unchanged from a full rescan of the matrix but kept lazily in a heap
+  of per-row keys.  Whatever dense core remains is finished by the dense
+  engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .tietze import TruncatedPresentation
 from .words import Gen, Word
@@ -214,6 +217,14 @@ class LatticeReduction:
     matrix such that a vector x lies in the row space of the input iff
     ``x @ v`` is divisible entrywise by the pivot diagonal and vanishes on
     non-pivot columns.
+
+    Unit pivots follow the Markowitz rule: among all entries equal to +-1,
+    take the least key ``(fill, col, row)`` with
+    ``fill = (|col_support[col]| - 1) * (|row| - 1)``.  The rule is kept
+    lazily rather than by rescanning the matrix: a heap holds each live
+    row's best key, and a row is re-queued only when its entries or the
+    support of one of its unit columns change.  The pivot sequence is the
+    one a full rescan would pick.
     """
 
     def __init__(self, rows: list[dict[int, int]], ncols: int, track_v: bool = True):
@@ -230,6 +241,13 @@ class LatticeReduction:
         self.v = IntegerMatrix.identity(ncols) if track_v else None
         self.pivots: dict[int, int] = {}
         self.done = False
+        # lazy Markowitz queue: each live row's best key, plus stale keys
+        # that are dropped when popped; rows and columns changed since the
+        # last pick are re-queued by the next one, and every row starts so
+        self._heap: list[tuple[int, int, int]] = []
+        self._best: dict[int, tuple[int, int, int]] = {}
+        self._dirty_rows: set[int] = set(self.rows)
+        self._dirty_cols: set[int] = set()
 
     def _row_axpy(self, target: int, source: int, q: int) -> None:
         # row_target -= q * row_source
@@ -239,10 +257,13 @@ class LatticeReduction:
             if new:
                 if j not in trow:
                     self.col_support.setdefault(j, set()).add(target)
+                    self._dirty_cols.add(j)
                 trow[j] = new
             elif j in trow:
                 del trow[j]
                 self.col_support[j].discard(target)
+                self._dirty_cols.add(j)
+        self._dirty_rows.add(target)
         if not trow:
             del self.rows[target]
 
@@ -257,27 +278,62 @@ class LatticeReduction:
             if new:
                 if target not in row:
                     self.col_support.setdefault(target, set()).add(i)
+                    self._dirty_cols.add(target)
                 row[target] = new
             elif target in row:
                 del row[target]
                 self.col_support[target].discard(i)
+                self._dirty_cols.add(target)
+            self._dirty_rows.add(i)
         if self.track_v:
             ventries = self.v.entries
             for r in range(self.ncols):
                 ventries[r][target] -= q * ventries[r][source]
 
-    def _pick_unit_pivot(self):
+    def _row_key(self, i: int):
+        """The least ``(fill, col, row)`` over the unit entries of live row
+        ``i``, or None when it has none."""
+        row = self.rows.get(i)
+        if row is None:
+            return None
+        col_support = self.col_support
+        rfill = len(row) - 1
         best = None
-        where = None
-        for i, row in self.rows.items():
-            rlen = len(row)
-            for j, val in row.items():
-                if val in (1, -1):
-                    fill = (len(self.col_support[j]) - 1) * (rlen - 1)
-                    key = (fill, j, i)
-                    if best is None or key < best:
-                        best, where = key, (i, j)
-        return where
+        for j, val in row.items():
+            if val == 1 or val == -1:
+                key = ((len(col_support[j]) - 1) * rfill, j, i)
+                if best is None or key < best:
+                    best = key
+        return best
+
+    def _pick_unit_pivot(self):
+        rows, heap, dirty = self.rows, self._heap, self._dirty_rows
+        # a changed column support changes the fill of its unit entries
+        for j in self._dirty_cols:
+            dirty.update(i for i in self.col_support.get(j, ())
+                         if rows[i][j] in (1, -1))
+        self._dirty_cols.clear()
+        best = self._best
+        for i in dirty:
+            key = self._row_key(i)
+            if key is None:
+                best.pop(i, None)
+            elif best.get(i) != key:
+                best[i] = key
+                heappush(heap, key)
+        dirty.clear()
+        if len(heap) > 2 * len(rows) + 64:
+            # stale keys pile up: rebuild from the live rows only
+            heap[:] = best.values()
+            heapify(heap)
+        # every live row's best key is queued, so the first key that is
+        # still some row's best is the least over the whole matrix
+        while heap:
+            key = heappop(heap)
+            if best.get(key[2]) == key:
+                del best[key[2]]  # the pivot row leaves the matrix
+                return key[2], key[1]
+        return None
 
     def run(self) -> "LatticeReduction":
         while True:

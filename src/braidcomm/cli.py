@@ -139,7 +139,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and not registry.select(args.claims, args.group, args.n):
+        parser.error(f"argument --claims: no claim id containing {args.claims!r} is in "
+                     f"--group {args.group} --n {','.join(map(str, args.n))}")
     return args.func(args)
 
 

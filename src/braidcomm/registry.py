@@ -250,8 +250,6 @@ def run(claim_filter: str = "", groups: str = "all", ns=(3, 4, 5, 6),
     by_id = {c.id: c for c in REGISTRY}
     if claim_filter and not any(claim_filter in cid for cid in by_id):
         raise KeyError(f"no claim id matches {claim_filter!r}")
-    wanted_groups = {"gvb", "sg", "ub"} if groups == "all" else {groups}
-    ns = set(ns)
     done: dict[str, ClaimResult] = {}
 
     def check(claim: Claim) -> ClaimResult:
@@ -274,10 +272,15 @@ def run(claim_filter: str = "", groups: str = "all", ns=(3, 4, 5, 6),
                                      max(windows, default=None), verdict, detail)
         return done[claim.id]
 
-    selected = [c for c in sorted(by_id.values(), key=lambda c: c.id)
-                if claim_filter in c.id and c.group in wanted_groups
-                and (c.n is None or c.n in ns)]
-    return VerificationReport([check(c) for c in selected])
+    return VerificationReport([check(c) for c in select(claim_filter, groups, ns)])
+
+
+def select(claim_filter: str = "", groups: str = "all", ns=(3, 4, 5, 6)) -> list[Claim]:
+    """The claims :func:`run` reports, in id order."""
+    wanted_groups = {"gvb", "sg", "ub"} if groups == "all" else {groups}
+    return [c for c in sorted(REGISTRY, key=lambda c: c.id)
+            if claim_filter in c.id and c.group in wanted_groups
+            and (c.n is None or c.n in ns)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each oracle deliberately uses a different algorithm from the code under
 test: single-letter stack reduction instead of run-length merging, minor
 gcds instead of elimination for invariant factors, dict counters instead
-of walking reductions for exponent sums.
+of walking reductions for exponent sums, a full rescan instead of a lazy
+heap for the unit pivot.
 """
 
 from itertools import combinations
@@ -62,6 +63,23 @@ def invariant_factors_by_minors(entries):
         factors.append(g // prev)
         prev = g
     return factors
+
+
+def unit_pivot_by_rescan(rows, col_support):
+    """The Markowitz unit pivot (row, col) of a sparse matrix, found by
+    scanning every entry: the least (fill, col, row) over entries equal to
+    +-1, with fill = (|col_support[col]| - 1) * (|row| - 1).  None when no
+    entry is a unit."""
+    best = None
+    where = None
+    for i, row in rows.items():
+        rlen = len(row)
+        for j, val in row.items():
+            if val in (1, -1):
+                key = ((len(col_support[j]) - 1) * (rlen - 1), j, i)
+                if best is None or key < best:
+                    best, where = key, (i, j)
+    return where
 
 
 def multiply_permutations(perms):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidcomm import audit, replays
 from braidcomm.abelian import (
     IntegerMatrix,
     LatticeReduction,
@@ -17,7 +18,7 @@ from braidcomm.abelian import (
 from braidcomm.catalog import catalog
 from braidcomm.derived import simplified_derived
 from braidcomm.tietze import TruncatedPresentation
-from oracles import invariant_factors_by_minors
+from oracles import invariant_factors_by_minors, unit_pivot_by_rescan
 
 
 def _random_matrix(rng, max_dim=6, span=9):
@@ -71,6 +72,80 @@ def test_sparse_reduction_agrees_with_dense():
         rows = [{j: v for j, v in enumerate(row) if v} for row in m.entries]
         red = LatticeReduction(rows, m.cols).run()
         assert red.invariant_factors() == smith_normal_form(m).invariant_factors
+
+
+# sparse entries, about 30% nonzero, two thirds of those +-1
+SPARSE_ENTRIES = (0,) * 19 + (1, -1, 1, -1, 2, -2, 3, -3)
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=10):
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    cells = st.lists(st.sampled_from(SPARSE_ENTRIES), min_size=cols, max_size=cols)
+    return IntegerMatrix(draw(st.lists(cells, min_size=rows, max_size=rows)))
+
+
+def _sparse_rows(m):
+    return [{j: v for j, v in enumerate(row) if v} for row in m.entries]
+
+
+class RescanCheckedReduction(LatticeReduction):
+    """Asserts at every step that the lazy heap picks the pivot a full
+    rescan of the live matrix picks."""
+
+    def _pick_unit_pivot(self):
+        where = super()._pick_unit_pivot()
+        assert where == unit_pivot_by_rescan(self.rows, self.col_support)
+        return where
+
+
+@given(sparse_matrices(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_unit_pivots_follow_the_rescan_rule(m, track_v):
+    RescanCheckedReduction(_sparse_rows(m), m.cols, track_v=track_v).run()
+
+
+def test_unit_pivots_follow_the_rescan_rule_on_real_matrices(monkeypatch):
+    matrices = []
+
+    def record(rows, ncols):
+        matrices.append((rows, ncols))
+        return (0, [])
+
+    # every matrix the simplify-gvb-n4 audit abelianizes at window 4,
+    # starting with the start presentation's
+    monkeypatch.setattr(audit, "abelian_invariants_of_matrix", record)
+    audit.audit_script(replays.SCRIPTS["simplify-gvb-n4"], "simplify-gvb-n4", 4,
+                       checkpoint_every=150)
+    monkeypatch.undo()
+    p = TruncatedPresentation.from_schema(simplified_derived("GVB", 5), 4)
+    mat = relation_matrix(p)
+    matrices.append((mat.rows, len(mat.gens)))
+    for rows, ncols in matrices:
+        RescanCheckedReduction(rows, ncols, track_v=False).run()
+    RescanCheckedReduction(mat.rows, len(mat.gens)).run()
+
+
+@given(sparse_matrices(), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_reduction_agrees_with_dense_on_sparse_matrices(m, track_v, data):
+    red = LatticeReduction(_sparse_rows(m), m.cols, track_v=track_v).run()
+    dense = smith_normal_form(m)
+    assert red.invariant_factors() == dense.invariant_factors
+    if m.rows <= 4 and m.cols <= 4:
+        assert dense.invariant_factors == invariant_factors_by_minors(m.entries)
+    if not track_v:
+        return
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
+    combo = {j: sum(c * row[j] for c, row in zip(coeffs, m.entries)) for j in range(m.cols)}
+    assert red.contains(combo)
+    # with U A V = D, the unit vector e_j lies in the row space of A iff
+    # e_j V, row j of V, lies in the row space of D
+    diag = [dense.d.entries[t][t] if t < m.rows else 0 for t in range(m.cols)]
+    for j in range(m.cols):
+        in_dense = all(y % d == 0 if d else y == 0 for y, d in zip(dense.v.entries[j], diag))
+        assert red.contains({j: 1}) == in_dense
 
 
 def test_sparse_membership():
@@ -170,3 +245,20 @@ def test_matrix_text_export():
     assert lines[0].startswith("# columns: ")
     assert len(lines) == 1 + len(mat.rows)
     assert all(len(line.split()) == len(mat.gens) for line in lines[1:])
+
+
+@pytest.mark.parametrize("group,n", [("SG", 3), ("GVB", 3), ("SG", 4)])
+@pytest.mark.parametrize("window", [0, 1, 2])
+def test_abelian_invariants_agree_with_sympy(group, n, window):
+    normalforms = pytest.importorskip(
+        "sympy.matrices.normalforms",
+        reason="sympy is an optional test-only channel for invariant factors")
+    from sympy import ZZ, Matrix
+
+    p = TruncatedPresentation.from_schema(simplified_derived(group, n), window)
+    mat = relation_matrix(p)
+    factors = [abs(int(d)) for d in
+               normalforms.invariant_factors(Matrix(mat.dense().entries), domain=ZZ)]
+    nonzero = [d for d in factors if d]
+    assert abelian_invariants(p) == (len(mat.gens) - len(nonzero),
+                                     sorted(d for d in nonzero if d > 1))

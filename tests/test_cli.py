@@ -48,6 +48,14 @@ def test_verify_unknown_claim_filter(capsys):
     assert "argument --claims:" in error and "nonsense-claim-id" in error
 
 
+def test_verify_claim_filter_outside_the_selection(capsys):
+    # "kappa" names only ub diagram edges, which --group sg leaves out
+    error = one_error_line(capsys, ["verify", "--group", "sg", "--claims", "kappa",
+                                    "--format", "json-lines"])
+    assert "argument --claims:" in error and "'kappa'" in error
+    assert "--group sg" in error and "--n 3,4,5,6" in error
+
+
 @pytest.mark.parametrize("claim,window,effective", [
     ("fingen:sg:5", 3, 5),             # the replay clamps the window up
     ("expansion-identity:sg:3", 6, 3),  # the identity check clamps it down
