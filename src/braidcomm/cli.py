@@ -13,6 +13,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import registry, replays
@@ -23,6 +24,13 @@ from .grammar import emit_presentation
 EXPORTABLE = tuple(f.lower() for f in FAMILIES) + (
     "gvb-derived", "sg-derived", "gvb-derived-raw", "sg-derived-raw",
 )
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 def _strand_counts(text: str) -> list[int]:
@@ -40,6 +48,22 @@ def _strand_counts(text: str) -> list[int]:
     return ns
 
 
+def _strand_count(text: str) -> int:
+    """One strand count, at least 3."""
+    value = _integer(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError(f"n must be >= 3, got {value}")
+    return value
+
+
+def _transcript_path(text: str) -> str:
+    """A file path whose directory exists, checked before the replay runs."""
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
+    return text
+
+
 def _claim_filter(text: str) -> str:
     """A substring of at least one claim id."""
     if not any(text in c.id for c in registry.REGISTRY):
@@ -49,10 +73,7 @@ def _claim_filter(text: str) -> str:
 
 def _window(text: str) -> int:
     """A truncation bound with a nonempty interior."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    value = _integer(text)
     if value < replays.MARGIN + 1:
         raise argparse.ArgumentTypeError(
             f"window must be >= {replays.MARGIN + 1} to leave a nonempty interior, got {value}")
@@ -127,13 +148,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser("export-presentation", help="print a presentation file")
     export.add_argument("--group", required=True)
-    export.add_argument("--n", type=int, required=True)
+    export.add_argument("--n", type=_strand_count, required=True, help=">= 3")
     export.set_defaults(func=cmd_export)
 
     replay = sub.add_parser("replay", help="run a named elimination script")
     replay.add_argument("--script", required=True)
     replay.add_argument("--window", type=_window, required=True, help=">= 3")
-    replay.add_argument("--transcript", default="")
+    replay.add_argument("--transcript", type=_transcript_path, default="")
     replay.set_defaults(func=cmd_replay)
     return parser
 

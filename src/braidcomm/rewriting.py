@@ -24,7 +24,7 @@ empty word, so expansion identities are unaffected.
 from __future__ import annotations
 
 from .schemas import Affine, RelatorSchema, aff
-from .words import EMPTY, Gen, Word, WordError, bidegree, concat, conjugate, fmt_gen, invert, normalize
+from .words import Gen, Word, WordError, _join, bidegree, conjugate, fmt_gen, invert, normalize
 
 
 S1: Gen = ("s", (1,))
@@ -75,16 +75,16 @@ def is_trivial_pair(key: tuple[int, int], letter: Gen) -> bool:
 
 def expand(w: Word, n: int) -> Word:
     """Substitute every a/b letter by its expansion over s/r and reduce."""
-    out = EMPTY
+    out: list[tuple[Gen, int]] = []
     for (family, idx), e in w.letters:
         if family not in ("a", "b") or len(idx) != 3:
             raise WordError(f"cannot expand letter {fmt_gen((family, idx))}")
         m, k, i = idx
         _, expansion = schreier_generator((m, k), ("s" if family == "a" else "r", (i,)), n)
-        piece = expansion if e > 0 else invert(expansion)
+        piece = (expansion if e > 0 else invert(expansion)).letters
         for _ in range(abs(e)):
-            out = concat(out, piece)
-    return out
+            _join(out, piece)
+    return Word._make(tuple(out))
 
 
 def rewrite(w: Word, n: int) -> Word:

@@ -36,7 +36,6 @@ from .words import (
     delete_generators,
     fmt_gen,
     invert,
-    normalize,
     substitute,
 )
 
@@ -93,9 +92,10 @@ class TruncatedPresentation:
         self.relators[rid] = w
         self.origins[rid] = origin
         self._by_origin[origin] = rid
-        for g in w.generators():
+        gens = w.generators()
+        for g in gens:
             self._gen_index.setdefault(g, set()).add(rid)
-        self.gens.update(w.generators())
+        self.gens.update(gens)
         return rid
 
     def _remove(self, rid: int) -> None:
@@ -110,14 +110,15 @@ class TruncatedPresentation:
                     del self._gen_index[g]
 
     def _replace(self, rid: int, new: Word) -> None:
-        old = self.relators[rid]
-        for g in old.generators() - new.generators():
+        old_gens = self.relators[rid].generators()
+        new_gens = new.generators()
+        for g in old_gens - new_gens:
             ids = self._gen_index.get(g)
             if ids is not None:
                 ids.discard(rid)
                 if not ids:
                     del self._gen_index[g]
-        for g in new.generators() - old.generators():
+        for g in new_gens - old_gens:
             self._gen_index.setdefault(g, set()).add(rid)
         self.relators[rid] = new
 
@@ -205,7 +206,6 @@ class TruncatedPresentation:
 
     def add_relators(self, words_with_origins, note: str = "adjoin") -> None:
         for w, origin in words_with_origins:
-            w = normalize(w.letters)
             rid = self._insert(w, origin)
             if self.callback is not None:
                 self.callback({"kind": "adjoin", "word": w, "rid": rid})

@@ -10,6 +10,14 @@ A :class:`Word` is a freely reduced run-length sequence of
 immutable and all operations are pure, so they are safe to share between
 workers.
 
+Reduction happens in two places only.  :func:`normalize` is the one
+validating entry for raw ``(generator, exponent)`` sequences.  Operations
+on words (``concat``, ``power``, ``conjugate``, ``substitute``) join
+reduced pieces with ``_join``: every factor of a reduced word is reduced,
+so the only letters that can merge or cancel are those at a seam where two
+pieces meet, and free reduction has one normal form, so the result equals
+what ``normalize`` would give on the concatenated letters.
+
 The map :func:`bidegree` sends a word over the ``s``/``r`` families to the
 pair (total s-exponent, total r-exponent).  It is a homomorphism onto
 Z x Z, and its kernel is the commutator subgroup of every ambient group in
@@ -24,6 +32,7 @@ space-separated.  The empty word prints as ``1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 Gen = tuple[str, tuple[int, ...]]
@@ -123,7 +132,7 @@ class Word:
         return out
 
     def generators(self) -> set[Gen]:
-        return {g for g, _ in self.letters}
+        return set(map(itemgetter(0), self.letters))
 
     def exponent_vector(self) -> dict[Gen, int]:
         """Image in the free abelianization: generator -> net exponent."""
@@ -153,8 +162,29 @@ def word(*letters) -> Word:
     return normalize(raw)
 
 
+def _join(out: list, piece) -> None:
+    """Append the reduced runs ``piece`` to the reduced list ``out``.
+
+    Runs merge or cancel only at the seam, while the last run of ``out``
+    and the first run of ``piece`` share a generator; the rest of ``piece``
+    is copied unchanged.
+    """
+    i, n = 0, len(piece)
+    while out and i < n and out[-1][0] == piece[i][0]:
+        g, e = out[-1]
+        e += piece[i][1]
+        i += 1
+        if e:
+            out[-1] = (g, e)
+            break
+        out.pop()
+    out.extend(piece[i:] if i else piece)
+
+
 def concat(a: Word, b: Word) -> Word:
-    return normalize(list(a.letters) + list(b.letters))
+    out = list(a.letters)
+    _join(out, b.letters)
+    return Word._make(tuple(out))
 
 
 def invert(w: Word) -> Word:
@@ -164,8 +194,11 @@ def invert(w: Word) -> Word:
 def power(w: Word, e: int) -> Word:
     if e == 0:
         return EMPTY
-    base = w if e > 0 else invert(w)
-    return normalize(list(base.letters) * abs(e))
+    base = (w if e > 0 else invert(w)).letters
+    out: list[tuple[Gen, int]] = []
+    for _ in range(abs(e)):
+        _join(out, base)
+    return Word._make(tuple(out))
 
 
 def conjugate(w: Word, by: Word) -> Word:
@@ -179,13 +212,29 @@ def freely_equal(a: Word, b: Word) -> bool:
 
 def substitute(w: Word, target: Gen, replacement: Word) -> Word:
     """Replace every occurrence of target^e by replacement^e and reduce."""
-    raw: list[tuple[Gen, int]] = []
-    for g, e in w.letters:
-        if g == target:
-            raw.extend(power(replacement, e).letters)
+    letters = w.letters
+    column = list(map(itemgetter(0), letters))
+    inverse = None
+    out: list[tuple[Gen, int]] = []
+    start = 0
+    while True:
+        try:
+            pos = column.index(target, start)
+        except ValueError:
+            break
+        _join(out, letters[start:pos])
+        e = letters[pos][1]
+        if e > 0:
+            piece = replacement.letters
         else:
-            raw.append((g, e))
-    return normalize(raw)
+            if inverse is None:
+                inverse = invert(replacement).letters
+            piece = inverse
+        for _ in range(abs(e)):
+            _join(out, piece)
+        start = pos + 1
+    _join(out, letters[start:])
+    return Word._make(tuple(out))
 
 
 def delete_generators(w: Word, doomed) -> Word:

@@ -1,7 +1,8 @@
 """Independent oracles used to pin expected values in the tests.
 
 Each oracle deliberately uses a different algorithm from the code under
-test: single-letter stack reduction instead of run-length merging, minor
+test: single-letter stack reduction instead of run-length merging at the
+seams, whole-word normalization instead of seam joins, minor
 gcds instead of elimination for invariant factors, dict counters instead
 of walking reductions for exponent sums, a full rescan instead of a lazy
 heap for the unit pivot.
@@ -20,6 +21,46 @@ def naive_reduce(units):
         else:
             stack.append((g, e))
     return stack
+
+
+def reduce_units(units):
+    """Free reduction of (gen, exp) pairs the slow way: expand to single
+    letters, cancel inverse pairs on a stack, then run-length encode."""
+    singles = []
+    for g, e in units:
+        singles.extend([(g, 1 if e > 0 else -1)] * abs(e))
+    out = []
+    for g, e in naive_reduce(singles):
+        if out and out[-1][0] == g:
+            out[-1] = (g, out[-1][1] + e)
+        else:
+            out.append((g, e))
+    return tuple(out)
+
+
+def inverse_units(letters):
+    """Raw letters of the inverse word."""
+    return [(g, -e) for g, e in reversed(letters)]
+
+
+def substitute_units(w, target, replacement):
+    """Raw letters of w with every target^e spelled out as replacement^e."""
+    raw = []
+    for g, e in w.letters:
+        if g == target:
+            piece = list(replacement.letters) if e > 0 else inverse_units(replacement.letters)
+            raw.extend(piece * abs(e))
+        else:
+            raw.append((g, e))
+    return raw
+
+
+def substitute_by_normalize(w, target, replacement):
+    """The whole-word route: spell out every replacement, then normalize
+    the concatenated letters."""
+    from braidcomm.words import normalize
+
+    return normalize(substitute_units(w, target, replacement))
 
 
 def exponent_sums(units):

@@ -108,6 +108,17 @@ def test_replay_writes_transcript(tmp_path, capsys):
     assert "interior survivors (2):" in text
 
 
+def test_replay_checks_the_transcript_directory_first(tmp_path, capsys, monkeypatch):
+    def never(window):
+        raise AssertionError("the replay ran")
+
+    monkeypatch.setitem(cli.replays.SCRIPTS, "gvb3-free-quotient", never)
+    path = tmp_path / "no" / "such" / "t.txt"
+    error = one_error_line(capsys, ["replay", "--script", "gvb3-free-quotient",
+                                    "--window", "3", "--transcript", str(path)])
+    assert "argument --transcript:" in error and str(path.parent) in error
+
+
 def test_replay_unknown_script(capsys):
     assert cli.main(["replay", "--script", "nope", "--window", "3"]) == 2
 
@@ -118,6 +129,9 @@ def test_replay_unknown_script(capsys):
     (("replay", "--script", "gvb3-free-quotient", "--window", "-1"), "--window"),
     (("verify", "--n", "3,x"), "--n"),
     (("verify", "--n", "99"), "--n"),
+    (("export-presentation", "--group", "sg", "--n", "2"), "--n"),
+    (("export-presentation", "--group", "sg", "--n", "0"), "--n"),
+    (("export-presentation", "--group", "sg", "--n", "-1"), "--n"),
 ])
 def test_bad_window_or_n_exits_two_with_one_error_line(capsys, argv, flag):
     assert f"argument {flag}:" in one_error_line(capsys, argv)

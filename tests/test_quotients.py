@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from braidcomm.abelian import abelian_invariants, abelian_invariants_of_matrix, relation_matrix
@@ -6,6 +8,7 @@ from braidcomm.derived import simplified_derived
 from braidcomm.quotients import (
     EDGES,
     CertificateError,
+    _added_schemas,
     absorb,
     free_quotient_certificate_gvb3,
     permutation_of_word,
@@ -15,9 +18,9 @@ from braidcomm.quotients import (
     sg3_as_quotient_of_sg4,
     verify_diagram_edge,
 )
-from braidcomm.schemas import aff, schema
+from braidcomm.schemas import aff, instance_set, schema
 from braidcomm.tietze import TruncatedPresentation
-from braidcomm.words import canonical_cyclic, gen, word
+from braidcomm.words import canonical_cyclic, fmt_gen, gen, word
 from oracles import multiply_permutations
 
 
@@ -49,6 +52,30 @@ def test_sn_landing_edges_run_the_permutation_channel():
     assert verify_diagram_edge("beta", 4).permutation_check is True
     assert verify_diagram_edge("delta", 3).permutation_check is True
     assert verify_diagram_edge("alpha", 4).permutation_check is None
+
+
+@pytest.mark.parametrize("edge", ["beta", "delta"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_sn_targets_have_order_n_factorial_by_todd_coxeter(edge, n):
+    fp_groups = pytest.importorskip(
+        "sympy.combinatorics.fp_groups",
+        reason="sympy is an optional test-only channel for coset enumeration")
+    from sympy.combinatorics.free_groups import free_group
+
+    source, target, added, _ = EDGES[edge]
+    assert target == "S"
+    pres = quotient_by(catalog(source, n), _added_schemas(added, n))
+    gens = pres.alphabet().gens_in_window(0)
+    free, *letters = free_group(",".join(map(fmt_gen, gens)))
+    letter = dict(zip(gens, letters))
+    relators = []
+    for w in instance_set(pres, pres.relators, 0):
+        element = free.identity
+        for g, e in w.letters:
+            element *= letter[g] ** e
+        relators.append(element)
+    order = fp_groups.FpGroup(free, relators).order()
+    assert order == factorial(n)
 
 
 def test_permutation_images_against_multiplication_oracle():

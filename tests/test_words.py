@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidcomm.rewriting import expand
 from braidcomm.words import (
     Alphabet,
     EMPTY,
@@ -15,9 +16,17 @@ from braidcomm.words import (
     invert,
     normalize,
     power,
+    substitute,
     word,
 )
-from oracles import exponent_sums, naive_reduce
+from oracles import (
+    exponent_sums,
+    inverse_units,
+    naive_reduce,
+    reduce_units,
+    substitute_by_normalize,
+    substitute_units,
+)
 
 s1, s2, s3 = gen("s", 1), gen("s", 2), gen("s", 3)
 r1, r2, r3 = gen("r", 1), gen("r", 2), gen("r", 3)
@@ -159,3 +168,67 @@ def test_canonical_cyclic_constant_on_conjugates(raw, by):
     w, c = normalize(raw), normalize(by)
     assert canonical_cyclic(conjugate(w, c)) == canonical_cyclic(w)
     assert canonical_cyclic(invert(w)) == canonical_cyclic(w)
+
+
+def assert_substitute_matches_oracles(w, target, replacement):
+    out = substitute(w, target, replacement)
+    assert out.letters == reduce_units(substitute_units(w, target, replacement))
+    assert out == substitute_by_normalize(w, target, replacement)
+    return out
+
+
+THREE = st.sampled_from([s1, s2, r1])
+WORDS3 = st.lists(st.tuples(THREE, st.integers(-3, 3)), max_size=12).map(normalize)
+
+
+@given(WORDS3, WORDS3, THREE)
+@settings(max_examples=150)
+def test_word_algebra_matches_the_stack_oracle(w, v, target):
+    assert invert(w).letters == reduce_units(inverse_units(w.letters))
+    assert concat(w, v).letters == reduce_units(w.letters + v.letters)
+    for e in range(-3, 4):
+        base = list(w.letters) if e > 0 else inverse_units(w.letters)
+        assert power(w, e).letters == reduce_units(base * abs(e))
+    assert conjugate(w, v).letters == reduce_units(
+        v.letters + w.letters + tuple(inverse_units(v.letters)))
+    assert_substitute_matches_oracles(w, target, v)
+
+
+def test_substitute_with_an_empty_replacement_merges_the_seam():
+    # dropping s1 leaves s2 r1 r1^-1 s2: r1 cancels, then s2 merges
+    w = word(s2, (s1, 2), r1, (s1, -1), (r1, -1), s2)
+    assert assert_substitute_matches_oracles(w, s1, EMPTY) == word((s2, 2))
+
+
+def test_substitute_can_cancel_the_whole_word():
+    w = word(s2, s1, r1)
+    assert assert_substitute_matches_oracles(w, r1, word((s1, -1), (s2, -1))) == EMPTY
+
+
+def test_substitute_a_target_with_exponent_above_one():
+    # (s2^-1 s1 s2)^-2 = s2^-1 s1^-2 s2
+    w = word(s2, (r1, -2), s2)
+    out = assert_substitute_matches_oracles(w, r1, word((s2, -1), s1, s2))
+    assert out == word((s1, -2), (s2, 2))
+
+
+AB_LETTERS = st.tuples(st.sampled_from("ab"), st.integers(-2, 2), st.integers(-2, 2),
+                       st.integers(1, 3), st.integers(-2, 2))
+
+
+def expansion_units(family, m, k, i):
+    """a[m,k,i] = s1^m r1^k s_i r1^-k s1^(-m-1), b[m,k,i] = s1^m r1^k r_i r1^(-k-1) s1^-m."""
+    if family == "a":
+        return [(s1, m), (r1, k), (gen("s", i), 1), (r1, -k), (s1, -m - 1)]
+    return [(s1, m), (r1, k), (gen("r", i), 1), (r1, -k - 1), (s1, -m)]
+
+
+@given(st.lists(AB_LETTERS, max_size=8))
+@settings(max_examples=100)
+def test_expand_matches_the_oracle_on_concatenated_expansions(letters):
+    w = normalize([(gen(f, m, k, i), e) for f, m, k, i, e in letters])
+    raw = []
+    for (family, (m, k, i)), e in w.letters:
+        piece = expansion_units(family, m, k, i)
+        raw.extend((piece if e > 0 else inverse_units(piece)) * abs(e))
+    assert expand(w, 4).letters == reduce_units(raw)
