@@ -40,6 +40,8 @@ def _strand_counts(text: str) -> list[int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+    if not ns:
+        raise argparse.ArgumentTypeError(f"expected at least one strand count, got {text!r}")
     covered = {c.n for c in registry.REGISTRY if c.n is not None}
     unsupported = sorted(set(ns) - covered)
     if unsupported:
@@ -61,6 +63,8 @@ def _transcript_path(text: str) -> str:
     directory = os.path.dirname(text) or "."
     if not os.path.isdir(directory):
         raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory, not a file")
     return text
 
 

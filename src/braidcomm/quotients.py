@@ -139,8 +139,7 @@ def verify_diagram_edge(edge: str, n: int) -> EdgeReport:
     source_name, target_name, added_labels, kills_r = EDGES[edge]
     source = catalog(source_name, n)
     added = _added_schemas(added_labels, n)
-    combined = PresentationSchema(f"{source_name}+{edge}", n, source.families,
-                                  source.relators + tuple(added))
+    combined = quotient_by(source, added, name=f"{source_name}+{edge}")
     p = TruncatedPresentation.from_schema(combined, 0, name=f"edge-{edge}-n{n}")
     if kills_r:
         for i in range(1, n):
@@ -227,10 +226,6 @@ class FreeQuotientCertificate:
         return (f"free quotient certificate (window {self.window}): "
                 f"free of rank {self.rank} on {{{gens}}}")
 
-    def to_text(self) -> str:
-        """Full audit trail: quotient steps, then the rank claim."""
-        return self.transcript + str(self) + "\n"
-
 
 def free_quotient_certificate_gvb3(window: int) -> FreeQuotientCertificate:
     """Two quotient steps send GVB'_3 onto a group that is free on the
@@ -264,9 +259,6 @@ class AbelianRankCertificate:
     def __str__(self) -> str:
         return (f"abelian quotient certificate (window {self.window}): "
                 f"torsion-free interior rank {self.free_rank}")
-
-    def to_text(self) -> str:
-        return self.transcript + str(self) + "\n"
 
 
 def sg3_abelianization_certificate(window: int) -> AbelianRankCertificate:

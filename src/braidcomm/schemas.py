@@ -11,11 +11,25 @@ bounded strand parameters.
 Window parameters range over all of Z and get truncated to ``[-M, M]``
 when a finite shadow is needed; strand parameters inherit the declared
 index range of the positions where they appear bare.
+
+:func:`instances` is the one enumerator of concrete relators.  For each
+(generator families, schema) pair it generates and compiles one small
+Python function, kept for the life of the process: one ``for`` loop per
+parameter, each guard tested in the shallowest loop that binds all of its
+parameters, index expressions evaluated inline, a range check only where
+the bound cannot be proved from the parameter domains, and ``normalize``
+called only when two adjacent letters of one family come out equal.  The
+generated source is spliced together from ``int`` literals (checked with
+``type(x) is int``) and the ``repr`` of family and parameter strings, so
+no text of a parsed schema is ever read as code.
+:func:`enumerate_bindings` and :meth:`RelatorSchema.instantiate` stay as
+the one-binding API, and the tests compare the two routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .words import Alphabet, Word, canonical_cyclic, normalize
@@ -221,10 +235,7 @@ class PresentationSchema:
     relators: tuple[RelatorSchema, ...]
 
     def alphabet(self) -> Alphabet:
-        alpha = Alphabet()
-        for family, domains in self.families:
-            alpha.declare(family, domains)
-        return alpha
+        return alphabet_of(self.families)
 
     def relator(self, label: str) -> RelatorSchema:
         for r in self.relators:
@@ -241,14 +252,20 @@ class PresentationSchema:
         return "\n".join(lines)
 
 
-def param_domains(pres: PresentationSchema, rel: RelatorSchema) -> dict[str, tuple | None]:
+def alphabet_of(families) -> Alphabet:
+    alpha = Alphabet()
+    for family, domains in families:
+        alpha.declare(family, domains)
+    return alpha
+
+
+def param_domains(alphabet: Alphabet, rel: RelatorSchema) -> dict[str, tuple | None]:
     """Infer each parameter's domain from where it occurs bare.
 
     A parameter with a bare occurrence in a ranged index position gets that
     range (intersected over all such occurrences); a parameter seen only in
     unbounded positions is a window parameter (domain ``None``).
     """
-    alphabet = pres.alphabet()
     out: dict[str, tuple | None] = {p: None for p in rel.params}
     for fam, idx, _ in rel.template:
         domains = alphabet.domains(fam, len(idx))
@@ -266,7 +283,7 @@ def param_domains(pres: PresentationSchema, rel: RelatorSchema) -> dict[str, tup
 def enumerate_bindings(pres: PresentationSchema, rel: RelatorSchema, window: int):
     """All guard-satisfying bindings: window params in [-window, window],
     strand params over their inferred ranges.  Lexicographic order."""
-    domains = param_domains(pres, rel)
+    domains = param_domains(pres.alphabet(), rel)
     axes = []
     for p in rel.params:
         dom = domains[p]
@@ -281,17 +298,176 @@ def enumerate_bindings(pres: PresentationSchema, rel: RelatorSchema, window: int
             yield bindings
 
 
+_PY_OPS = {"=": "==", "!=": "!=", "<=": "<=", ">=": ">=", "<": "<", ">": ">"}
+
+
+def _int(value) -> str:
+    """The literal of an int; nothing else is spliced into generated code."""
+    if type(value) is not int:
+        raise TypeError(f"schema constants must be ints, got {value!r}")
+    return repr(value)
+
+
+def _str(value) -> str:
+    if type(value) is not str:
+        raise TypeError(f"schema names must be strings, got {value!r}")
+    return repr(value)
+
+
+def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
+    """Python source of ``_instances(window)`` for one schema."""
+    domains = param_domains(alphabet, rel)
+    for p in rel.params:
+        _str(p)
+    var = {p: f"v{k}" for k, p in enumerate(rel.params)}  # a repeated name binds last
+    depth = {p: k + 1 for k, p in enumerate(rel.params)}
+    innermost = len(rel.params)
+
+    def unbound(exprs):
+        for e in exprs:
+            for p, _ in e.terms:
+                if p not in var:
+                    return f"unbound parameter {p!r}"
+        return None
+
+    def code(e: Affine) -> str:
+        out = ""
+        for p, c in e.terms:
+            _int(c)
+            scale = "" if abs(c) == 1 else f"{abs(c)}*"
+            out += ("-" if c < 0 else "+" if out else "") + scale + var[p]
+        const = _int(e.const)
+        if not out or e.const:
+            out += "+" + const if out and e.const > 0 else const
+        return out
+
+    def interval(e: Affine):
+        lo = hi = e.const
+        for p, c in e.terms:
+            if domains[p] is None:
+                return None
+            a, b = c * domains[p][0], c * domains[p][1]
+            lo, hi = lo + min(a, b), hi + max(a, b)
+        return lo, hi
+
+    # each guard is tested in the shallowest loop that binds all its
+    # parameters; one that names an unbound parameter raises, innermost,
+    # as Guard.holds would at the first binding that passes the guards
+    # before it, so the guards after it are never reached
+    tests: list[list[str]] = [[] for _ in range(innermost + 1)]
+    failure = None
+    for g in rel.guards:
+        failure = unbound((g.lhs, g.rhs))
+        if failure is not None:
+            break
+        if g.kind == "band":
+            test = f"abs({code(g.lhs - g.rhs)}) > {_int(g.bound)}"
+        elif g.kind in _PY_OPS:
+            test = f"{code(g.lhs)} {_PY_OPS[g.kind]} {code(g.rhs)}"
+        else:
+            raise ValueError(f"unknown guard kind {g.kind!r} in {rel.label}")
+        tests[max((depth[p] for p in g.params()), default=0)].append(test)
+    if failure is None:
+        failure = unbound(e for _, idx, _ in rel.template for e in idx)
+
+    letters, checks, coincide = [], [], []
+    never = False  # some constant index lies outside its range
+    previous = None
+    for fam, idx, exp in rel.template:
+        if failure is not None or _int(exp) == "0":
+            continue
+        for e, dom in zip(idx, alphabet.domains(fam, len(idx))):
+            span = interval(e)
+            if dom is None or span is not None and dom[0] <= span[0] and span[1] <= dom[1]:
+                continue
+            if span is not None and (span[1] < dom[0] or dom[1] < span[0]):
+                never = True
+            else:
+                check = f"{_int(dom[0])} <= {code(e)} <= {_int(dom[1])}"
+                if check not in checks:
+                    checks.append(check)
+        # free reduction can only act where two adjacent letters coincide
+        if previous is not None and previous[0] == fam and len(previous[1]) == len(idx):
+            same = []
+            for e1, e2 in zip(previous[1], idx):
+                d = e1 - e2
+                if d.is_constant():
+                    if d.const:
+                        break
+                else:
+                    same.append(" == ".join(sorted((code(e1), code(e2)))))
+            else:
+                test = " and ".join(same) or "True"
+                if test not in coincide:
+                    coincide.append(test)
+        previous = (fam, idx)
+        letters.append(f"(({_str(fam)}, ({''.join(code(e) + ', ' for e in idx)})), {_int(exp)})")
+
+    items = "(" + "".join(f"({_str(p)}, {var[p]}), " for p in sorted(var)) + ")"
+    word = "(" + "".join(letter + ", " for letter in letters) + ")"
+    normalized = [f"w = _normalize({word})", f"yield {items}, w"]
+    if never or checks:  # the letters left after reduction are checked instead
+        normalized[1:] = ["if all([_in_domain(g) for g, _ in w.letters]):",
+                          "    " + normalized[1]]
+    reduced = [f"yield {items}, _make({word})"]
+    if checks:
+        reduced = [f"if {' and '.join(checks)}:", "    " + reduced[0]]
+    if failure is not None:
+        body = [f"raise GuardError({failure!r})"]
+    elif "True" in coincide:
+        body = normalized
+    elif coincide:
+        body = [f"if {' or '.join(f'({c})' for c in coincide)}:"]
+        body += ["    " + line for line in normalized]
+        if not never:
+            body += ["else:"] + ["    " + line for line in reduced]
+    else:
+        body = [] if never else reduced
+    lines = ["def _instances(window, _make=_make, _normalize=_normalize, _in_domain=_in_domain):",
+             "    yield from ()",
+             "    window_range = range(-window, window + 1)"]
+    if not body:
+        return "\n".join(lines) + "\n"
+    if tests[0]:
+        lines.append(f"    if not ({' and '.join(tests[0])}): return")
+    pad = "    "
+    for k, p in enumerate(rel.params):
+        dom = domains[p]
+        axis = "window_range" if dom is None else f"range({_int(dom[0])}, {_int(dom[1])} + 1)"
+        lines.append(f"{pad}for v{k} in {axis}:")
+        pad += "    "
+        if tests[k + 1]:
+            lines.append(f"{pad}if not ({' and '.join(tests[k + 1])}): continue")
+    lines += [pad + line for line in body]
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=None)
+def _compiled(families, rel: RelatorSchema):
+    alphabet = alphabet_of(families)
+    namespace = {"__builtins__": {"abs": abs, "all": all, "range": range},
+                 "GuardError": GuardError, "_make": Word._make,
+                 "_normalize": normalize, "_in_domain": alphabet.in_domain}
+    exec(compile(_instances_source(alphabet, rel), "<schema instances>", "exec"), namespace)
+    return namespace["_instances"]
+
+
+def instances(pres: PresentationSchema, rel: RelatorSchema, window: int):
+    """``(binding_items, word)`` for every strand-valid instance over the
+    window, in the order of :func:`enumerate_bindings`.
+
+    ``binding_items`` is the sorted tuple of ``(parameter, value)`` pairs.
+    The loop runs in a function compiled once per (families, schema); see
+    the module docstring.
+    """
+    return _compiled(pres.families, rel)(window)
+
+
 def enumerate_instances(pres: PresentationSchema, rel: RelatorSchema, window: int) -> list[Word]:
     """Concrete relator words over the window, strand-valid only."""
     if window < 0:
         raise ValueError("window must be >= 0")
-    in_domain = pres.alphabet().in_domain
-    out = []
-    for bindings in enumerate_bindings(pres, rel, window):
-        w = rel.instantiate(bindings)
-        if all(in_domain(g) for g, _ in w.letters):
-            out.append(w)
-    return out
+    return [w for _, w in instances(pres, rel, window)]
 
 
 def instance_set(pres: PresentationSchema, relators, window: int,

@@ -27,7 +27,8 @@ when the presentation is built, sees one event per move before it applies.
 
 from __future__ import annotations
 
-from .schemas import PresentationSchema, enumerate_bindings
+# enumerate_bindings is unused here; perfbench/tracing.py patches this name
+from .schemas import PresentationSchema, enumerate_bindings, instances  # noqa: F401
 from .words import (
     EMPTY,
     Gen,
@@ -73,12 +74,9 @@ class TruncatedPresentation:
                     callback=None) -> "TruncatedPresentation":
         p = cls(schema, window, name, callback)
         p.gens.update(p.alphabet.gens_in_window(window))
-        in_domain = p.alphabet.in_domain
         for rel in schema.relators:
-            for bindings in enumerate_bindings(schema, rel, window):
-                w = rel.instantiate(bindings)
-                if all(in_domain(g) for g, _ in w.letters):
-                    p._insert(w, origin_of(rel.label, bindings))
+            for items, w in instances(schema, rel, window):
+                p._insert(w, (rel.label, items))
         p.transcript.append(
             f"start {p.name} window {window}: {len(p.gens)} generators, {len(p.relators)} relators"
         )

@@ -130,3 +130,19 @@ def multiply_permutations(perms):
     for p in perms:
         out = tuple(p[out[i]] for i in range(n))
     return out
+
+
+def instances_by_bindings(pres, rel, window):
+    """The one-binding-at-a-time route to ``schemas.instances``: every
+    guard-satisfying binding, instantiated, kept when all letters of the
+    reduced word lie in their declared ranges."""
+    from braidcomm.schemas import enumerate_bindings
+    from braidcomm.tietze import origin_of
+
+    in_domain = pres.alphabet().in_domain
+    out = []
+    for bindings in enumerate_bindings(pres, rel, window):
+        w = rel.instantiate(bindings)
+        if all(in_domain(g) for g, _ in w.letters):
+            out.append((origin_of(rel.label, bindings)[1], w))
+    return out

@@ -119,6 +119,16 @@ def test_replay_checks_the_transcript_directory_first(tmp_path, capsys, monkeypa
     assert "argument --transcript:" in error and str(path.parent) in error
 
 
+def test_replay_refuses_a_directory_as_transcript_first(tmp_path, capsys, monkeypatch):
+    def never(window):
+        raise AssertionError("the replay ran")
+
+    monkeypatch.setitem(cli.replays.SCRIPTS, "gvb3-free-quotient", never)
+    error = one_error_line(capsys, ["replay", "--script", "gvb3-free-quotient",
+                                    "--window", "3", "--transcript", str(tmp_path) + "/"])
+    assert "argument --transcript:" in error and "is a directory" in error
+
+
 def test_replay_unknown_script(capsys):
     assert cli.main(["replay", "--script", "nope", "--window", "3"]) == 2
 
@@ -132,6 +142,8 @@ def test_replay_unknown_script(capsys):
     (("export-presentation", "--group", "sg", "--n", "2"), "--n"),
     (("export-presentation", "--group", "sg", "--n", "0"), "--n"),
     (("export-presentation", "--group", "sg", "--n", "-1"), "--n"),
+    (("verify", "--n", ",,,"), "--n"),
+    (("verify", "--n", ""), "--n"),
 ])
 def test_bad_window_or_n_exits_two_with_one_error_line(capsys, argv, flag):
     assert f"argument {flag}:" in one_error_line(capsys, argv)

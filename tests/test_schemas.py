@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidcomm.catalog import catalog
-from braidcomm.derived import simplified_derived
+from braidcomm.catalog import FAMILIES, catalog
+from braidcomm.derived import raw_derived, simplified_derived
 from braidcomm.schemas import (
     Affine,
     GuardError,
@@ -11,10 +13,12 @@ from braidcomm.schemas import (
     cmp,
     enumerate_instances,
     instance_set,
+    instances,
     schema,
     schema_sets_equal,
 )
 from braidcomm.words import gen, word
+from oracles import instances_by_bindings
 
 
 def test_affine_arithmetic():
@@ -105,3 +109,112 @@ def test_interior_filter():
     assert interior < full
     # k+2 <= 1 and k >= -1 force k = -1
     assert len(interior) == 3
+
+
+# -- the compiled enumerator against the one-binding-at-a-time route -----------
+
+
+def _every_schema():
+    for n in (3, 4, 5, 6):
+        for group in ("GVB", "SG"):
+            yield from (catalog(group, n), raw_derived(group, n), simplified_derived(group, n))
+    for n in (3, 4, 5):
+        for group in FAMILIES:
+            if group not in ("GVB", "SG"):
+                yield catalog(group, n)
+
+
+def test_compiled_instances_match_bindings_on_every_schema():
+    count = 0
+    for pres in _every_schema():
+        for rel in pres.relators:
+            for window in range(4):
+                got = list(instances(pres, rel, window))
+                assert got == instances_by_bindings(pres, rel, window), (pres.name, rel.label)
+                count += len(got)
+    assert count > 20000
+
+
+# a ranged index (a), a window and a ranged index (b), a window index (c)
+TOY = PresentationSchema("toy", 4, (("a", ((1, 3),)), ("b", (None, (1, 3))), ("c", (None,))), ())
+GUARD_KINDS = ("=", "!=", "<", "<=", ">", ">=", "band")
+
+
+def _outcome(route, rel, window):
+    try:
+        return route(TOY, rel, window)
+    except Exception as exc:  # noqa: BLE001 -- compared between the routes
+        return type(exc), str(exc)
+
+
+def _compiled_route(pres, rel, window):
+    return list(instances(pres, rel, window))
+
+
+def _assert_same(rel):
+    for window in range(3):
+        assert _outcome(_compiled_route, rel, window) == \
+            _outcome(instances_by_bindings, rel, window), (str(rel), window)
+
+
+@pytest.mark.parametrize("rel", [
+    schema("zero_params", (), [("a", [1], 1), ("c", [0], -1), ("a", [4], 1)]),
+    schema("zero_params_in_range", (), [("a", [1], 1), ("c", [0], -1)]),
+    *(schema(f"guard {kind}", ("i", "j"), [("a", ["i"], 1), ("b", ["j", "i"], -1)],
+             [band("i", "j") if kind == "band" else cmp("i", kind, "j")])
+      for kind in GUARD_KINDS),
+    schema("leaves_range", ("i",), [("a", ["i"], 1), ("a", [aff("i", 1)], -1)]),
+    schema("may_coincide", ("i", "j"), [("a", ["i"], 1), ("a", ["j"], -1)]),
+    schema("coincide_then_range", ("m", "i", "j"),
+           [("b", ["m", aff("i", 1)], 1), ("b", ["m", "j"], -1), ("c", ["m"], 1)]),
+    schema("window_guard", ("m", "k"), [("c", ["m"], 1), ("c", [aff("k", 2)], 1)],
+           [cmp(aff("m", "k"), ">=", 1), band("m", 0, 0)]),
+    schema("repeated_param", ("i", "i"), [("a", ["i"], 2)]),
+    schema("zero_exponent", ("i", "j"), [("a", ["i"], 1), ("a", [aff("j", 3)], 0),
+                                         ("a", ["j"], -1)]),
+    schema("unbound_in_guard", ("i",), [("a", ["i"], 1)], [cmp("i", ">", 1), cmp("k", "<", 2)]),
+    schema("unbound_in_template", ("i",), [("a", ["i"], 1), ("c", ["k"], 1)]),
+    schema("undeclared_family", ("i",), [("a", ["i"], 1), ("z", ["i"], 1)]),
+], ids=lambda rel: rel.label)
+def test_compiled_instances_match_bindings_on_edge_cases(rel):
+    _assert_same(rel)
+
+
+@st.composite
+def toy_schemas(draw):
+    params = tuple(draw(st.lists(st.sampled_from("ijm"), max_size=3)))
+
+    def expr():
+        e = aff(draw(st.sampled_from((0, 0, 0, 1, -1, 3, 4))))
+        if params and draw(st.integers(0, 3)):
+            p = draw(st.sampled_from(params))
+            e = {1: e + p, -1: e - p, 2: e + p + p}[draw(st.sampled_from((1, 1, -1, 2)))]
+        return e
+
+    arity = {"a": 1, "b": 2, "c": 1}
+    letters = []
+    for family in draw(st.lists(st.sampled_from("abc"), max_size=4)):
+        letters.append((family, [expr() for _ in range(arity[family])],
+                        draw(st.sampled_from((-2, -1, 0, 1, 1, 2)))))
+    guards = []
+    for kind in draw(st.lists(st.sampled_from(GUARD_KINDS), max_size=2)):
+        x, y = expr(), expr()
+        guards.append(band(x, y, draw(st.integers(0, 2))) if kind == "band" else cmp(x, kind, y))
+    return schema("drawn", params, letters, guards)
+
+
+@settings(max_examples=300, deadline=None)
+@given(toy_schemas())
+def test_compiled_instances_match_bindings_on_drawn_schemas(rel):
+    _assert_same(rel)
+
+
+def test_compiled_enumerator_quotes_names_and_refuses_non_ints():
+    family = "a') or __import__('os') or ('"
+    param = "i', __import__('os'), '"
+    pres = PresentationSchema("quoted", 3, ((family, ((1, 2),)),), ())
+    rel = schema("quoted", (param,), [(family, [param], 1)])
+    assert list(instances(pres, rel, 0)) == [
+        (((param, i),), word(gen(family, i))) for i in (1, 2)]
+    with pytest.raises(TypeError, match="ints"):
+        list(instances(pres, schema("half", (), [(family, [Affine(1.5)], 1)]), 0))
