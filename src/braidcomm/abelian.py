@@ -427,17 +427,6 @@ class RelationMatrix:
         )
 
 
-def format_matrix(mat: "RelationMatrix") -> str:
-    """Plain text rows for external cross-checking: a header naming the
-    column generators, then one whitespace-separated dense row per relator."""
-    from .words import fmt_gen
-
-    lines = ["# columns: " + " ".join(fmt_gen(g) for g in mat.gens)]
-    for row in mat.rows:
-        lines.append(" ".join(str(row.get(j, 0)) for j in range(len(mat.gens))))
-    return "\n".join(lines) + "\n"
-
-
 def exponent_row(w: Word, index: dict[Gen, int]) -> dict[int, int]:
     row: dict[int, int] = {}
     for g, e in w.letters:

@@ -113,7 +113,3 @@ def catalog(group_family: str, n: int) -> PresentationSchema:
     if group_family not in _ONE_FAMILY:
         families.append(("r", ((1, n - 1),)))
     return PresentationSchema(group_family, n, tuple(families), relators)
-
-
-def generator_count(group_family: str, n: int) -> int:
-    return (n - 1) if group_family in _ONE_FAMILY else 2 * (n - 1)

@@ -45,16 +45,6 @@ RENAMES = (
 )
 
 
-def unrename(g):
-    """Map a renamed generator back to its three-index form."""
-    family, idx = g
-    if family == "a" and len(idx) == 1:
-        return ("a", (0, 0, idx[0]))
-    if family == "b" and len(idx) == 2:
-        return ("b", (idx[0], 0, idx[1]))
-    return g
-
-
 def raw_families(n: int):
     return (
         ("a", (None, None, (1, n - 1))),

@@ -36,11 +36,6 @@ def representative(m: int, k: int) -> Word:
     return normalize([(S1, m), (R1, k)])
 
 
-def coset_of(w: Word) -> tuple[int, int]:
-    """Key of the coset containing w; equals the bidegree of w."""
-    return bidegree(w)
-
-
 def _check_index(i: int, n: int) -> None:
     if not (1 <= i <= n - 1):
         raise WordError(f"strand index {i} outside 1..{n - 1}")

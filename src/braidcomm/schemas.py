@@ -212,8 +212,8 @@ class RelatorSchema:
                 if stack[-1][2] == 0:
                     stack.pop()
             else:
-                stack.append([fam, list(idx), exp])
-        tpl = tuple((fam, tuple(idx), exp) for fam, idx, exp in stack)
+                stack.append([fam, idx, exp])
+        tpl = tuple((fam, idx, exp) for fam, idx, exp in stack)
         return RelatorSchema(self.label, self.params, tpl, self.guards)
 
 
@@ -484,11 +484,3 @@ def instance_set(pres: PresentationSchema, relators, window: int,
             if c:
                 out.add(c)
     return out
-
-
-def schema_sets_equal(pres_a: PresentationSchema, rels_a,
-                      pres_b: PresentationSchema, rels_b,
-                      window: int) -> bool:
-    """Compare two relator-schema collections by their canonical instance
-    sets over the window (canonical = least rotation of word or inverse)."""
-    return instance_set(pres_a, rels_a, window) == instance_set(pres_b, rels_b, window)

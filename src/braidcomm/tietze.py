@@ -23,6 +23,15 @@ relators, so the group is unchanged).
 Every move appends one transcript line; replays are deterministic, so
 transcripts are reproducible byte for byte.  An observer ``callback``, fixed
 when the presentation is built, sees one event per move before it applies.
+
+The generator index is a superset: ``_gen_index[g]`` lists every live
+relator in which ``g`` occurs, and may also list removed ids and ids whose
+last ``g`` cancelled at a seam.  No move scans a rewritten word to keep it:
+``eliminate`` adds the rewritten ids under the generators of the expression
+and drops the target's entry.  Every reader filters against the words:
+``eliminate`` keeps only candidates that ``substitute`` changes, and
+``rename``, ``relators_containing`` and ``single_letter_relator`` keep only
+live ids whose word contains the generator.
 """
 
 from __future__ import annotations
@@ -97,28 +106,8 @@ class TruncatedPresentation:
         return rid
 
     def _remove(self, rid: int) -> None:
-        w = self.relators.pop(rid)
-        origin = self.origins.pop(rid)
-        self._by_origin.pop(origin, None)
-        for g in w.generators():
-            ids = self._gen_index.get(g)
-            if ids is not None:
-                ids.discard(rid)
-                if not ids:
-                    del self._gen_index[g]
-
-    def _replace(self, rid: int, new: Word) -> None:
-        old_gens = self.relators[rid].generators()
-        new_gens = new.generators()
-        for g in old_gens - new_gens:
-            ids = self._gen_index.get(g)
-            if ids is not None:
-                ids.discard(rid)
-                if not ids:
-                    del self._gen_index[g]
-        for g in new_gens - old_gens:
-            self._gen_index.setdefault(g, set()).add(rid)
-        self.relators[rid] = new
+        del self.relators[rid]
+        self._by_origin.pop(self.origins.pop(rid), None)
 
     # -- queries -----------------------------------------------------------
 
@@ -128,13 +117,21 @@ class TruncatedPresentation:
             raise ReplayError(f"{step or self.name}: relator {origin} is no longer present")
         return rid, self.relators[rid]
 
+    def _live_with(self, g: Gen):
+        """Ids of the live relators in which ``g`` occurs, in ascending order."""
+        relators = self.relators
+        for rid in sorted(self._gen_index.get(g, ())):
+            w = relators.get(rid)
+            if w is not None and any(h == g for h, _ in w.letters):
+                yield rid
+
     def relators_containing(self, g: Gen) -> set[int]:
-        return set(self._gen_index.get(g, ()))
+        return set(self._live_with(g))
 
     def single_letter_relator(self, g: Gen) -> int | None:
-        for rid in self._gen_index.get(g, ()):
-            w = self.relators[rid]
-            if len(w.letters) == 1 and abs(w.letters[0][1]) == 1:
+        for rid in self._live_with(g):
+            letters = self.relators[rid].letters
+            if len(letters) == 1 and abs(letters[0][1]) == 1:
                 return rid
         return None
 
@@ -171,17 +168,18 @@ class TruncatedPresentation:
         sign = w.letters[pos][1]
         before = Word._make(w.letters[:pos])
         after = Word._make(w.letters[pos + 1:])
-        if sign == 1:
-            expression = invert(before) * invert(after)
-        else:
-            expression = after * before
+        forward = after * before
+        backward = invert(before) * invert(after)
+        expression, inverse = (backward, forward) if sign == 1 else (forward, backward)
+        relators = self.relators
         touched = []
-        for rid2 in sorted(self.relators_containing(target)):
-            if rid2 == rid:
+        for rid2 in sorted(self._gen_index.get(target, ())):
+            old = relators.get(rid2)
+            if old is None or rid2 == rid:
                 continue
-            old = self.relators[rid2]
-            new = substitute(old, target, expression)
-            touched.append((rid2, old, new))
+            new = substitute(old, target, expression, inverse)
+            if new is not old:
+                touched.append((rid2, old, new))
         if self.callback is not None:
             self.callback({
                 "kind": "eliminate",
@@ -192,11 +190,16 @@ class TruncatedPresentation:
                 "expression": expression,
                 "touched": touched,
             })
+        kept = []
         for rid2, _, new in touched:
             if new:
-                self._replace(rid2, new)
+                relators[rid2] = new
+                kept.append(rid2)
             else:
                 self._remove(rid2)
+        for g in expression.generators():
+            self._gen_index[g].update(kept)
+        self._gen_index.pop(target, None)
         self._remove(rid)
         self.gens.discard(target)
         self.transcript.append(f"eliminate {fmt_gen(target)} via {w} := {expression}")
@@ -223,11 +226,13 @@ class TruncatedPresentation:
             raise ReplayError(f"rename: generator {fmt_gen(new)} already present")
         if self.callback is not None:
             self.callback({"kind": "rename", "old": old, "new": new})
-        for rid in sorted(self.relators_containing(old)):
-            w = self.relators[rid]
-            self._replace(rid, Word._make(tuple(
-                ((new if g == old else g), e) for g, e in w.letters
-            )))
+        ids = set(self._live_with(old))
+        for rid in ids:
+            self.relators[rid] = Word._make(tuple(
+                ((new if g == old else g), e) for g, e in self.relators[rid].letters
+            ))
+        self._gen_index.pop(old, None)
+        self._gen_index[new] = ids
         self.gens.discard(old)
         self.gens.add(new)
         self.transcript.append(f"rename {fmt_gen(old)} -> {fmt_gen(new)}")

@@ -210,11 +210,18 @@ def freely_equal(a: Word, b: Word) -> bool:
     return a.letters == b.letters
 
 
-def substitute(w: Word, target: Gen, replacement: Word) -> Word:
-    """Replace every occurrence of target^e by replacement^e and reduce."""
+def substitute(w: Word, target: Gen, replacement: Word, inverse: Word | None = None) -> Word:
+    """Replace every occurrence of target^e by replacement^e and reduce.
+
+    ``inverse``, when given, must equal ``invert(replacement)``; a caller
+    substituting into many words passes it to invert once.  When ``target``
+    does not occur, ``w`` itself is returned, so ``result is w`` tells an
+    untouched word apart without comparing letters.
+    """
     letters = w.letters
     column = list(map(itemgetter(0), letters))
-    inverse = None
+    if target not in column:
+        return w
     out: list[tuple[Gen, int]] = []
     start = 0
     while True:
@@ -228,8 +235,8 @@ def substitute(w: Word, target: Gen, replacement: Word) -> Word:
             piece = replacement.letters
         else:
             if inverse is None:
-                inverse = invert(replacement).letters
-            piece = inverse
+                inverse = invert(replacement)
+            piece = inverse.letters
         for _ in range(abs(e)):
             _join(out, piece)
         start = pos + 1

@@ -5,7 +5,8 @@ test: single-letter stack reduction instead of run-length merging at the
 seams, whole-word normalization instead of seam joins, minor
 gcds instead of elimination for invariant factors, dict counters instead
 of walking reductions for exponent sums, a full rescan instead of a lazy
-heap for the unit pivot.
+heap for the unit pivot.  The last helpers (``unrename``,
+``schema_sets_equal``) are spelled-out comparisons that only tests need.
 """
 
 from itertools import combinations
@@ -146,3 +147,22 @@ def instances_by_bindings(pres, rel, window):
         if all(in_domain(g) for g, _ in w.letters):
             out.append((origin_of(rel.label, bindings)[1], w))
     return out
+
+
+def unrename(g):
+    """Map a renamed generator back to its three-index form, undoing
+    ``a[0,0,j] -> a[j]`` and ``b[m,0,j] -> b[m,j]``."""
+    family, idx = g
+    if family == "a" and len(idx) == 1:
+        return ("a", (0, 0, idx[0]))
+    if family == "b" and len(idx) == 2:
+        return ("b", (idx[0], 0, idx[1]))
+    return g
+
+
+def schema_sets_equal(pres_a, rels_a, pres_b, rels_b, window):
+    """Compare two relator-schema collections by their canonical instance
+    sets over the window (canonical = least rotation of word or inverse)."""
+    from braidcomm.schemas import instance_set
+
+    return instance_set(pres_a, rels_a, window) == instance_set(pres_b, rels_b, window)

@@ -235,18 +235,6 @@ def test_truncated_sg3_abelianization_grows_torsion_free():
     assert ranks == sorted(set(ranks))
 
 
-def test_matrix_text_export():
-    from braidcomm.abelian import format_matrix
-
-    p = TruncatedPresentation.from_schema(simplified_derived("SG", 3), 0)
-    mat = relation_matrix(p)
-    text = format_matrix(mat)
-    lines = text.splitlines()
-    assert lines[0].startswith("# columns: ")
-    assert len(lines) == 1 + len(mat.rows)
-    assert all(len(line.split()) == len(mat.gens) for line in lines[1:])
-
-
 @pytest.mark.parametrize("group,n", [("SG", 3), ("GVB", 3), ("SG", 4)])
 @pytest.mark.parametrize("window", [0, 1, 2])
 def test_abelian_invariants_agree_with_sympy(group, n, window):

@@ -2,6 +2,7 @@
 
 Windows and tolerances are pinned here; every assertion is exact."""
 
+import hashlib
 import random
 
 from braidcomm.abelian import IntegerMatrix, determinant, perfectness_window_check, smith_normal_form
@@ -186,3 +187,8 @@ def test_registry_ends_green():
     report = run_claims(window=4)
     refuted = [r.claim for r in report.refuted]
     assert report.exit_status == 0 and not refuted, refuted
+    # the exact output of `braidcomm verify --window 4 --format json-lines`,
+    # so a speed change that moves any verdict, window or detail fails here
+    output = "".join(r.json_line() + "\n" for r in report.results)
+    assert hashlib.sha256(output.encode()).hexdigest() == (
+        "4d96e8b12eb923ffecbc1178c900cc17d0212d7ada99e5c1a6a858f0d1357a04")

@@ -5,13 +5,13 @@ from braidcomm.derived import (
     derived,
     raw_derived,
     simplified_derived,
-    unrename,
     verify_simplification,
 )
 from braidcomm.grammar import emit_presentation, parse_presentation
 from braidcomm.rewriting import expand
 from braidcomm.schemas import enumerate_instances, instance_set
 from braidcomm.words import bidegree, normalize
+from oracles import unrename
 
 # transcription of the raw relator families, one line per schema
 RAW_GVB = {

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from braidcomm.catalog import catalog
 from braidcomm.rewriting import (
-    coset_of,
     expand,
     expansion_identity_holds,
     is_trivial_pair,
@@ -32,15 +31,15 @@ s1, r1 = gen("s", 1), gen("r", 1)
 
 def test_representative_and_coset_key():
     assert str(representative(2, 1)) == "s1^2 r1"
-    assert coset_of(representative(2, 1)) == (2, 1)
-    assert coset_of(word(gen("s", 3))) == (1, 0)
-    assert coset_of(word((gen("r", 2), -1), s1, gen("r", 2))) == (1, 0)
+    assert bidegree(representative(2, 1)) == (2, 1)
+    assert bidegree(word(gen("s", 3))) == (1, 0)
+    assert bidegree(word((gen("r", 2), -1), s1, gen("r", 2))) == (1, 0)
     # every initial segment of a representative is again a representative
     for m, k in [(3, 2), (-2, 1), (0, -3)]:
         units = representative(m, k).units()
         for cut in range(len(units) + 1):
             prefix = normalize(units[:cut])
-            assert freely_equal(prefix, representative(*coset_of(prefix)))
+            assert freely_equal(prefix, representative(*bidegree(prefix)))
 
 
 def test_schreier_generator_expansions():

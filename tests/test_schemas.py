@@ -15,10 +15,9 @@ from braidcomm.schemas import (
     instance_set,
     instances,
     schema,
-    schema_sets_equal,
 )
 from braidcomm.words import gen, word
-from oracles import instances_by_bindings
+from oracles import instances_by_bindings, schema_sets_equal
 
 
 def test_affine_arithmetic():
@@ -89,6 +88,12 @@ def test_schema_set_comparison_modulo_rotation_and_inverse():
     xy = schema("xy", (), [("x", [1], 1), ("x", [2], 1), ("x", [1], -1), ("x", [2], -1)])
     yx = schema("yx", (), [("x", [2], 1), ("x", [1], 1), ("x", [2], -1), ("x", [1], -1)])
     assert schema_sets_equal(pres, [xy], pres, [yx], 0)
+
+
+def test_reduced_cancels_and_merges_equal_adjacent_letters():
+    assert schema("x", ("i",), [("a", ["i"], 1), ("a", ["i"], -1)]).template == ()
+    merged = schema("x", ("i",), [("a", ["i"], 1), ("a", ["i"], 1)])
+    assert merged.template == (("a", (aff("i"),), 2),)
 
 
 def test_strand_validity_filters_instances():

@@ -1,9 +1,9 @@
 import pytest
 
 from braidcomm.derived import simplified_derived
-from braidcomm.replays import simplify
+from braidcomm.replays import SCRIPTS, simplify
 from braidcomm.tietze import ReplayError, TruncatedPresentation, origin_of
-from braidcomm.words import EMPTY, gen, word
+from braidcomm.words import EMPTY, fmt_gen, gen, word
 
 
 def _gvb3(M=3):
@@ -102,3 +102,39 @@ def test_replays_are_deterministic():
     a = simplify("SG", 3, 3).transcript_text()
     b = simplify("SG", 3, 3).transcript_text()
     assert a == b
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_the_generator_index_and_touched_lists_match_brute_force(name):
+    # the index may keep stale ids, but never miss a live occurrence, and
+    # an elimination reports exactly the relators that contain its target
+    held = {}
+
+    def observer(step):
+        if step["kind"] == "start":
+            held["p"] = step["presentation"]
+        if step["kind"] != "eliminate":
+            return
+        p, target, index = held["p"], step["target"], held["p"]._gen_index
+        expected, missing = [], []
+        for rid, w in p.relators.items():
+            gens = w.generators()
+            if target in gens and rid != step["defining_rid"]:
+                expected.append(rid)
+            for g in gens:
+                if rid not in index.get(g, ()):
+                    missing.append((fmt_gen(g), rid))
+        assert [rid for rid, _, _ in step["touched"]] == sorted(expected)
+        assert not missing
+
+    p = SCRIPTS[name](3, callback=observer)
+    assert held["p"] is p
+    containing = {g: [] for g in p.gens}
+    for rid in sorted(p.relators):
+        for g in p.relators[rid].generators():
+            containing.setdefault(g, []).append(rid)
+    for g, ids in containing.items():
+        assert p.relators_containing(g) == set(ids)
+        single = [rid for rid in ids if len(p.relators[rid].letters) == 1
+                  and abs(p.relators[rid].letters[0][1]) == 1]
+        assert p.single_letter_relator(g) == (single[0] if single else None)

@@ -174,6 +174,9 @@ def assert_substitute_matches_oracles(w, target, replacement):
     out = substitute(w, target, replacement)
     assert out.letters == reduce_units(substitute_units(w, target, replacement))
     assert out == substitute_by_normalize(w, target, replacement)
+    assert substitute(w, target, replacement, invert(replacement)) == out
+    if target not in w.generators():
+        assert out is w
     return out
 
 
