@@ -17,8 +17,8 @@ Two engines:
   rank questions on matrices with thousands of rows.  Unit pivots are
   eaten first by the Markowitz rule, least ``(fill, col, row)``; the rule
   is unchanged from a full rescan of the matrix but kept lazily in a heap
-  of per-row keys.  Whatever dense core remains is finished by the dense
-  engine.
+  of per-row lower bounds.  Whatever dense core remains is finished by the
+  dense engine.
 """
 
 from __future__ import annotations
@@ -221,10 +221,13 @@ class LatticeReduction:
     Unit pivots follow the Markowitz rule: among all entries equal to +-1,
     take the least key ``(fill, col, row)`` with
     ``fill = (|col_support[col]| - 1) * (|row| - 1)``.  The rule is kept
-    lazily rather than by rescanning the matrix: a heap holds each live
-    row's best key, and a row is re-queued only when its entries or the
-    support of one of its unit columns change.  The pivot sequence is the
-    one a full rescan would pick.
+    lazily rather than by rescanning the matrix: a heap holds ``_best[i]``,
+    a lower bound on row i's key.  A row whose entries changed gets its
+    exact key; when a column's support changes, each row with a unit there
+    gets only that entry's key, and only if it lowers the bound.  A popped
+    bound is checked by rescanning its row: if it is the true key, it is
+    at most every queued bound, hence the pivot a full rescan would pick
+    (keys are unique); otherwise the row is requeued at its true key.
     """
 
     def __init__(self, rows: list[dict[int, int]], ncols: int, track_v: bool = True):
@@ -241,7 +244,7 @@ class LatticeReduction:
         self.v = IntegerMatrix.identity(ncols) if track_v else None
         self.pivots: dict[int, int] = {}
         self.done = False
-        # lazy Markowitz queue: each live row's best key, plus stale keys
+        # lazy Markowitz queue: a lower bound per live row, plus stale keys
         # that are dropped when popped; rows and columns changed since the
         # last pick are re-queued by the next one, and every row starts so
         self._heap: list[tuple[int, int, int]] = []
@@ -307,32 +310,45 @@ class LatticeReduction:
         return best
 
     def _pick_unit_pivot(self):
-        rows, heap, dirty = self.rows, self._heap, self._dirty_rows
-        # a changed column support changes the fill of its unit entries
-        for j in self._dirty_cols:
-            dirty.update(i for i in self.col_support.get(j, ())
-                         if rows[i][j] in (1, -1))
-        self._dirty_cols.clear()
-        best = self._best
-        for i in dirty:
+        rows, heap, best = self.rows, self._heap, self._best
+        for i in self._dirty_rows:
             key = self._row_key(i)
             if key is None:
                 best.pop(i, None)
             elif best.get(i) != key:
                 best[i] = key
                 heappush(heap, key)
-        dirty.clear()
+        self._dirty_rows.clear()
+        # a changed column support changes the fill of its unit entries
+        for j in self._dirty_cols:
+            support = self.col_support.get(j, ())
+            for i in support:
+                row = rows[i]
+                if row[j] == 1 or row[j] == -1:
+                    key = ((len(support) - 1) * (len(row) - 1), j, i)
+                    if key < best[i]:
+                        best[i] = key
+                        heappush(heap, key)
+        self._dirty_cols.clear()
         if len(heap) > 2 * len(rows) + 64:
             # stale keys pile up: rebuild from the live rows only
             heap[:] = best.values()
             heapify(heap)
-        # every live row's best key is queued, so the first key that is
-        # still some row's best is the least over the whole matrix
+        # every live row's bound is queued, so a popped bound that is its
+        # row's true key is the least key over the whole matrix
         while heap:
             key = heappop(heap)
-            if best.get(key[2]) == key:
-                del best[key[2]]  # the pivot row leaves the matrix
-                return key[2], key[1]
+            i = key[2]
+            if best.get(i) != key:
+                continue
+            true = self._row_key(i)
+            if true is not None and true != key:
+                best[i] = true
+                heappush(heap, true)
+                continue
+            del best[i]  # the row has no unit, or it is the pivot and leaves
+            if true is not None:
+                return i, key[1]
         return None
 
     def run(self) -> "LatticeReduction":

@@ -20,10 +20,16 @@ On top of the certificates the auditor recomputes the full invariants
 (free rank and torsion) at epoch starts, every ``checkpoint_every``
 verified moves, and at the end, and insists they never move inside an
 epoch.
+
+Every write to ``rows`` goes through ``_set_row`` and ``_del_row``, which keep
+``count[g]`` the number of rows nonzero at ``g``.  Verified rewrites vanish at
+the target, so no unrewritten row touches it iff ``count[target] == 1``; rows
+are scanned only to name an offender, and ``finish`` recounts them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .abelian import abelian_invariants_of_matrix
@@ -63,6 +69,7 @@ class AuditReport:
 class AbelianStepAuditor:
     def __init__(self, checkpoint_every: int = 400):
         self.rows: dict[int, dict[Gen, int]] = {}
+        self.count: dict[Gen, int] = {}
         self.gens: set[Gen] = set()
         self.checkpoint_every = checkpoint_every
         self.steps = 0
@@ -70,6 +77,18 @@ class AbelianStepAuditor:
         self._epoch_dirty = True
 
     # -- bookkeeping ---------------------------------------------------------
+
+    def _set_row(self, rid: int, vec: dict[Gen, int]) -> None:
+        old = self.rows.get(rid, {})
+        for g in old.keys() - vec.keys():
+            self.count[g] -= 1
+        for g in vec.keys() - old.keys():
+            self.count[g] = self.count.get(g, 0) + 1
+        self.rows[rid] = vec
+
+    def _del_row(self, rid: int) -> None:
+        for g in self.rows.pop(rid):
+            self.count[g] -= 1
 
     def _invariants(self) -> tuple:
         order = {g: j for j, g in enumerate(sorted(self.gens))}
@@ -97,13 +116,15 @@ class AbelianStepAuditor:
         kind = step["kind"]
         if kind == "start":
             p = step["presentation"]
-            self.rows = {rid: _vec(w) for rid, w in p.relators.items()}
+            self.rows, self.count = {}, {}
+            for rid, w in p.relators.items():
+                self._set_row(rid, _vec(w))
             self.gens = set(p.gens)
             self._epoch_dirty = True
             return
         if kind == "adjoin":
             w = step["word"]
-            self.rows[step["rid"]] = _vec(w)
+            self._set_row(step["rid"], _vec(w))
             self.gens.update(w.generators())
             self._epoch_dirty = True
             return
@@ -128,6 +149,9 @@ class AbelianStepAuditor:
             raise AuditError("shadow matrix diverged from the presentation")
         if set(presentation.gens) != self.gens:
             raise AuditError("shadow generator set diverged from the presentation")
+        recount = Counter(g for row in self.rows.values() for g in row)
+        if dict(recount) != {g: c for g, c in self.count.items() if c}:
+            raise AuditError("shadow row counts diverged from the rows")
         return AuditReport(script, window, self.steps, self.epochs)
 
     # -- certificates ------------------------------------------------------------
@@ -143,7 +167,6 @@ class AbelianStepAuditor:
             raise AuditError(
                 f"defining row has coefficient {defining.get(target, 0)} at "
                 f"{fmt_gen(target)}, expected {sign}")
-        touched_rids = {rid}
         for rid2, old, new in step["touched"]:
             oldv = self.rows.get(rid2)
             if oldv is None or oldv != _vec(old):
@@ -154,20 +177,23 @@ class AbelianStepAuditor:
                 predicted[g] = predicted.get(g, 0) - coeff * sign * v
                 if predicted[g] == 0:
                     del predicted[g]
-            if predicted != _vec(new):
+            newv = _vec(new)
+            if predicted != newv:
                 raise AuditError(
                     f"substitution into row {rid2} is not the predicted row operation")
-            touched_rids.add(rid2)
             if new:
                 # a relator may abelianize to zero yet survive as a word
-                self.rows[rid2] = _vec(new)
+                self._set_row(rid2, newv)
             else:
-                del self.rows[rid2]
-        for rid2, row in self.rows.items():
-            if rid2 not in touched_rids and target in row:
-                raise AuditError(
-                    f"row {rid2} still references {fmt_gen(target)} but was not rewritten")
-        del self.rows[rid]
+                self._del_row(rid2)
+        # applied rows vanish at the target: only the defining row may hold it
+        if self.count[target] != 1:
+            for rid2, row in self.rows.items():
+                if rid2 != rid and target in row:
+                    raise AuditError(
+                        f"row {rid2} still references {fmt_gen(target)} but was not rewritten")
+            raise AuditError("shadow row counts diverged from the rows")
+        self._del_row(rid)
         self.gens.discard(target)
 
     def _verify_derive(self, step: dict) -> None:
@@ -182,9 +208,10 @@ class AbelianStepAuditor:
                 raise AuditError(
                     f"deletion of {fmt_gen(g)} is not backed by a one-letter row")
         predicted = {g: v for g, v in source.items() if g not in deleted}
-        if predicted != _vec(step["word"]):
+        newv = _vec(step["word"])
+        if predicted != newv:
             raise AuditError("derived row is not the source row with letters deleted")
-        self.rows[step["rid"]] = _vec(step["word"])
+        self._set_row(step["rid"], newv)
 
     def _verify_rename(self, step: dict) -> None:
         old, new = step["old"], step["new"]
@@ -193,6 +220,7 @@ class AbelianStepAuditor:
         for rid, row in self.rows.items():
             if old in row:
                 row[new] = row.pop(old)
+        self.count[new] = self.count.pop(old, 0)
         self.gens.discard(old)
         self.gens.add(new)
 

@@ -113,8 +113,7 @@ def rewrite(w: Word, n: int) -> Word:
         else:
             raise WordError(f"foreign letter {family!r} in kernel word")
         if not is_trivial_pair(key, (family, (i,))):
-            name, _ = schreier_generator(key, (family, (i,)), n)
-            out.append((name, e))
+            out.append((("a" if family == "s" else "b", key + (i,)), e))
     return normalize(out)
 
 

@@ -30,8 +30,8 @@ last ``g`` cancelled at a seam.  No move scans a rewritten word to keep it:
 ``eliminate`` adds the rewritten ids under the generators of the expression
 and drops the target's entry.  Every reader filters against the words:
 ``eliminate`` keeps only candidates that ``substitute`` changes, and
-``rename``, ``relators_containing`` and ``single_letter_relator`` keep only
-live ids whose word contains the generator.
+``rename`` and ``single_letter_relator`` keep only live ids whose word
+contains the generator.
 """
 
 from __future__ import annotations
@@ -124,9 +124,6 @@ class TruncatedPresentation:
             w = relators.get(rid)
             if w is not None and any(h == g for h, _ in w.letters):
                 yield rid
-
-    def relators_containing(self, g: Gen) -> set[int]:
-        return set(self._live_with(g))
 
     def single_letter_relator(self, g: Gen) -> int | None:
         for rid in self._live_with(g):

@@ -5,7 +5,8 @@ test: single-letter stack reduction instead of run-length merging at the
 seams, whole-word normalization instead of seam joins, minor
 gcds instead of elimination for invariant factors, dict counters instead
 of walking reductions for exponent sums, a full rescan instead of a lazy
-heap for the unit pivot.  The last helpers (``unrename``,
+heap for the unit pivot, a scan of every word instead of the generator
+index.  The last helpers (``unrename``,
 ``schema_sets_equal``) are spelled-out comparisons that only tests need.
 """
 
@@ -122,6 +123,17 @@ def unit_pivot_by_rescan(rows, col_support):
                 if best is None or key < best:
                     best, where = key, (i, j)
     return where
+
+
+def relators_containing(p):
+    """Every generator of a presentation mapped to the ascending ids of the
+    live relators whose word contains it, found by scanning every word
+    instead of reading the generator index."""
+    containing = {g: [] for g in p.gens}
+    for rid in sorted(p.relators):
+        for g in p.relators[rid].generators():
+            containing.setdefault(g, []).append(rid)
+    return containing
 
 
 def multiply_permutations(perms):

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import chain
+
 import pytest
 
 from braidcomm.audit import AbelianStepAuditor, AuditError, audit_script
@@ -33,6 +36,20 @@ def test_auditor_rejects_a_forged_substitution():
 
     p.callback = forge
     with pytest.raises(AuditError, match="predicted row operation"):
+        p.eliminate(("b", (0, 0, 2)), origin_of("mixed_r_1", {"m": 0, "k": 0}))
+
+
+def test_auditor_rejects_an_unreported_rewrite():
+    auditor, p = _audited_presentation()
+
+    def forge(step):
+        if step["kind"] == "eliminate":
+            assert step["touched"]
+            del step["touched"][-1]
+        auditor(step)
+
+    p.callback = forge
+    with pytest.raises(AuditError, match="still references"):
         p.eliminate(("b", (0, 0, 2)), origin_of("mixed_r_1", {"m": 0, "k": 0}))
 
 
@@ -78,3 +95,19 @@ def test_auditor_detects_quotient_epochs():
 def test_audit_script_smoke():
     report = audit_script(SCRIPTS["simplify-sg-n3"], "simplify-sg-n3", 3)
     assert report.steps_verified > 50
+
+
+class _RecountingAuditor(AbelianStepAuditor):
+    """Checks the per-generator row counts against a recount after every step."""
+
+    def __call__(self, step):
+        super().__call__(step)
+        recount = Counter(chain.from_iterable(self.rows.values()))
+        assert {g: c for g, c in self.count.items() if c} == dict(recount), step["kind"]
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_row_counts_match_a_recount_after_every_step(name):
+    auditor = _RecountingAuditor(checkpoint_every=10**9)
+    presentation = SCRIPTS[name](3, callback=auditor)
+    auditor.finish(presentation, name, 3)

@@ -4,6 +4,7 @@ from braidcomm.derived import simplified_derived
 from braidcomm.replays import SCRIPTS, simplify
 from braidcomm.tietze import ReplayError, TruncatedPresentation, origin_of
 from braidcomm.words import EMPTY, fmt_gen, gen, word
+from oracles import relators_containing
 
 
 def _gvb3(M=3):
@@ -129,12 +130,8 @@ def test_the_generator_index_and_touched_lists_match_brute_force(name):
 
     p = SCRIPTS[name](3, callback=observer)
     assert held["p"] is p
-    containing = {g: [] for g in p.gens}
-    for rid in sorted(p.relators):
-        for g in p.relators[rid].generators():
-            containing.setdefault(g, []).append(rid)
-    for g, ids in containing.items():
-        assert p.relators_containing(g) == set(ids)
+    for g, ids in relators_containing(p).items():
+        assert list(p._live_with(g)) == ids
         single = [rid for rid in ids if len(p.relators[rid].letters) == 1
                   and abs(p.relators[rid].letters[0][1]) == 1]
         assert p.single_letter_relator(g) == (single[0] if single else None)
