@@ -22,7 +22,7 @@ from .abelian import LatticeReduction, relation_matrix, subgroup_rank
 from .catalog import catalog
 from .derived import simplified_derived
 from .replays import MARGIN, gvb3_quotient_chain, sg3_beta_elimination
-from .schemas import PresentationSchema, RelatorSchema, instance_set
+from .schemas import PresentationSchema, RelatorSchema, enumerate_instances, instance_set
 from .tietze import TruncatedPresentation, origin_of
 from .words import Gen, Word, canonical_cyclic, concat, fmt_gen, invert, normalize
 
@@ -319,9 +319,11 @@ def sg3_as_quotient_of_sg4(window: int, keep: set[Gen] = frozenset()) -> Quotien
     sg4 = simplified_derived("SG", 4)
     sg3 = simplified_derived("SG", 3)
     doomed = lambda g: (g[0] == "a" and len(g[1]) == 1) or (g[0] == "b" and len(g[1]) == 2)
+    # deleting generators commutes with conjugation and inversion, so the
+    # raw instances are trimmed and canonicalized once
     quotiented: set[Word] = set()
     for rel in sg4.relators:
-        for w in instance_set(sg4, [rel], window):
+        for w in enumerate_instances(sg4, rel, window):
             trimmed = normalize([(g, e) for g, e in w.letters
                                  if not doomed(g) or g in keep])
             if trimmed:

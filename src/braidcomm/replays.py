@@ -67,8 +67,8 @@ def _simplify_start(group: str, n: int, M: int, callback=None) -> TruncatedPrese
     # the widened families must not pre-populate generators that only the
     # final renaming introduces
     p.gens = {g for g in p.gens if len(g[1]) == 3}
-    for w in p.relators.values():
-        p.gens.update(w.generators())
+    # straight after from_schema the index keys are the relators' generators
+    p.gens.update(p._gen_index)
     p.callback = callback
     if callback is not None:
         callback({"kind": "start", "presentation": p})

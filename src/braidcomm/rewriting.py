@@ -68,15 +68,28 @@ def is_trivial_pair(key: tuple[int, int], letter: Gen) -> bool:
     raise WordError(f"letter {fmt_gen(letter)} is not an ambient generator")
 
 
-def expand(w: Word, n: int) -> Word:
-    """Substitute every a/b letter by its expansion over s/r and reduce."""
+def expand(w: Word, n: int, pieces: dict | None = None) -> Word:
+    """Substitute every a/b letter by its expansion over s/r and reduce.
+
+    ``pieces``, when given, maps each a/b letter already expanded to the
+    letters of its expansion and of the inverse expansion; missing
+    letters are built and added.  A caller expanding many words at one
+    ``n`` passes one dict to build each expansion once.  The letters are
+    checked against ``n`` only when built, so a dict serves one ``n``.
+    """
+    if pieces is None:
+        pieces = {}
     out: list[tuple[Gen, int]] = []
-    for (family, idx), e in w.letters:
-        if family not in ("a", "b") or len(idx) != 3:
-            raise WordError(f"cannot expand letter {fmt_gen((family, idx))}")
-        m, k, i = idx
-        _, expansion = schreier_generator((m, k), ("s" if family == "a" else "r", (i,)), n)
-        piece = (expansion if e > 0 else invert(expansion)).letters
+    for g, e in w.letters:
+        pair = pieces.get(g)
+        if pair is None:
+            family, idx = g
+            if family not in ("a", "b") or len(idx) != 3:
+                raise WordError(f"cannot expand letter {fmt_gen(g)}")
+            m, k, i = idx
+            _, expansion = schreier_generator((m, k), ("s" if family == "a" else "r", (i,)), n)
+            pair = pieces[g] = (expansion.letters, invert(expansion).letters)
+        piece = pair[0] if e > 0 else pair[1]
         for _ in range(abs(e)):
             _join(out, piece)
     return Word._make(tuple(out))
@@ -131,16 +144,17 @@ def expansion_identity_holds(group: str, n: int, bound: int) -> tuple[bool, int]
     from .words import freely_equal
 
     pres = catalog(group, n)
+    window = range(-bound, bound + 1)
+    reps = [representative(m, k) for m in window for k in window]
+    pieces: dict = {}
     checked = 0
     for rel in pres.relators:
         for w in enumerate_instances(pres, rel, 0):
-            for m in range(-bound, bound + 1):
-                for k in range(-bound, bound + 1):
-                    conj = conjugate(w, representative(m, k))
-                    image = expand(rewrite_conjugated_relator((m, k), w, n), n)
-                    if not freely_equal(image, conj):
-                        return False, checked
-                    checked += 1
+            for c in reps:
+                conj = conjugate(w, c)
+                if not freely_equal(expand(rewrite(conj, n), n, pieces), conj):
+                    return False, checked
+                checked += 1
     return True, checked
 
 

@@ -272,13 +272,19 @@ def bidegree(w: Word, sigma: str = SIGMA, rho: str = RHO) -> tuple[int, int]:
     return (m, k)
 
 
-def cyclically_reduce(w: Word) -> Word:
+def _cyclic_units(w: Word) -> list[tuple[Gen, int]]:
+    """Unit letters of the cyclic reduction of w: the units of w with
+    first and last letters trimmed while they are mutually inverse."""
     units = w.units()
     lo, hi = 0, len(units)
     while hi - lo >= 2 and units[lo][0] == units[hi - 1][0] and units[lo][1] == -units[hi - 1][1]:
         lo += 1
         hi -= 1
-    return normalize(units[lo:hi])
+    return units[lo:hi]
+
+
+def cyclically_reduce(w: Word) -> Word:
+    return normalize(_cyclic_units(w))
 
 
 def canonical_cyclic(w: Word) -> Word:
@@ -287,19 +293,29 @@ def canonical_cyclic(w: Word) -> Word:
     Two relators present the same normal closure when they agree up to
     conjugation and inversion; this picks a well-defined normal form for
     set comparisons.
+
+    Rotations compare as tuples of unit letters, so the least one starts
+    with the least unit letter.  With g the least generator of the cyclic
+    reduction, that letter is g^-1, which occurs in the reduction of w or
+    of w^-1.  Only rotations starting at g^-1 are compared; every other
+    rotation is larger, so the result is the all-rotations minimum.
     """
-    core = cyclically_reduce(w)
-    units = core.units()
+    units = _cyclic_units(w)
     if not units:
         return EMPTY
+    least = (min(map(itemgetter(0), units)), -1)
     best = None
-    for seq in (units, invert(core).units()):
-        n = len(seq)
-        for shift in range(n):
-            cand = tuple(seq[shift:] + seq[:shift])
-            if best is None or cand < best:
-                best = cand
+    for seq in (units, [(g, -e) for g, e in reversed(units)]):
+        for shift, u in enumerate(seq):
+            if u == least:
+                cand = seq[shift:] + seq[:shift]
+                if best is None or cand < best:
+                    best = cand
     return normalize(best)
+
+
+def _undeclared(family: str, arity: int) -> WordError:
+    return WordError(f"undeclared family {family!r} of arity {arity}")
 
 
 class Alphabet:
@@ -314,10 +330,12 @@ class Alphabet:
 
     def __init__(self):
         self._families: dict[tuple[str, int], tuple] = {}
+        self._windows: dict[tuple[str, int], tuple[int, ...]] = {}
 
     def declare(self, family: str, domains) -> None:
         key = (family, len(domains))
         self._families[key] = tuple(domains)
+        self._windows[key] = tuple(i for i, d in enumerate(domains) if d is None)
 
     def families(self):
         return dict(self._families)
@@ -326,13 +344,17 @@ class Alphabet:
         try:
             return self._families[(family, arity)]
         except KeyError:
-            raise WordError(f"undeclared family {family!r} of arity {arity}") from None
+            raise _undeclared(family, arity) from None
 
     def is_declared(self, family: str, arity: int) -> bool:
         return (family, arity) in self._families
 
     def window_positions(self, family: str, arity: int) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.domains(family, arity)) if d is None)
+        """Index positions of the family's window coordinates."""
+        try:
+            return self._windows[(family, arity)]
+        except KeyError:
+            raise _undeclared(family, arity) from None
 
     def in_domain(self, g: Gen) -> bool:
         """Whether every ranged index of ``g`` lies in its declared range."""

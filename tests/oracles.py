@@ -6,7 +6,9 @@ seams, whole-word normalization instead of seam joins, minor
 gcds instead of elimination for invariant factors, dict counters instead
 of walking reductions for exponent sums, a full rescan instead of a lazy
 heap for the unit pivot, a scan of every word instead of the generator
-index.  The last helpers (``unrename``,
+index, every rotation instead of those at the least letter for the cyclic
+normal form, a fresh ``schreier_generator`` per letter instead of a table
+of expansions.  The last helpers (``unrename``,
 ``schema_sets_equal``) are spelled-out comparisons that only tests need.
 """
 
@@ -63,6 +65,40 @@ def substitute_by_normalize(w, target, replacement):
     from braidcomm.words import normalize
 
     return normalize(substitute_units(w, target, replacement))
+
+
+def canonical_cyclic_all_rotations(w):
+    """Least representative among all rotations of w and of w^-1, found by
+    comparing every rotation."""
+    from braidcomm.words import EMPTY, cyclically_reduce, invert, normalize
+
+    core = cyclically_reduce(w)
+    units = core.units()
+    if not units:
+        return EMPTY
+    best = None
+    for seq in (units, invert(core).units()):
+        n = len(seq)
+        for shift in range(n):
+            cand = tuple(seq[shift:] + seq[:shift])
+            if best is None or cand < best:
+                best = cand
+    return normalize(best)
+
+
+def expand_by_generators(w, n):
+    """The per-letter route to ``rewriting.expand``: each letter's
+    expansion from ``schreier_generator``, spelled out with its exponent,
+    then the whole word normalized."""
+    from braidcomm.rewriting import schreier_generator
+    from braidcomm.words import normalize
+
+    raw = []
+    for (family, (m, k, i)), e in w.letters:
+        _, expansion = schreier_generator((m, k), ("s" if family == "a" else "r", (i,)), n)
+        piece = list(expansion.letters) if e > 0 else inverse_units(expansion.letters)
+        raw.extend(piece * abs(e))
+    return normalize(raw)
 
 
 def exponent_sums(units):

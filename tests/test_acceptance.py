@@ -33,6 +33,10 @@ def _report(capfd, number: int, ok: bool, text: str) -> None:
         print(line, flush=True)
 
 
+# (relator instance, representative) pairs at bound 3, n = 3..6
+EXPANSION_PAIRS = {"GVB": [196, 686, 1470, 2548], "SG": [245, 735, 1519, 2597]}
+
+
 def test_criterion_01_expansion_identity(capfd):
     failures = []
     checked = 0
@@ -40,8 +44,8 @@ def test_criterion_01_expansion_identity(capfd):
         for n in STRANDS:
             ok, pairs = expansion_identity_holds(group, n, 3)
             checked += pairs
-            if not ok:
-                failures.append((group, n))
+            if not ok or pairs != EXPANSION_PAIRS[group][n - 3]:
+                failures.append((group, n, pairs))
     _report(capfd, 1, not failures,
             f"expand(rewrite(c r c^-1)) == c r c^-1 for {checked} pairs, |m|,|k| <= 3")
     assert not failures

@@ -25,6 +25,7 @@ from braidcomm.words import (
     normalize,
     word,
 )
+from oracles import expand_by_generators
 
 s1, r1 = gen("s", 1), gen("r", 1)
 
@@ -150,3 +151,20 @@ def test_rewrite_is_multiplicative_on_kernel_words(raw_u, raw_v):
 def test_rewrite_then_expand_recovers_kernel_words(raw):
     u = _kernel_word(raw)
     assert freely_equal(expand(rewrite(u, 4), 4), u)
+
+
+AB_WORDS = st.lists(
+    st.tuples(st.sampled_from("ab"), st.integers(-2, 2), st.integers(-2, 2),
+              st.integers(1, 3), st.integers(-3, 3)),
+    max_size=8,
+).map(lambda letters: normalize([(gen(f, m, k, i), e) for f, m, k, i, e in letters]))
+
+
+@given(st.lists(AB_WORDS, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_expand_agrees_with_and_without_a_shared_table(ws):
+    pieces: dict = {}
+    for w in ws:
+        fresh = expand(w, 4)
+        assert expand(w, 4, pieces) == fresh
+        assert fresh == expand_by_generators(w, 4)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidcomm.rewriting import expand
@@ -20,6 +20,7 @@ from braidcomm.words import (
     word,
 )
 from oracles import (
+    canonical_cyclic_all_rotations,
     exponent_sums,
     inverse_units,
     naive_reduce,
@@ -168,6 +169,32 @@ def test_canonical_cyclic_constant_on_conjugates(raw, by):
     w, c = normalize(raw), normalize(by)
     assert canonical_cyclic(conjugate(w, c)) == canonical_cyclic(w)
     assert canonical_cyclic(invert(w)) == canonical_cyclic(w)
+
+
+x1, x2 = gen("x", 1), gen("x", 2)
+BLOCK = st.lists(st.tuples(st.sampled_from([x1, x2]), st.integers(-3, 3)),
+                 max_size=4).map(normalize)
+
+
+@st.composite
+def cyclic_words(draw):
+    """Products of two blocks and their inverses, raised to a power: over
+    two generators the least letter ties often, and powers and inverse
+    pairs give rotations that agree on long prefixes."""
+    u, v = draw(BLOCK), draw(BLOCK)
+    blocks = {"u": u, "U": invert(u), "v": v, "V": invert(v)}
+    w = EMPTY
+    for name in draw(st.lists(st.sampled_from("uUvV"), max_size=6)):
+        w = concat(w, blocks[name])
+    return power(w, draw(st.integers(1, 3)))
+
+
+@given(cyclic_words())
+@settings(max_examples=300)
+# the least start is the second x1^-1 of the inverse
+@example(word(x1, (x2, 2), x1, x2))
+def test_canonical_cyclic_matches_every_rotation(w):
+    assert canonical_cyclic(w) == canonical_cyclic_all_rotations(w)
 
 
 def assert_substitute_matches_oracles(w, target, replacement):
