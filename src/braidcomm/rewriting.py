@@ -130,11 +130,6 @@ def rewrite(w: Word, n: int) -> Word:
     return normalize(out)
 
 
-def rewrite_conjugated_relator(key: tuple[int, int], relator: Word, n: int) -> Word:
-    """Rewrite of representative * relator * representative^-1."""
-    return rewrite(conjugate(relator, representative(*key)), n)
-
-
 def expansion_identity_holds(group: str, n: int, bound: int) -> tuple[bool, int]:
     """Check expand(rewrite(c r c^-1)) == c r c^-1 for every defining
     relator r and every representative c with both exponents in

@@ -156,12 +156,12 @@ class TruncatedPresentation:
         if target not in self.gens:
             raise ReplayError(f"{step}: generator {fmt_gen(target)} not present")
         rid, w = self.current(via, step)
-        occ = w.occurrences(target)
-        if len(occ) != 1 or abs(w.letters[occ[0]][1]) != 1:
+        column = [g for g, _ in w.letters]
+        pos = column.index(target) if column.count(target) == 1 else None
+        if pos is None or abs(w.letters[pos][1]) != 1:
             raise ReplayError(
                 f"{step}: occurrence of {fmt_gen(target)} in {w} is not isolating"
             )
-        pos = occ[0]
         sign = w.letters[pos][1]
         before = Word._make(w.letters[:pos])
         after = Word._make(w.letters[pos + 1:])
@@ -189,7 +189,7 @@ class TruncatedPresentation:
             })
         kept = []
         for rid2, _, new in touched:
-            if new:
+            if new.letters:
                 relators[rid2] = new
                 kept.append(rid2)
             else:

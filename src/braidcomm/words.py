@@ -81,16 +81,17 @@ def normalize(letters) -> "Word":
     return Word._make(tuple((g, e) for g, e in stack))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
-    """A freely reduced word; the empty tuple is the identity."""
+    """A freely reduced word; the empty tuple is the identity.  Slotted, so
+    an instance holds ``letters`` and no ``__dict__``."""
 
     letters: tuple[tuple[Gen, int], ...]
 
     @staticmethod
     def _make(letters: tuple[tuple[Gen, int], ...]) -> "Word":
-        w = object.__new__(Word)
-        object.__setattr__(w, "letters", letters)
+        w = _new(Word)
+        _set_letters(w, letters)
         return w
 
     def __init__(self, letters=()):
@@ -143,11 +144,9 @@ class Word:
                 del out[g]
         return out
 
-    def occurrences(self, g: Gen) -> list[int]:
-        """Run positions at which g occurs."""
-        return [i for i, (h, _) in enumerate(self.letters) if h == g]
 
-
+# the slot's own setter: frozen only guards assignment through __setattr__
+_new, _set_letters = object.__new__, Word.letters.__set__
 EMPTY = Word._make(())
 
 
@@ -213,6 +212,11 @@ def freely_equal(a: Word, b: Word) -> bool:
 def substitute(w: Word, target: Gen, replacement: Word, inverse: Word | None = None) -> Word:
     """Replace every occurrence of target^e by replacement^e and reduce.
 
+    The generator column of ``w`` is built once; ``count`` on it finds how
+    often the target occurs and ``index`` finds each occurrence in turn.
+    The output starts as a copy of the runs before the first; every later
+    nonempty piece is appended by ``_join``, the only seam rule.
+
     ``inverse``, when given, must equal ``invert(replacement)``; a caller
     substituting into many words passes it to invert once.  When ``target``
     does not occur, ``w`` itself is returned, so ``result is w`` tells an
@@ -220,27 +224,28 @@ def substitute(w: Word, target: Gen, replacement: Word, inverse: Word | None = N
     """
     letters = w.letters
     column = list(map(itemgetter(0), letters))
-    if target not in column:
+    count = column.count(target)
+    if not count:
         return w
-    out: list[tuple[Gen, int]] = []
-    start = 0
+    pos = column.index(target)
+    out = list(letters[:pos])
     while True:
-        try:
-            pos = column.index(target, start)
-        except ValueError:
-            break
-        _join(out, letters[start:pos])
         e = letters[pos][1]
-        if e > 0:
-            piece = replacement.letters
-        else:
-            if inverse is None:
-                inverse = invert(replacement)
-            piece = inverse.letters
-        for _ in range(abs(e)):
-            _join(out, piece)
+        if e < 0 and inverse is None:
+            inverse = invert(replacement)
+        piece = (replacement if e > 0 else inverse).letters
+        if piece:
+            for _ in range(abs(e)):
+                _join(out, piece)
         start = pos + 1
-    _join(out, letters[start:])
+        count -= 1
+        if not count:
+            break
+        pos = column.index(target, start)
+        if pos > start:
+            _join(out, letters[start:pos])
+    if start < len(letters):
+        _join(out, letters[start:])
     return Word._make(tuple(out))
 
 
@@ -281,10 +286,6 @@ def _cyclic_units(w: Word) -> list[tuple[Gen, int]]:
         lo += 1
         hi -= 1
     return units[lo:hi]
-
-
-def cyclically_reduce(w: Word) -> Word:
-    return normalize(_cyclic_units(w))
 
 
 def canonical_cyclic(w: Word) -> Word:

@@ -8,8 +8,11 @@ of walking reductions for exponent sums, a full rescan instead of a lazy
 heap for the unit pivot, a scan of every word instead of the generator
 index, every rotation instead of those at the least letter for the cyclic
 normal form, a fresh ``schreier_generator`` per letter instead of a table
-of expansions.  The last helpers (``unrename``,
-``schema_sets_equal``) are spelled-out comparisons that only tests need.
+of expansions, a rename of every unit letter and a normalize instead of
+a rename of each run.  The last helpers (``unrename``,
+``schema_sets_equal``, ``cyclically_reduce``,
+``rewrite_conjugated_relator``) are spelled-out comparisons and
+compositions that only tests need.
 """
 
 from itertools import combinations
@@ -70,7 +73,7 @@ def substitute_by_normalize(w, target, replacement):
 def canonical_cyclic_all_rotations(w):
     """Least representative among all rotations of w and of w^-1, found by
     comparing every rotation."""
-    from braidcomm.words import EMPTY, cyclically_reduce, invert, normalize
+    from braidcomm.words import EMPTY, invert, normalize
 
     core = cyclically_reduce(w)
     units = core.units()
@@ -84,6 +87,14 @@ def canonical_cyclic_all_rotations(w):
             if best is None or cand < best:
                 best = cand
     return normalize(best)
+
+
+def rename_by_letters(w, old, new):
+    """The unit-letter route to ``TruncatedPresentation.rename`` on one
+    word: rename every single letter, then normalize."""
+    from braidcomm.words import normalize
+
+    return normalize([(new if g == old else g, e) for g, e in w.units()])
 
 
 def expand_by_generators(w, n):
@@ -214,3 +225,22 @@ def schema_sets_equal(pres_a, rels_a, pres_b, rels_b, window):
     from braidcomm.schemas import instance_set
 
     return instance_set(pres_a, rels_a, window) == instance_set(pres_b, rels_b, window)
+
+
+def cyclically_reduce(w):
+    """The cyclic reduction of w: drop the first and last unit letters
+    while they are mutually inverse."""
+    from braidcomm.words import normalize
+
+    units = w.units()
+    while len(units) >= 2 and units[0] == (units[-1][0], -units[-1][1]):
+        units = units[1:-1]
+    return normalize(units)
+
+
+def rewrite_conjugated_relator(key, relator, n):
+    """Rewrite of representative * relator * representative^-1."""
+    from braidcomm.rewriting import representative, rewrite
+    from braidcomm.words import conjugate
+
+    return rewrite(conjugate(relator, representative(*key)), n)

@@ -9,7 +9,6 @@ from braidcomm.rewriting import (
     is_trivial_pair,
     representative,
     rewrite,
-    rewrite_conjugated_relator,
     schreier_generator,
     symbolic_rewrite,
 )
@@ -25,7 +24,7 @@ from braidcomm.words import (
     normalize,
     word,
 )
-from oracles import expand_by_generators
+from oracles import expand_by_generators, rewrite_conjugated_relator
 
 s1, r1 = gen("s", 1), gen("r", 1)
 

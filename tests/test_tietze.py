@@ -4,7 +4,7 @@ from braidcomm.derived import simplified_derived
 from braidcomm.replays import SCRIPTS, simplify
 from braidcomm.tietze import ReplayError, TruncatedPresentation, origin_of
 from braidcomm.words import EMPTY, fmt_gen, gen, word
-from oracles import relators_containing
+from oracles import relators_containing, rename_by_letters
 
 
 def _gvb3(M=3):
@@ -65,8 +65,21 @@ def test_substitution_rewrites_other_relators():
 def test_rename_moves_occurrences():
     p = _gvb3()
     old, new = ("a", (0, 0, 1)), ("a", (77,))
+    x, y = ("a", (0, 1, 1)), ("b", (0, 0, 2))
+    # old in five runs with exponents +-1 and +-2
+    p.add_relators([(word(old, x, (old, -2), y, (old, 2), (x, -1), (old, -1), y, old),
+                     ("dense",))])
+    before = dict(p.relators)
     p.rename(old, new)
     assert new in p.gens and old not in p.gens
+    assert p.relators.keys() == before.keys()
+    assert str(p.current(("dense",))[1]) == (
+        "a77 a[0,1,1] a77^-2 b[0,0,2] a77^2 a[0,1,1]^-1 a77^-1 b[0,0,2] a77")
+    for rid, w in before.items():
+        if old in w.generators():
+            assert p.relators[rid] == rename_by_letters(w, old, new)
+        else:
+            assert p.relators[rid] is w
     with pytest.raises(ReplayError):
         p.rename(("a", (0, 1, 1)), new)
 

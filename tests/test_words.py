@@ -202,8 +202,7 @@ def assert_substitute_matches_oracles(w, target, replacement):
     assert out.letters == reduce_units(substitute_units(w, target, replacement))
     assert out == substitute_by_normalize(w, target, replacement)
     assert substitute(w, target, replacement, invert(replacement)) == out
-    if target not in w.generators():
-        assert out is w
+    assert (out is w) == (target not in w.generators())
     return out
 
 
@@ -240,6 +239,44 @@ def test_substitute_a_target_with_exponent_above_one():
     w = word(s2, (r1, -2), s2)
     out = assert_substitute_matches_oracles(w, r1, word((s2, -1), s1, s2))
     assert out == word((s1, -2), (s2, 2))
+
+
+NONZERO = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def target_dense(draw):
+    """(w, target, replacement) over s1 and r1: the target occurs in 2-6
+    runs with exponents +-1..+-3, separated by nonzero powers of the other
+    generator, and the replacement is a word over the same two, so seams
+    cancel in cascades on both sides of each occurrence."""
+    target, other = draw(st.permutations([s1, r1]))
+    exps = draw(st.lists(NONZERO, min_size=2, max_size=6))
+    gaps = draw(st.lists(NONZERO, min_size=len(exps) - 1, max_size=len(exps) - 1))
+    head, tail = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    letters = [(other, head)]
+    for i, e in enumerate(exps):
+        letters += [(target, e), (other, gaps[i] if i < len(gaps) else tail)]
+    w = normalize(letters)
+    assert [g for g, _ in w.letters].count(target) == len(exps)
+    replacement = draw(st.lists(st.tuples(st.sampled_from([s1, r1]), st.integers(-3, 3)),
+                                max_size=6).map(normalize))
+    return w, target, replacement
+
+
+@given(target_dense())
+@settings(max_examples=300)
+def test_substitute_on_target_dense_words(case):
+    w, target, replacement = case
+    assert_substitute_matches_oracles(w, target, replacement)
+    assert_substitute_matches_oracles(w, s2, replacement)
+
+
+def test_substitute_tail_seam_cancels_the_replacement_and_the_run_before():
+    # s1 -> r1 s2; the tail s2^-1 r1^-1 r3^-1 r2^-1 cancels r1 s2, then r3,
+    # then merges into r2^2
+    w = word((r2, 2), r3, s1, (s2, -1), (r1, -1), (r3, -1), (r2, -1), s3)
+    assert assert_substitute_matches_oracles(w, s1, word(r1, s2)) == word(r2, s3)
 
 
 AB_LETTERS = st.tuples(st.sampled_from("ab"), st.integers(-2, 2), st.integers(-2, 2),
