@@ -24,6 +24,17 @@ generated source is spliced together from ``int`` literals (checked with
 no text of a parsed schema is ever read as code.
 :func:`enumerate_bindings` and :meth:`RelatorSchema.instantiate` stay as
 the one-binding API, and the tests compare the two routes.
+
+The generated function looks up every letter, generator and binding pair
+it yields in a :class:`SharedValues` table that the caller passes, so
+equal values come out as one object.  A table lives for one build and no
+longer: ``TruncatedPresentation.from_schema`` passes one table to every
+schema of a presentation and drops it afterwards, and any other call gets
+a fresh table of its own.  A word that free reduction shortens keeps the
+shared generators but gets letter pairs of its own from ``normalize``; no
+schema in the catalog or in ``derived`` has one.  Equality and hashing
+stay value-based, so the sharing changes no result, only the number of
+objects.
 """
 
 from __future__ import annotations
@@ -401,9 +412,10 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
                 if test not in coincide:
                     coincide.append(test)
         previous = (fam, idx)
-        letters.append(f"(({_str(fam)}, ({''.join(code(e) + ', ' for e in idx)})), {_int(exp)})")
+        generator = f"_shared[({_str(fam)}, ({''.join(code(e) + ', ' for e in idx)}))]"
+        letters.append(f"_shared[({generator}, {_int(exp)})]")
 
-    items = "(" + "".join(f"({_str(p)}, {var[p]}), " for p in sorted(var)) + ")"
+    items = "(" + "".join(f"_shared[({_str(p)}, {var[p]})], " for p in sorted(var)) + ")"
     word = "(" + "".join(letter + ", " for letter in letters) + ")"
     normalized = [f"w = _normalize({word})", f"yield {items}, w"]
     if never or checks:  # the letters left after reduction are checked instead
@@ -423,7 +435,8 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
             body += ["else:"] + ["    " + line for line in reduced]
     else:
         body = [] if never else reduced
-    lines = ["def _instances(window, _make=_make, _normalize=_normalize, _in_domain=_in_domain):",
+    lines = ["def _instances(window, _shared, _make=_make, _normalize=_normalize,"
+             " _in_domain=_in_domain):",
              "    yield from ()",
              "    window_range = range(-window, window + 1)"]
     if not body:
@@ -452,15 +465,33 @@ def _compiled(families, rel: RelatorSchema):
     return namespace["_instances"]
 
 
-def instances(pres: PresentationSchema, rel: RelatorSchema, window: int):
+class SharedValues(dict):
+    """Maps each value looked up to the first equal object looked up.
+
+    One table serves one build: every letter, generator and binding pair
+    of the instances it sees comes out as one object per distinct value.
+    Equality and hashing stay value-based, so sharing changes no result.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        self[key] = key
+        return key
+
+
+def instances(pres: PresentationSchema, rel: RelatorSchema, window: int,
+              shared: SharedValues | None = None):
     """``(binding_items, word)`` for every strand-valid instance over the
     window, in the order of :func:`enumerate_bindings`.
 
     ``binding_items`` is the sorted tuple of ``(parameter, value)`` pairs.
     The loop runs in a function compiled once per (families, schema); see
-    the module docstring.
+    the module docstring.  Its letters, generators and binding pairs come
+    from ``shared``; pass one table to several calls to share them across
+    schemas, as ``TruncatedPresentation.from_schema`` does.
     """
-    return _compiled(pres.families, rel)(window)
+    return _compiled(pres.families, rel)(window, SharedValues() if shared is None else shared)
 
 
 def enumerate_instances(pres: PresentationSchema, rel: RelatorSchema, window: int) -> list[Word]:

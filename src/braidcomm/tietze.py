@@ -20,6 +20,15 @@ existing relator with letters deleted whose generators carry a visible
 one-letter relator; the copy is a product of conjugates of present
 relators, so the group is unchanged).
 
+``from_schema`` inserts the instances one by one with ``_insert``, as
+``add_relators`` and ``derive_collapsed`` do.  One
+:class:`~.schemas.SharedValues` table serves all of its schemas and is
+dropped when the build ends, so the start holds one object per distinct
+letter, generator and binding pair.  ``rename`` rebuilds only the runs of
+the renamed generator, and ``substitute`` copies untouched runs, so the
+letters a move does not touch stay shared.  Equality and hashing stay
+value-based; nothing depends on which object holds a value.
+
 Every move appends one transcript line; replays are deterministic, so
 transcripts are reproducible byte for byte.  An observer ``callback``, fixed
 when the presentation is built, sees one event per move before it applies.
@@ -36,8 +45,10 @@ contains the generator.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 # enumerate_bindings is unused here; perfbench/tracing.py patches this name
-from .schemas import PresentationSchema, enumerate_bindings, instances  # noqa: F401
+from .schemas import PresentationSchema, SharedValues, enumerate_bindings, instances  # noqa: F401
 from .words import (
     EMPTY,
     Gen,
@@ -82,10 +93,12 @@ class TruncatedPresentation:
     def from_schema(cls, schema: PresentationSchema, window: int, name: str = "",
                     callback=None) -> "TruncatedPresentation":
         p = cls(schema, window, name, callback)
-        p.gens.update(p.alphabet.gens_in_window(window))
+        shared = SharedValues()  # one table for all schemas, dropped with the build
         for rel in schema.relators:
-            for items, w in instances(schema, rel, window):
+            for items, w in instances(schema, rel, window, shared):
                 p._insert(w, (rel.label, items))
+        # after the inserts, so that p.gens holds the shared generators
+        p.gens.update(p.alphabet.gens_in_window(window))
         p.transcript.append(
             f"start {p.name} window {window}: {len(p.gens)} generators, {len(p.relators)} relators"
         )
@@ -100,8 +113,13 @@ class TruncatedPresentation:
         self.origins[rid] = origin
         self._by_origin[origin] = rid
         gens = w.generators()
+        index = self._gen_index
         for g in gens:
-            self._gen_index.setdefault(g, set()).add(rid)
+            ids = index.get(g)
+            if ids is None:
+                index[g] = {rid}
+            else:
+                ids.add(rid)
         self.gens.update(gens)
         return rid
 
@@ -122,7 +140,7 @@ class TruncatedPresentation:
         relators = self.relators
         for rid in sorted(self._gen_index.get(g, ())):
             w = relators.get(rid)
-            if w is not None and any(h == g for h, _ in w.letters):
+            if w is not None and g in map(itemgetter(0), w.letters):
                 yield rid
 
     def single_letter_relator(self, g: Gen) -> int | None:
@@ -226,7 +244,7 @@ class TruncatedPresentation:
         ids = set(self._live_with(old))
         for rid in ids:
             self.relators[rid] = Word._make(tuple(
-                ((new if g == old else g), e) for g, e in self.relators[rid].letters
+                (new, x[1]) if x[0] == old else x for x in self.relators[rid].letters
             ))
         self._gen_index.pop(old, None)
         self._gen_index[new] = ids

@@ -9,10 +9,11 @@ heap for the unit pivot, a scan of every word instead of the generator
 index, every rotation instead of those at the least letter for the cyclic
 normal form, a fresh ``schreier_generator`` per letter instead of a table
 of expansions, a rename of every unit letter and a normalize instead of
-a rename of each run.  The last helpers (``unrename``,
-``schema_sets_equal``, ``cyclically_reduce``,
-``rewrite_conjugated_relator``) are spelled-out comparisons and
-compositions that only tests need.
+a rename of each run, a start built from ``instances_by_bindings``
+instead of from the compiled instances with one shared table.  The last
+helpers (``every_schema``, ``unrename``, ``schema_sets_equal``,
+``cyclically_reduce``, ``rewrite_conjugated_relator``) are spelled-out
+lists, comparisons and compositions that only tests need.
 """
 
 from itertools import combinations
@@ -206,6 +207,39 @@ def instances_by_bindings(pres, rel, window):
         if all(in_domain(g) for g, _ in w.letters):
             out.append((origin_of(rel.label, bindings)[1], w))
     return out
+
+
+def from_schema_by_insert(schema, window):
+    """The unshared route to ``TruncatedPresentation.from_schema``: the
+    window's generators first, then each instance from
+    ``instances_by_bindings`` inserted on its own with ``_insert``, so no
+    letter, generator or binding pair is shared between relators."""
+    from braidcomm.tietze import TruncatedPresentation
+
+    p = TruncatedPresentation(schema, window)
+    p.gens.update(p.alphabet.gens_in_window(window))
+    for rel in schema.relators:
+        for items, w in instances_by_bindings(schema, rel, window):
+            p._insert(w, (rel.label, items))
+    p.transcript.append(f"start {p.name} window {window}: "
+                        f"{len(p.gens)} generators, {len(p.relators)} relators")
+    return p
+
+
+def every_schema():
+    """Every schema the package builds: the catalog, raw and simplified
+    presentations of GVB and SG at n = 3..6, and the catalog of each other
+    family at n = 3..5."""
+    from braidcomm.catalog import FAMILIES, catalog
+    from braidcomm.derived import raw_derived, simplified_derived
+
+    for n in (3, 4, 5, 6):
+        for group in ("GVB", "SG"):
+            yield from (catalog(group, n), raw_derived(group, n), simplified_derived(group, n))
+    for n in (3, 4, 5):
+        for group in FAMILIES:
+            if group not in ("GVB", "SG"):
+                yield catalog(group, n)
 
 
 def unrename(g):

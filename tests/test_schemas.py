@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcomm.catalog import FAMILIES, catalog
-from braidcomm.derived import raw_derived, simplified_derived
+from braidcomm.catalog import catalog
+from braidcomm.derived import simplified_derived
 from braidcomm.schemas import (
     Affine,
     GuardError,
@@ -17,7 +17,7 @@ from braidcomm.schemas import (
     schema,
 )
 from braidcomm.words import gen, word
-from oracles import instances_by_bindings, schema_sets_equal
+from oracles import every_schema, instances_by_bindings, schema_sets_equal
 
 
 def test_affine_arithmetic():
@@ -119,19 +119,9 @@ def test_interior_filter():
 # -- the compiled enumerator against the one-binding-at-a-time route -----------
 
 
-def _every_schema():
-    for n in (3, 4, 5, 6):
-        for group in ("GVB", "SG"):
-            yield from (catalog(group, n), raw_derived(group, n), simplified_derived(group, n))
-    for n in (3, 4, 5):
-        for group in FAMILIES:
-            if group not in ("GVB", "SG"):
-                yield catalog(group, n)
-
-
 def test_compiled_instances_match_bindings_on_every_schema():
     count = 0
-    for pres in _every_schema():
+    for pres in every_schema():
         for rel in pres.relators:
             for window in range(4):
                 got = list(instances(pres, rel, window))

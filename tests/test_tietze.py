@@ -1,10 +1,13 @@
+import tracemalloc
+from collections import Counter
+
 import pytest
 
-from braidcomm.derived import simplified_derived
+from braidcomm.derived import raw_derived, simplified_derived
 from braidcomm.replays import SCRIPTS, simplify
 from braidcomm.tietze import ReplayError, TruncatedPresentation, origin_of
 from braidcomm.words import EMPTY, fmt_gen, gen, word
-from oracles import relators_containing, rename_by_letters
+from oracles import every_schema, from_schema_by_insert, relators_containing, rename_by_letters
 
 
 def _gvb3(M=3):
@@ -17,6 +20,78 @@ def test_from_schema_populates_window_generators():
     # letters spill past the window where relators reach
     assert ("a", (4, 0, 1)) in p.gens
     assert all(w for w in p.relators.values())
+
+
+def test_from_schema_matches_the_insert_route_on_every_schema():
+    count = 0
+    for pres in every_schema():
+        for window in range(4):
+            p = TruncatedPresentation.from_schema(pres, window)
+            q = from_schema_by_insert(pres, window)
+            where = (pres.name, pres.n, window)
+            assert list(p.relators.items()) == list(q.relators.items()), where
+            assert list(p.origins.items()) == list(q.origins.items()), where
+            assert p._by_origin == q._by_origin, where
+            assert p._gen_index == q._gen_index, where
+            assert p.gens == q.gens, where
+            assert p._next_id == q._next_id, where
+            assert p.transcript == q.transcript, where
+            count += len(p.relators)
+    assert count > 20000
+
+
+def _one_object_per_value(values) -> bool:
+    return len({id(v) for v in values}) == len(set(values))
+
+
+@pytest.mark.parametrize("pres", [raw_derived("GVB", 5), simplified_derived("SG", 5)],
+                         ids=lambda pres: f"{pres.name}-n{pres.n}")
+def test_start_presentations_share_letters_generators_and_binding_pairs(pres):
+    p = TruncatedPresentation.from_schema(pres, 3)
+    letters = [x for w in p.relators.values() for x in w.letters]
+    gens = [g for g, _ in letters] + list(p.gens) + list(p._gen_index)
+    pairs = [pair for _, items in p.origins.values() for pair in items]
+    for values in (letters, gens, pairs):
+        assert len(values) > len(set(values))  # something to share
+        assert _one_object_per_value(values)
+    # a rename rebuilds the runs of old and keeps every other letter
+    old = Counter(g for g, _ in letters).most_common(1)[0][0]
+    new = ("z", (0,))
+    before = {rid: w.letters for rid, w in p.relators.items()}
+    p.rename(old, new)
+    renamed = 0
+    for rid, was in before.items():
+        now = p.relators[rid].letters
+        assert len(now) == len(was)
+        for x, y in zip(was, now):
+            if x[0] == old:
+                assert y == (new, x[1])
+                renamed += 1
+            else:
+                assert y is x
+    assert renamed > 1
+
+
+def _held_bytes(build, pres, window) -> int:
+    """Bytes still allocated after ``build(pres, window)``, its result held."""
+    build(pres, window)  # compile the enumerators outside the measurement
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = build(pres, window)  # noqa: F841 -- kept alive while measured
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_from_schema_holds_at_most_65_percent_of_the_unshared_route():
+    pres = raw_derived("GVB", 5)
+    shared = _held_bytes(TruncatedPresentation.from_schema, pres, 3)
+    unshared = _held_bytes(from_schema_by_insert, pres, 3)
+    assert shared <= 0.65 * unshared, (shared, unshared)
 
 
 def test_eliminate_by_single_letter_relator():
