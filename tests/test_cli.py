@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from collections import Counter
 
@@ -248,3 +249,64 @@ def test_single_claim_matches_the_batch(counted_batch):
     single = registry.run(claim_filter="not-fingen:ub:4", window=4)
     assert [r.claim for r in single.results] == ["not-fingen:ub:4"]
     assert single.results[0] == batch["not-fingen:ub:4"]
+
+
+# SHA-256 of every `export-presentation` output for n = 3..6; any change to a
+# stored schema, its order or its spelling changes the hash
+EXPORT_GOLDEN = {
+    ("b", 3): "6146b21428e6a4783e1c8352366cd483f6089f18ca81d17075278d74b669c19c",
+    ("s", 3): "7157cf617ff7ec3606a07e9cb3d7cb92ee29e29563d5c0955c18604310a5c77c",
+    ("vb", 3): "d3c3f5ffcba06080727365b1ccb777a3a5c30f92678ab7c02c5c64e3d0d0bc3c",
+    ("wb", 3): "373a2f622ac54931edd3bc7eeac9ce72724f9f4ca975b13ea563e2dc6a2db1a3",
+    ("gvb", 3): "b37c0ad95e96a94ee4c5195608125592069e9d83f37efd785733e7264c63ea54",
+    ("sg", 3): "5896370b37d764ddd970b2d11fc8bca7944feafec5477b4ef71ec7c1e4649238",
+    ("ub", 3): "61cdea4989a447755eff813a98ea2068168904b40617c526881293ce1ddbbd19",
+    ("gvb-derived", 3): "9392d4ed2ba6b77c911a7e123745f60561bf99ace41399502990ce40cd867f59",
+    ("sg-derived", 3): "e45424677f5e39a3823ddeb7e5b8d22658163d771718270d3a3062c1d5aed448",
+    ("gvb-derived-raw", 3): "f200181641453dc49fea3b015a45b6a818251775e7db5c7b573aeca7b41e4688",
+    ("sg-derived-raw", 3): "2d446dad35d99dcb885e263ef3a465c9dc741560d2a671384c8ccddd81e0a251",
+    ("b", 4): "20e0e89613b8b640afa73de15fb37c168076eb379382e5b360cd2dc09da11c2f",
+    ("s", 4): "ce3693ac3f0f717cb0847e0a813603e12f874bd998c284d3f34c6756aea2ccb5",
+    ("vb", 4): "14c8abe6eae168858ea04559fef9f8ca7be534ad92c8fb59cb4d5e59fab6a678",
+    ("wb", 4): "2d242918c3305d0c098c79e3e6c9840e6f0f072a3bcf8d88641293f451e0924f",
+    ("gvb", 4): "3e012319fd4744b0ea7d977e87dccf71ae6e6f490ce426fe40095469aefa2be2",
+    ("sg", 4): "12b1d5b689a4eedcda8a9d103fac3876cf623e002eb3518a15e6aaf75f31cbe0",
+    ("ub", 4): "a17d41846e56846fa6acf9798d8607d4c9c462abf7a43d6017c52339de7ee0d8",
+    ("gvb-derived", 4): "53e0aaeb1714d619926048fd10019da9f5977e706f50f2753da93e9a5195d450",
+    ("sg-derived", 4): "a6424711e4dc2e3f092db7cce49f91b81891a8f93ed0d13b08a420c5b68e732e",
+    ("gvb-derived-raw", 4): "0c59aaca8c8c3d0a01cfce731ca480a41de72d60b36c4bcad337443e3831a625",
+    ("sg-derived-raw", 4): "2921fd99fe36235d9d4778d95f70976ce6ec5015a5bc0f30937c55044110a18e",
+    ("b", 5): "7b0e50724c23b7c5d8c434df0171858271b89359d340dcad648d642046361b64",
+    ("s", 5): "83178fc9cb733072532136c6c3ce60694711afdb1446a22f3e6e50e88cbed19d",
+    ("vb", 5): "5ac5f7a5455f56aecbf903077e7ebdcc78c4778e9a9f8bf14487c7647724eed7",
+    ("wb", 5): "8ba92bcc8dba4af453aad938645f7cb706afd2fbbef161d688b28dd711c1903f",
+    ("gvb", 5): "31ed3dbe46271f3205461e38039d799fce94d43fa3fea376c4a8dd1092d8fd5a",
+    ("sg", 5): "8e713cb1d7fd5594095f1e80299db74ec9d1bc0b508debd630db4b4f7e278b8c",
+    ("ub", 5): "1094c2fbbe7baf9a29f85d1a81eebfe4f36544e2f0c221c63d584440f655df72",
+    ("gvb-derived", 5): "c4ddc2668f4570407e7bc83a7a1c0bd9df2ffb8d0ca128543269245194272b4f",
+    ("sg-derived", 5): "2c85d62ee7471966919ed4e2e03b974cfc3958fbeeafb105ecedb4b812497d6e",
+    ("gvb-derived-raw", 5): "ec37a2ca70792811452f43746189a4f86818890cbf053b371728670b28999ed8",
+    ("sg-derived-raw", 5): "b4f3487675aba32a0dfbeca1d9baf2f3d8899d31489c37c0e8e3d1d1304c63e4",
+    ("b", 6): "32c9096c0911489d792ce30fb71df665fff4b985a43f53e74f919e5568bfc4dc",
+    ("s", 6): "879c48a7c79ae5ede46ceb5883ad0461f043f33a1f9fa6ae0e708d4482653ef9",
+    ("vb", 6): "d99dc4088905f71569415f27004acbf9395e7e6674460cd586325529c4799991",
+    ("wb", 6): "13db0aef5c01dc965dabae3b346e6685c276cf29073d1363c8d330e60376fa71",
+    ("gvb", 6): "975635a1274608fc452028fbbe133f49f6082e79cbfd34692f8ba2e7222b4fb9",
+    ("sg", 6): "89956b83aa8332e8331b21f23e52d94e2230801702e6ff2d0f6387e15e5906c7",
+    ("ub", 6): "9e49686d8497235e679becdc49e024fd70a150e2544b5d7975ab60fee6c4c8f7",
+    ("gvb-derived", 6): "e896047904eb14014c64d7d4f453818a28481b23d4cf28129b98d2c02eb02816",
+    ("sg-derived", 6): "a3d7d22df192e0a8b3b57ce72fe6862c82961c90785193986c268ead10fb602b",
+    ("gvb-derived-raw", 6): "a0a83463d28c52c01949135308c8b426b0405996e0258eef6ae77f8f9c06a831",
+    ("sg-derived-raw", 6): "21cafc32a37962974f49439330c046b5ffa96476589fe07cc58233cd9e4c74a8",
+}
+
+
+@pytest.mark.parametrize("group,n", sorted(EXPORT_GOLDEN))
+def test_export_matches_golden_hash(capsys, group, n):
+    status, out = run_cli(capsys, "export-presentation", "--group", group, "--n", str(n))
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_GOLDEN[(group, n)]
+
+
+def test_export_golden_covers_every_group():
+    assert sorted(EXPORT_GOLDEN) == sorted((g, n) for g in cli.EXPORTABLE for n in (3, 4, 5, 6))
