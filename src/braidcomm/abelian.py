@@ -7,10 +7,9 @@ arithmetic is never acceptable.
 Two engines:
 
 * :func:`smith_normal_form` -- dense, returns the diagonal together with
-  unimodular transforms ``U`` and ``V`` with ``U A V = D`` and the exact
-  determinants of both transforms.  Its pivot is the smallest absolute
-  value, ties broken by lowest (row, column).  Used on small matrices and
-  wherever a certificate is wanted.
+  unimodular transforms ``U`` and ``V`` with ``U A V = D``.  Its pivot is
+  the smallest absolute value, ties broken by lowest (row, column).  Used
+  on small matrices and wherever a certificate is wanted.
 * :class:`LatticeReduction` -- sparse, column transform only.  Row
   operations never change the row space, so tracking ``V`` alone supports
   membership tests ``v in rowspace(A)`` (forced-trivial generators) and
@@ -46,51 +45,8 @@ class IntegerMatrix:
     def identity(n: int) -> "IntegerMatrix":
         return IntegerMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntegerMatrix":
-        return IntegerMatrix([[0] * cols for _ in range(rows)])
-
-    def copy(self) -> "IntegerMatrix":
-        return IntegerMatrix([row[:] for row in self.entries])
-
-    def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        assert self.cols == other.rows
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.entries):
-            acc = out[i]
-            for t, val in enumerate(row):
-                if val:
-                    orow = other.entries[t]
-                    for j in range(other.cols):
-                        acc[j] += val * orow[j]
-        return IntegerMatrix(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegerMatrix) and self.entries == other.entries
-
-
-def determinant(a: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = a.rows
-    assert n == a.cols
-    m = [row[:] for row in a.entries]
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if m[t][t] == 0:
-            for i in range(t + 1, n):
-                if m[i][t]:
-                    m[t], m[i] = m[i], m[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
-            m[i][t] = 0
-        prev = m[t][t]
-    return sign * m[n - 1][n - 1]
 
 
 @dataclass
@@ -437,11 +393,6 @@ class RelationMatrix:
     index: dict[Gen, int]
     rows: list[dict[int, int]]
 
-    def dense(self) -> IntegerMatrix:
-        return IntegerMatrix(
-            [[row.get(j, 0) for j in range(len(self.gens))] for row in self.rows]
-        )
-
 
 def exponent_row(w: Word, index: dict[Gen, int]) -> dict[int, int]:
     row: dict[int, int] = {}
@@ -501,11 +452,10 @@ class PerfectnessReport:
         return f"{self.group}' n={self.n} window={self.window}: {verdict}{extra}"
 
 
-def forced_trivial_report(p: TruncatedPresentation, group: str, n: int,
-                          margin: int = 2) -> PerfectnessReport:
+def forced_trivial_report(p: TruncatedPresentation, group: str, n: int) -> PerfectnessReport:
     mat = relation_matrix(p)
     red = LatticeReduction(mat.rows, len(mat.gens)).run()
-    interior = p.interior(margin)
+    interior = p.interior()
     forced = {g for g in interior if red.contains({mat.index[g]: 1})}
     not_forced = interior - forced
     return PerfectnessReport(group, n, p.window, not not_forced,

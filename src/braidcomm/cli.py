@@ -20,6 +20,7 @@ from . import registry, replays
 from .catalog import FAMILIES, catalog
 from .derived import raw_derived, simplified_derived
 from .grammar import emit_presentation
+from .tietze import MARGIN
 
 EXPORTABLE = tuple(f.lower() for f in FAMILIES) + (
     "gvb-derived", "sg-derived", "gvb-derived-raw", "sg-derived-raw",
@@ -78,9 +79,9 @@ def _claim_filter(text: str) -> str:
 def _window(text: str) -> int:
     """A truncation bound with a nonempty interior."""
     value = _integer(text)
-    if value < replays.MARGIN + 1:
+    if value < MARGIN + 1:
         raise argparse.ArgumentTypeError(
-            f"window must be >= {replays.MARGIN + 1} to leave a nonempty interior, got {value}")
+            f"window must be >= {MARGIN + 1} to leave a nonempty interior, got {value}")
     return value
 
 
@@ -119,7 +120,7 @@ def cmd_replay(args) -> int:
         return 2
     p = replays.SCRIPTS[args.script](args.window)
     text = p.transcript_text()
-    survivors = sorted(p.surviving_interior(replays.MARGIN))
+    survivors = sorted(p.interior())
     from .words import fmt_gen
 
     summary = (f"interior survivors ({len(survivors)}): "

@@ -199,32 +199,13 @@ def parse_presentation(text: str) -> PresentationSchema:
     return PresentationSchema(name, n, tuple(families), tuple(relators))
 
 
-def _emit_affine(e: Affine) -> str:
-    return str(e).replace(" ", "")
-
-
-def _emit_guard(g: Guard) -> str:
-    if g.kind == "band":
-        return f"|{_emit_affine(g.lhs)}-{_emit_affine(g.rhs)}|>{g.bound}"
-    return f"{_emit_affine(g.lhs)}{g.kind}{_emit_affine(g.rhs)}"
-
-
 def emit_presentation(pres: PresentationSchema) -> str:
     lines = [f"presentation {pres.name}", f"n {pres.n}"]
     for fam, domains in pres.families:
         parts = ["int" if d is None else f"{d[0]}..{d[1]}" for d in domains]
         lines.append(f"gen {fam} arity {len(domains)} range {','.join(parts)}")
     for rel in pres.relators:
-        header = f"rel {rel.label}"
-        if rel.params:
-            header += f" forall {','.join(rel.params)}"
-        if rel.guards:
-            header += " where " + " and ".join(_emit_guard(g) for g in rel.guards)
-        body = " ".join(
-            f"{fam}[{','.join(_emit_affine(e) for e in idx)}]" + (f"^{exp}" if exp != 1 else "")
-            for fam, idx, exp in rel.template
-        )
-        lines.append(f"{header} : {body}")
+        lines.append(f"rel {rel.label} {rel}")
     return "\n".join(lines) + "\n"
 
 

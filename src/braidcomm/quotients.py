@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from .abelian import LatticeReduction, relation_matrix, subgroup_rank
 from .catalog import catalog
 from .derived import simplified_derived
-from .replays import MARGIN, gvb3_quotient_chain, sg3_beta_elimination
+from .replays import gvb3_quotient_chain, sg3_beta_elimination
 from .schemas import PresentationSchema, RelatorSchema, enumerate_instances, instance_set
-from .tietze import TruncatedPresentation, origin_of
+from .tietze import MARGIN, TruncatedPresentation, origin_of
 from .words import Gen, Word, canonical_cyclic, concat, fmt_gen, invert, normalize
 
 
@@ -236,11 +236,11 @@ def free_quotient_certificate_gvb3(window: int) -> FreeQuotientCertificate:
     p = gvb3_quotient_chain(window)
     bound = window - MARGIN
     expected = {("a", (0, k, 1)) for k in range(-bound, bound + 1) if k != 0}
-    survivors = p.surviving_interior(MARGIN)
+    survivors = p.interior()
     if survivors != expected:
         raise CertificateError(
             f"interior survivors {sorted(survivors)} differ from the free basis")
-    leftovers = p.interior_relator_set(MARGIN)
+    leftovers = p.interior_relator_set()
     if leftovers:
         raise CertificateError(
             f"certificate refused: surviving interior relator {sorted(leftovers, key=str)[0]}")
@@ -271,7 +271,7 @@ def sg3_abelianization_certificate(window: int) -> AbelianRankCertificate:
     p = sg3_beta_elimination(window)
     bound = window - MARGIN
     expected = {("a", (m, k, 2)) for m in (0, 1) for k in range(-bound, bound + 1)}
-    survivors = p.surviving_interior(MARGIN)
+    survivors = p.interior()
     if survivors != expected:
         raise CertificateError(
             f"interior survivors {sorted(survivors)} differ from the expected basis")

@@ -94,7 +94,7 @@ _FINGEN_SCRIPTS = {
 def _run_fingen(group: str, n: int, window: int):
     M = max(window, 5)
     p = replays.SCRIPTS[_FINGEN_SCRIPTS[(group, n)]](M)
-    survivors = p.surviving_interior(replays.MARGIN)
+    survivors = p.interior()
     expected = replays.expected_fingen_survivors(group, n)
     ok = survivors == expected
     return _verdict(ok), f"{len(survivors)} interior generators survive the collapse at window {M}", M

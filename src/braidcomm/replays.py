@@ -12,19 +12,17 @@ given to a script is fixed on the presentation when it is built.
 Window bookkeeping: parameters are instantiated over ``[-M, M]``; letters
 reach at most two steps past the window, and eliminations sweep exactly
 the range their defining relators cover, so leftover generators hug the
-boundary and never enter interior verdicts (margin 2 throughout).
+boundary and never enter interior verdicts (see :data:`~.tietze.MARGIN`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .derived import raw_derived, simplified_derived
+from .derived import raw_derived, simplified_derived, simplified_families
 from .schemas import PresentationSchema, instance_set
-from .tietze import TruncatedPresentation, origin_of
+from .tietze import MARGIN, TruncatedPresentation, origin_of
 from .words import Gen, Word, word
-
-MARGIN = 2
 
 
 def _o(label: str, **bindings):
@@ -59,9 +57,9 @@ def _sweep(p: TruncatedPresentation, step: str, moves) -> None:
 
 def _simplify_start(group: str, n: int, M: int, callback=None) -> TruncatedPresentation:
     raw = raw_derived(group, n)
-    # widen the alphabet with the post-rename families so interior tests
-    # understand renamed generators
-    families = raw.families + (("a", ((3, n - 1),)), ("b", (None, (3, n - 1))))
+    # widen the alphabet with the renamed families a[j], b[m,j] so interior
+    # tests understand renamed generators
+    families = raw.families + simplified_families(group, n)[2:]
     start = PresentationSchema(raw.name, n, families, raw.relators)
     p = TruncatedPresentation.from_schema(start, M, name=f"simplify-{group.lower()}-n{n}")
     # the widened families must not pre-populate generators that only the
@@ -142,7 +140,7 @@ def run_simplification_check(group: str, n: int, window: int, callback=None) -> 
     if window < 3:
         raise ValueError("window must be >= 3")
     p = simplify(group, n, window, callback=callback)
-    replayed = p.interior_relator_set(MARGIN)
+    replayed = p.interior_relator_set()
     target = simplified_derived(group, n)
     expected = instance_set(target, target.relators, window, interior=window - MARGIN)
     missing = sorted(expected - replayed, key=str)

@@ -18,7 +18,8 @@ Python function, kept for the life of the process: one ``for`` loop per
 parameter, each guard tested in the shallowest loop that binds all of its
 parameters, index expressions evaluated inline, a range check only where
 the bound cannot be proved from the parameter domains, and ``normalize``
-called only when two adjacent letters of one family come out equal.  The
+called only when two adjacent letters of one family come out equal; a
+pair of indices that a band guard keeps apart is never compared.  The
 generated source is spliced together from ``int`` literals (checked with
 ``type(x) is int``) and the ``repr`` of family and parameter strings, so
 no text of a parsed schema is ever read as code.
@@ -383,6 +384,8 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
 
     letters, checks, coincide = [], [], []
     never = False  # some constant index lies outside its range
+    # a band guard |x-y|>b with b >= 0 keeps x and y apart
+    apart = {g.lhs - g.rhs for g in rel.guards if g.kind == "band" and g.bound >= 0}
     previous = None
     for fam, idx, exp in rel.template:
         if failure is not None or _int(exp) == "0":
@@ -405,6 +408,8 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
                 if d.is_constant():
                     if d.const:
                         break
+                elif d in apart or -d in apart:
+                    break
                 else:
                     same.append(" == ".join(sorted((code(e1), code(e2)))))
             else:

@@ -3,7 +3,7 @@
 A :class:`TruncatedPresentation` instantiates every relator schema with
 its window parameters in ``[-M, M]``.  Letters may reference indices a
 little outside the window (relators reach two steps past it); generators
-within ``margin`` of the window edge are never part of any verdict, so
+within :data:`MARGIN` of the window edge are never part of any verdict, so
 the truncation stays honest about boundary effects.
 
 Only two group-changing moves exist:
@@ -61,6 +61,9 @@ from .words import (
 )
 
 Origin = tuple
+
+# verdicts read only window coordinates in [-M+MARGIN, M-MARGIN]
+MARGIN = 2
 
 
 class ReplayError(RuntimeError):
@@ -150,15 +153,15 @@ class TruncatedPresentation:
                 return rid
         return None
 
-    def interior(self, margin: int) -> set[Gen]:
-        """Generators whose window coordinates all lie in [-M+margin, M-margin]."""
-        bound = self.window - margin
+    def interior(self) -> set[Gen]:
+        """Generators whose window coordinates all lie in [-M+MARGIN, M-MARGIN]."""
+        bound = self.window - MARGIN
         if bound < 0:
             return set()
         return {g for g in self.gens if self.alphabet.within_window(g, bound)}
 
-    def interior_relator_set(self, margin: int) -> set[Word]:
-        bound = self.window - margin
+    def interior_relator_set(self) -> set[Word]:
+        bound = self.window - MARGIN
         within = self.alphabet.within_window
         return {canonical_cyclic(w) for w in self.relators.values()
                 if w and all(within(g, bound) for g, _ in w.letters)}
@@ -280,11 +283,6 @@ class TruncatedPresentation:
         return new
 
     # -- reporting -------------------------------------------------------------
-
-    def surviving_interior(self, margin: int) -> set[Gen]:
-        if margin > self.window:
-            return set()
-        return self.interior(margin)
 
     def transcript_text(self) -> str:
         return "\n".join(self.transcript) + "\n"

@@ -254,11 +254,7 @@ def delete_generators(w: Word, doomed) -> Word:
     return normalize([(g, e) for g, e in w.letters if g not in doomed])
 
 
-SIGMA = "s"
-RHO = "r"
-
-
-def bidegree(w: Word, sigma: str = SIGMA, rho: str = RHO) -> tuple[int, int]:
+def bidegree(w: Word) -> tuple[int, int]:
     """Total (s, r) exponent sums; a homomorphism onto Z x Z.
 
     Only defined on words over the two ambient families; a foreign letter
@@ -266,9 +262,9 @@ def bidegree(w: Word, sigma: str = SIGMA, rho: str = RHO) -> tuple[int, int]:
     """
     m = k = 0
     for (family, _), e in w.letters:
-        if family == sigma:
+        if family == "s":
             m += e
-        elif family == rho:
+        elif family == "r":
             k += e
         else:
             raise WordError(
@@ -337,9 +333,6 @@ class Alphabet:
         key = (family, len(domains))
         self._families[key] = tuple(domains)
         self._windows[key] = tuple(i for i, d in enumerate(domains) if d is None)
-
-    def families(self):
-        return dict(self._families)
 
     def domains(self, family: str, arity: int):
         try:

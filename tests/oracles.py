@@ -12,8 +12,9 @@ of expansions, a rename of every unit letter and a normalize instead of
 a rename of each run, a start built from ``instances_by_bindings``
 instead of from the compiled instances with one shared table.  The last
 helpers (``every_schema``, ``unrename``, ``schema_sets_equal``,
-``cyclically_reduce``, ``rewrite_conjugated_relator``) are spelled-out
-lists, comparisons and compositions that only tests need.
+``cyclically_reduce``, ``rewrite_conjugated_relator``, and the matrix
+helpers ``zero_matrix``, ``matmul``, ``determinant`` and ``dense``) are
+spelled-out lists, comparisons and compositions that only tests need.
 """
 
 from itertools import combinations
@@ -278,3 +279,51 @@ def rewrite_conjugated_relator(key, relator, n):
     from braidcomm.words import conjugate
 
     return rewrite(conjugate(relator, representative(*key)), n)
+
+
+def zero_matrix(rows, cols):
+    """The rows x cols zero ``IntegerMatrix``."""
+    from braidcomm.abelian import IntegerMatrix
+
+    return IntegerMatrix([[0] * cols for _ in range(rows)])
+
+
+def matmul(a, b):
+    """The product of two ``IntegerMatrix`` values."""
+    from braidcomm.abelian import IntegerMatrix
+
+    assert a.cols == b.rows
+    return IntegerMatrix([[sum(x * b.entries[t][j] for t, x in enumerate(row))
+                           for j in range(b.cols)] for row in a.entries])
+
+
+def determinant(a):
+    """Exact determinant of an ``IntegerMatrix`` by fraction-free (Bareiss)
+    elimination."""
+    n = a.rows
+    assert n == a.cols
+    m = [row[:] for row in a.entries]
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        if m[t][t] == 0:
+            for i in range(t + 1, n):
+                if m[i][t]:
+                    m[t], m[i] = m[i], m[t]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
+            m[i][t] = 0
+        prev = m[t][t]
+    return sign * m[n - 1][n - 1]
+
+
+def dense(mat):
+    """The dense ``IntegerMatrix`` of a sparse ``RelationMatrix``."""
+    from braidcomm.abelian import IntegerMatrix
+
+    return IntegerMatrix([[row.get(j, 0) for j in range(len(mat.gens))] for row in mat.rows])

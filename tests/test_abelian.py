@@ -9,7 +9,6 @@ from braidcomm.abelian import (
     IntegerMatrix,
     LatticeReduction,
     abelian_invariants,
-    determinant,
     perfectness_window_check,
     relation_matrix,
     smith_normal_form,
@@ -18,7 +17,14 @@ from braidcomm.abelian import (
 from braidcomm.catalog import catalog
 from braidcomm.derived import simplified_derived
 from braidcomm.tietze import TruncatedPresentation
-from oracles import invariant_factors_by_minors, unit_pivot_by_rescan
+from oracles import (
+    dense,
+    determinant,
+    invariant_factors_by_minors,
+    matmul,
+    unit_pivot_by_rescan,
+    zero_matrix,
+)
 
 
 def _random_matrix(rng, max_dim=6, span=9):
@@ -31,7 +37,7 @@ def _random_matrix(rng, max_dim=6, span=9):
 def test_snf_identity_and_zero():
     res = smith_normal_form(IntegerMatrix.identity(2))
     assert res.invariant_factors == [1, 1] and res.free_rank == 0
-    res = smith_normal_form(IntegerMatrix.zero(3, 4))
+    res = smith_normal_form(zero_matrix(3, 4))
     assert res.invariant_factors == [] and res.free_rank == 4
 
 
@@ -41,7 +47,7 @@ def test_snf_diagonal_example():
     assert invariant_factors_by_minors(m.entries) == [1, 6]
     res = smith_normal_form(m)
     assert res.invariant_factors == [1, 6]
-    assert res.u.matmul(m).matmul(res.v) == res.d
+    assert matmul(matmul(res.u, m), res.v) == res.d
 
 
 def test_snf_transform_certificates_on_random_matrices():
@@ -49,7 +55,7 @@ def test_snf_transform_certificates_on_random_matrices():
     for _ in range(150):
         m = _random_matrix(rng)
         res = smith_normal_form(m)
-        assert res.u.matmul(m).matmul(res.v) == res.d
+        assert matmul(matmul(res.u, m), res.v) == res.d
         assert abs(determinant(res.u)) == 1
         assert abs(determinant(res.v)) == 1
         f = res.invariant_factors
@@ -171,7 +177,7 @@ def test_snf_certificates_hold_on_seeded_matrices(seed):
     rng = random.Random(seed)
     m = _random_matrix(rng, max_dim=5)
     res = smith_normal_form(m)
-    assert res.u.matmul(m).matmul(res.v) == res.d
+    assert matmul(matmul(res.u, m), res.v) == res.d
     f = res.invariant_factors
     assert all(f[i + 1] % f[i] == 0 for i in range(len(f) - 1))
 
@@ -246,7 +252,7 @@ def test_abelian_invariants_agree_with_sympy(group, n, window):
     p = TruncatedPresentation.from_schema(simplified_derived(group, n), window)
     mat = relation_matrix(p)
     factors = [abs(int(d)) for d in
-               normalforms.invariant_factors(Matrix(mat.dense().entries), domain=ZZ)]
+               normalforms.invariant_factors(Matrix(dense(mat).entries), domain=ZZ)]
     nonzero = [d for d in factors if d]
     assert abelian_invariants(p) == (len(mat.gens) - len(nonzero),
                                      sorted(d for d in nonzero if d > 1))

@@ -1,12 +1,8 @@
 """The raw rewritten presentations against frozen transcriptions, and the
 stored two-parameter lists against the replayed collapse."""
 
-from braidcomm.derived import (
-    derived,
-    raw_derived,
-    simplified_derived,
-    verify_simplification,
-)
+from braidcomm.catalog import catalog
+from braidcomm.derived import raw_derived, simplified_derived, verify_simplification
 from braidcomm.grammar import emit_presentation, parse_presentation
 from braidcomm.rewriting import expand
 from braidcomm.schemas import enumerate_instances, instance_set
@@ -117,7 +113,6 @@ def test_raw_instances_expand_to_conjugated_ambient_relators():
     # every instance of a rewritten family expands back to the matching
     # conjugate of the ambient relator it came from, including the special
     # bindings where dropped trivial letters make the words differ
-    from braidcomm.catalog import catalog
     from braidcomm.rewriting import representative
     from braidcomm.schemas import enumerate_bindings
     from braidcomm.words import conjugate, freely_equal
@@ -138,7 +133,6 @@ def test_raw_instances_expand_to_conjugated_ambient_relators():
 def test_rewriting_matches_the_generic_schema_letterwise_away_from_trivia():
     # at bindings where no trivial pair occurs the two routes agree letter
     # for letter, not merely after expansion
-    from braidcomm.catalog import catalog
     from braidcomm.rewriting import representative, rewrite
     from braidcomm.words import conjugate, freely_equal
 
@@ -161,16 +155,16 @@ def test_verify_simplification_small_windows():
 def test_simplification_comparison_detects_discrepancies():
     # comparing the GVB replay against the SG list must fail: the check
     # is not vacuous
-    from braidcomm.replays import MARGIN, simplify
+    from braidcomm.replays import simplify
+    from braidcomm.tietze import MARGIN
 
     p = simplify("GVB", 3, 3)
-    replayed = p.interior_relator_set(MARGIN)
+    replayed = p.interior_relator_set()
     target = simplified_derived("SG", 3)
     expected = instance_set(target, target.relators, 3, interior=3 - MARGIN)
     assert replayed != expected
 
 
 def test_derived_bundle_round_trips_through_the_grammar():
-    bundle = derived("SG", 4)
-    for pres in (bundle.ambient, bundle.raw, bundle.simplified):
+    for pres in (catalog("SG", 4), raw_derived("SG", 4), simplified_derived("SG", 4)):
         assert parse_presentation(emit_presentation(pres)) == pres

@@ -3,7 +3,6 @@ import hashlib
 import pytest
 
 from braidcomm.replays import (
-    MARGIN,
     SCRIPTS,
     expected_fingen_survivors,
     gvb3_quotient_chain,
@@ -18,11 +17,11 @@ from braidcomm.words import fmt_gen
 
 def test_collapse_survivors_at_window_four():
     p = gvb4_fingen(4)
-    assert p.surviving_interior(2) == expected_fingen_survivors("GVB", 4)
+    assert p.interior() == expected_fingen_survivors("GVB", 4)
     p = gvbn_fingen(5, 4)
-    assert p.surviving_interior(2) == expected_fingen_survivors("GVB", 5)
+    assert p.interior() == expected_fingen_survivors("GVB", 5)
     p = sgn_fingen(5, 4)
-    assert p.surviving_interior(2) == expected_fingen_survivors("SG", 5)
+    assert p.interior() == expected_fingen_survivors("SG", 5)
 
 
 def test_fingen_needs_five_strands():
@@ -42,9 +41,9 @@ def test_collapse_transcripts_record_every_move():
 
 def test_gvb3_chain_leaves_only_the_free_letters():
     p = gvb3_quotient_chain(4)
-    survivors = p.surviving_interior(2)
+    survivors = p.interior()
     assert survivors == {("a", (0, k, 1)) for k in (-2, -1, 1, 2)}
-    assert p.interior_relator_set(2) == set()
+    assert p.interior_relator_set() == set()
     assert "adjoin a[0,0,1] a[1,0,2]" in p.transcript_text()
 
 
@@ -137,7 +136,7 @@ GOLDEN = {
 def _fingerprint(name, window):
     kinds = []
     p = SCRIPTS[name](window, callback=lambda step: kinds.append(step["kind"]))
-    survivors = ", ".join(fmt_gen(g) for g in sorted(p.surviving_interior(MARGIN)))
+    survivors = ", ".join(fmt_gen(g) for g in sorted(p.interior()))
     blob = "\n--\n".join((p.transcript_text(), survivors, " ".join(kinds)))
     return hashlib.sha256(blob.encode()).hexdigest()
 

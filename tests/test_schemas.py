@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcomm.catalog import catalog
-from braidcomm.derived import simplified_derived
+from braidcomm.derived import raw_derived, simplified_derived
 from braidcomm.schemas import (
     Affine,
     GuardError,
@@ -14,6 +14,7 @@ from braidcomm.schemas import (
     enumerate_instances,
     instance_set,
     instances,
+    _instances_source,
     schema,
 )
 from braidcomm.words import gen, word
@@ -160,6 +161,10 @@ def _assert_same(rel):
       for kind in GUARD_KINDS),
     schema("leaves_range", ("i",), [("a", ["i"], 1), ("a", [aff("i", 1)], -1)]),
     schema("may_coincide", ("i", "j"), [("a", ["i"], 1), ("a", ["j"], -1)]),
+    schema("band_keeps_apart", ("i", "j"), [("a", ["i"], 1), ("a", ["j"], -1)],
+           [band("i", "j", 0)]),
+    schema("band_allows_equal", ("i", "j"), [("a", ["i"], 1), ("a", ["j"], -1)],
+           [band("i", "j", -1)]),
     schema("coincide_then_range", ("m", "i", "j"),
            [("b", ["m", aff("i", 1)], 1), ("b", ["m", "j"], -1), ("c", ["m"], 1)]),
     schema("window_guard", ("m", "k"), [("c", ["m"], 1), ("c", [aff("k", 2)], 1)],
@@ -202,6 +207,18 @@ def toy_schemas(draw):
 @given(toy_schemas())
 def test_compiled_instances_match_bindings_on_drawn_schemas(rel):
     _assert_same(rel)
+
+
+def test_band_guard_rules_out_the_coincidence_test():
+    # |i-j|>1 keeps a[m+1,k,j] and a[m+1,k,i]^-1 apart, so no instance of
+    # rw_comm_ss can freely reduce and its source never calls normalize
+    raw = raw_derived("GVB", 4)
+    source = _instances_source(raw.alphabet(), raw.relator("rw_comm_ss"))
+    assert "abs(v2-v3) > 1" in source
+    assert "_normalize(" not in source
+    may = schema("may_coincide", ("i", "j"), [("a", ["i"], 1), ("a", ["j"], -1)],
+                 [band("i", "j", -1)])
+    assert "_normalize(" in _instances_source(TOY.alphabet(), may)
 
 
 def test_compiled_enumerator_quotes_names_and_refuses_non_ints():

@@ -5,7 +5,7 @@ import pytest
 
 from braidcomm.derived import raw_derived, simplified_derived
 from braidcomm.replays import SCRIPTS, simplify
-from braidcomm.tietze import ReplayError, TruncatedPresentation, origin_of
+from braidcomm.tietze import MARGIN, ReplayError, TruncatedPresentation, origin_of
 from braidcomm.words import EMPTY, fmt_gen, gen, word
 from oracles import every_schema, from_schema_by_insert, relators_containing, rename_by_letters
 
@@ -172,19 +172,21 @@ def test_derive_collapsed_requires_one_letter_relators():
 
 def test_interior_bookkeeping():
     p = _gvb3(3)
-    interior = p.interior(2)
+    interior = p.interior()
     assert ("a", (1, -1, 2)) in interior
-    assert ("a", (2, 0, 2)) not in interior  # |2| > 3 - 2
-    assert p.interior(4) == set()
+    assert ("a", (2, 0, 2)) not in interior  # |2| > 3 - MARGIN
     empty = TruncatedPresentation.from_schema(
         simplified_derived("GVB", 3), 3)
     empty.gens.clear()
-    assert empty.interior(2) == set()
+    assert empty.interior() == set()
 
 
-def test_surviving_interior_margin_larger_than_window():
-    p = _gvb3(3)
-    assert p.surviving_interior(5) == set()
+def test_interior_is_empty_below_the_margin():
+    for window in range(MARGIN):
+        p = _gvb3(window)
+        assert p.gens and p.relators
+        assert p.interior() == set()
+        assert p.interior_relator_set() == set()
 
 
 def test_replays_are_deterministic():
