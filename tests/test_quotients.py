@@ -117,6 +117,23 @@ def test_sg3_certificate_ranks_and_cross_check():
         assert cert.cross_checked
 
 
+def test_sg3_certificate_refuses_a_disagreeing_direct_route(monkeypatch):
+    from braidcomm import quotients, registry
+
+    # the direct route reads SG'_3 with a[0,0,2] killed, so its rank drops
+    # by one while the replayed route is untouched
+    kill = schema("kill", (), [("a", [0, 0, 2], 1)])
+    original = quotients.simplified_derived
+    monkeypatch.setattr(quotients, "simplified_derived",
+                        lambda group, n: quotient_by(original(group, n), [kill]))
+    with pytest.raises(CertificateError, match="disagree"):
+        sg3_abelianization_certificate(4)
+    [result] = registry.run(claim_filter="not-perfect:sg:3", groups="sg",
+                            ns=(3,), window=4).results
+    assert result.verdict == "refuted"
+    assert result.detail.startswith("CertificateError:")
+
+
 def test_certificate_window_bounds():
     with pytest.raises(ValueError):
         free_quotient_certificate_gvb3(2)
