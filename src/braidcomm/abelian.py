@@ -18,6 +18,9 @@ Two engines:
   is unchanged from a full rescan of the matrix but kept lazily in a heap
   of per-row lower bounds.  Whatever dense core remains is finished by the
   dense engine.
+
+:func:`perfectness_window_check` asks one tracked reduction which interior
+generators of a truncated presentation are forced trivial.
 """
 
 from __future__ import annotations
@@ -452,16 +455,6 @@ class PerfectnessReport:
         return f"{self.group}' n={self.n} window={self.window}: {verdict}{extra}"
 
 
-def forced_trivial_report(p: TruncatedPresentation, group: str, n: int) -> PerfectnessReport:
-    mat = relation_matrix(p)
-    red = LatticeReduction(mat.rows, len(mat.gens)).run()
-    interior = p.interior()
-    forced = {g for g in interior if red.contains({mat.index[g]: 1})}
-    not_forced = interior - forced
-    return PerfectnessReport(group, n, p.window, not not_forced,
-                             len(interior), forced, not_forced)
-
-
 def perfectness_window_check(group: str, n: int, window: int) -> PerfectnessReport:
     """Abelianize the truncated two-parameter presentation and ask which
     interior generators are forced trivial.  A clean window certifies
@@ -472,4 +465,10 @@ def perfectness_window_check(group: str, n: int, window: int) -> PerfectnessRepo
     if window < 4:
         raise ValueError("window must be >= 4")
     p = TruncatedPresentation.from_schema(simplified_derived(group, n), window)
-    return forced_trivial_report(p, group, n)
+    mat = relation_matrix(p)
+    red = LatticeReduction(mat.rows, len(mat.gens)).run()
+    interior = p.interior()
+    forced = {g for g in interior if red.contains({mat.index[g]: 1})}
+    not_forced = interior - forced
+    return PerfectnessReport(group, n, window, not not_forced,
+                             len(interior), forced, not_forced)

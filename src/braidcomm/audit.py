@@ -58,13 +58,6 @@ class AuditReport:
     steps_verified: int
     epochs: list[EpochRecord] = field(default_factory=list)
 
-    def __str__(self) -> str:
-        inv = "; ".join(f"steps>={e.start_step}: rank {e.invariants[0]}, "
-                        f"torsion {e.invariants[1]} ({e.checks} recomputations)"
-                        for e in self.epochs)
-        return (f"audit {self.script} window {self.window}: "
-                f"{self.steps_verified} steps certified [{inv}]")
-
 
 class AbelianStepAuditor:
     def __init__(self, checkpoint_every: int = 400):

@@ -155,10 +155,10 @@ def simplified_derived(group: str, n: int) -> PresentationSchema:
     return PresentationSchema(f"{group}'", n, simplified_families(group, n), _SIMPLIFIED[group])
 
 
-def verify_simplification(group: str, n: int, window: int, callback=None):
+def verify_simplification(group: str, n: int, window: int):
     """Replay the simplification on the truncated raw presentation and
     compare its interior relators with the stored list.  See
     :mod:`braidcomm.replays` for the replay itself."""
     from . import replays
 
-    return replays.run_simplification_check(group, n, window, callback=callback)
+    return replays.run_simplification_check(group, n, window)

@@ -123,7 +123,6 @@ class SimplificationReport:
     ok: bool
     missing: list[Word] = field(default_factory=list)
     extra: list[Word] = field(default_factory=list)
-    transcript: str = ""
 
     def __str__(self) -> str:
         head = f"{self.group}' n={self.n} window={self.window}: "
@@ -135,18 +134,17 @@ class SimplificationReport:
         return "\n".join(lines)
 
 
-def run_simplification_check(group: str, n: int, window: int, callback=None) -> SimplificationReport:
+def run_simplification_check(group: str, n: int, window: int) -> SimplificationReport:
     """Replay the collapse and compare interior relators with the stored list."""
     if window < 3:
         raise ValueError("window must be >= 3")
-    p = simplify(group, n, window, callback=callback)
+    p = simplify(group, n, window)
     replayed = p.interior_relator_set()
     target = simplified_derived(group, n)
     expected = instance_set(target, target.relators, window, interior=window - MARGIN)
     missing = sorted(expected - replayed, key=str)
     extra = sorted(replayed - expected, key=str)
-    return SimplificationReport(group, n, window, not missing and not extra,
-                                missing, extra, p.transcript_text())
+    return SimplificationReport(group, n, window, not missing and not extra, missing, extra)
 
 
 # ---------------------------------------------------------------------------

@@ -255,14 +255,6 @@ class PresentationSchema:
                 return r
         raise KeyError(f"no relator schema labelled {label!r} in {self.name}")
 
-    def __str__(self) -> str:
-        lines = [f"presentation {self.name} (n={self.n})"]
-        for family, domains in self.families:
-            lines.append(f"  gen {family} {domains}")
-        for r in self.relators:
-            lines.append(f"  rel {r.label}: {r}")
-        return "\n".join(lines)
-
 
 def alphabet_of(families) -> Alphabet:
     alpha = Alphabet()

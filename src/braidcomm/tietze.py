@@ -77,7 +77,6 @@ def origin_of(label: str, bindings: dict[str, int]) -> Origin:
 class TruncatedPresentation:
     def __init__(self, schema: PresentationSchema, window: int, name: str = "",
                  callback=None):
-        self.schema = schema
         self.alphabet = schema.alphabet()
         self.window = window
         self.name = name or schema.name

@@ -100,14 +100,14 @@ def test_criterion_04_perfectness_window(capfd):
 
 
 def test_criterion_05_rank_growth_certificates(capfd):
-    free_ranks = [free_quotient_certificate_gvb3(M).rank for M in (3, 4, 5)]
-    ab = [sg3_abelianization_certificate(M) for M in (4, 5, 6)]
-    ab_ranks = [c.free_rank for c in ab]
+    # each certificate raises on torsion or on a disagreeing direct route,
+    # so a returned rank is torsion-free and cross-checked
+    free_ranks = [free_quotient_certificate_gvb3(M) for M in (3, 4, 5)]
+    ab_ranks = [sg3_abelianization_certificate(M) for M in (4, 5, 6)]
     ok = (free_ranks == [2 * (M - 2) for M in (3, 4, 5)]
           and free_ranks == sorted(set(free_ranks))
           and ab_ranks == [2 * (2 * (M - 2) + 1) for M in (4, 5, 6)]
-          and ab_ranks == sorted(set(ab_ranks))
-          and all(c.torsion == [] and c.cross_checked for c in ab))
+          and ab_ranks == sorted(set(ab_ranks)))
     _report(capfd, 5, ok, f"GVB'_3 free quotient ranks {free_ranks}; "
                    f"SG'_3 abelian quotient ranks {ab_ranks}; both strictly increasing")
     assert ok

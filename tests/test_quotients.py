@@ -105,16 +105,14 @@ def test_absorb_rejects_leftovers():
 
 
 def test_free_quotient_ranks_grow():
-    ranks = [free_quotient_certificate_gvb3(M).rank for M in (3, 4, 5)]
+    ranks = [free_quotient_certificate_gvb3(M) for M in (3, 4, 5)]
     assert ranks == [2, 4, 6]
 
 
 def test_sg3_certificate_ranks_and_cross_check():
+    # the certificate raises on torsion and on a disagreeing direct route
     for M, expected in ((4, 10), (5, 14)):
-        cert = sg3_abelianization_certificate(M)
-        assert cert.free_rank == expected
-        assert cert.torsion == []
-        assert cert.cross_checked
+        assert sg3_abelianization_certificate(M) == expected
 
 
 def test_sg3_certificate_refuses_a_disagreeing_direct_route(monkeypatch):
