@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
+from .derived import simplified_derived
 from .tietze import TruncatedPresentation
 from .words import Gen, Word
 
@@ -460,8 +461,6 @@ def perfectness_window_check(group: str, n: int, window: int) -> PerfectnessRepo
     interior generators are forced trivial.  A clean window certifies
     perfectness on the interior; a dirty one is reported as "not forced
     trivial at this window", never as a standalone disproof."""
-    from .derived import simplified_derived
-
     if window < 4:
         raise ValueError("window must be >= 4")
     p = TruncatedPresentation.from_schema(simplified_derived(group, n), window)

@@ -15,8 +15,10 @@ families they impose:
   comm_sr_eq  s[i] r[i] = r[i] s[i]
   invol_s     s[i]^2 = 1
   forbidden   s[i] r[i+1] r[i] = r[i+1] r[i] s[i+1]
+  kill_r      r[i] = 1
 
 Relators are stored as left-hand side times inverted right-hand side.
+No group imposes ``kill_r``; the quotient maps in :mod:`.quotients` add it.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ def _core(n: int) -> dict[str, RelatorSchema]:
              ("s", [i1], -1), ("r", [i], -1), ("r", [i1], -1)],
             [cmp("i", "<=", n - 2)],
         ),
+        "kill_r": schema("kill_r", ("i",), [("r", [i], 1)]),
     }
 
 

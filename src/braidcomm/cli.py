@@ -21,6 +21,7 @@ from .catalog import FAMILIES, catalog
 from .derived import raw_derived, simplified_derived
 from .grammar import emit_presentation
 from .tietze import MARGIN
+from .words import fmt_gen
 
 EXPORTABLE = tuple(f.lower() for f in FAMILIES) + (
     "gvb-derived", "sg-derived", "gvb-derived-raw", "sg-derived-raw",
@@ -121,8 +122,6 @@ def cmd_replay(args) -> int:
     p = replays.SCRIPTS[args.script](args.window)
     text = p.transcript_text()
     survivors = sorted(p.interior())
-    from .words import fmt_gen
-
     summary = (f"interior survivors ({len(survivors)}): "
                + ", ".join(fmt_gen(g) for g in survivors) + "\n")
     if args.transcript:

@@ -20,15 +20,16 @@ surviving interior relator, torsion, or a direct route that disagrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .abelian import abelian_invariants_of_matrix, relation_matrix, subgroup_rank
-from .catalog import catalog
+from .abelian import abelian_invariants_of_matrix, matrix_rank, relation_matrix, subgroup_rank
+from .catalog import _core, catalog
 from .derived import simplified_derived
 from .replays import gvb3_quotient_chain, sg3_beta_elimination
-from .schemas import PresentationSchema, RelatorSchema, enumerate_instances, instance_set
+from .schemas import (PresentationSchema, RelatorMatch, RelatorSchema, enumerate_instances,
+                      instance_set, match_relators)
 from .tietze import MARGIN, TruncatedPresentation, origin_of
-from .words import Gen, Word, canonical_cyclic, concat, invert, normalize
+from .words import Gen, Word, canonical_cyclic, concat, invert, normalize, word
 
 
 class CertificateError(RuntimeError):
@@ -77,53 +78,37 @@ def absorb(w: Word, steps: list[tuple[Word, Word]], pool: set[Word]) -> None:
 
 
 EDGES = {
-    # edge: (source, target, added relator labels, generators killed)
-    "alpha": ("GVB", "B", ("kill_r",), True),
-    "beta": ("B", "S", ("invol_s",), False),
-    "gamma": ("GVB", "VB", ("invol_s",), False),
-    "delta": ("VB", "S", ("kill_r",), True),
-    "omega": ("SG", "B", ("kill_r",), True),
-    "zeta": ("VB", "WB", ("forbidden",), False),
-    "xi": ("UB", "GVB", ("mixed_l", "mixed_r", "braid_rr"), False),
-    "kappa": ("UB", "SG", ("mixed_l", "mixed_r", "comm_sr_eq"), False),
+    # edge: (source, target, labels of the catalog relators added)
+    "alpha": ("GVB", "B", ("kill_r",)),
+    "beta": ("B", "S", ("invol_s",)),
+    "gamma": ("GVB", "VB", ("invol_s",)),
+    "delta": ("VB", "S", ("kill_r",)),
+    "omega": ("SG", "B", ("kill_r",)),
+    "zeta": ("VB", "WB", ("forbidden",)),
+    "xi": ("UB", "GVB", ("mixed_l", "mixed_r", "braid_rr")),
+    "kappa": ("UB", "SG", ("mixed_l", "mixed_r", "comm_sr_eq")),
 }
-
-
-def _added_schemas(labels, n: int) -> list[RelatorSchema]:
-    from .catalog import _core
-    from .schemas import aff, schema
-
-    out = []
-    for label in labels:
-        if label == "kill_r":
-            out.append(schema("kill_r", ("i",), [("r", [aff("i")], 1)]))
-        else:
-            out.append(_core(n)[label])
-    return out
 
 
 @dataclass
 class EdgeReport:
     edge: str
     n: int
-    match: bool
-    missing: list[Word] = field(default_factory=list)
-    extra: list[Word] = field(default_factory=list)
+    relators: RelatorMatch
     permutation_check: bool | None = None
 
     @property
     def ok(self) -> bool:
-        return self.match and self.permutation_check is not False
+        return self.relators.ok and self.permutation_check is not False
 
     def __str__(self) -> str:
         tail = "" if self.permutation_check is None else \
             f", permutation cross-check {'passed' if self.permutation_check else 'FAILED'}"
-        return f"edge {self.edge} (n={self.n}): {'match' if self.match else 'MISMATCH'}{tail}"
+        verdict = "match" if self.relators.ok else "MISMATCH"
+        return f"edge {self.edge} (n={self.n}): {verdict}{tail}"
 
 
 def _gamma_witness_steps(i: int) -> list[tuple[Word, Word]]:
-    from .words import word
-
     s_i, s_i1, r_i, r_i1 = ("s", (i,)), ("s", (i + 1,)), ("r", (i,)), ("r", (i + 1,))
     return [
         (word((r_i1, -1)),
@@ -139,12 +124,12 @@ def verify_diagram_edge(edge: str, n: int) -> EdgeReport:
     """Check source + added relators is the target presentation."""
     if edge not in EDGES:
         raise KeyError(f"unknown edge {edge!r}; expected one of {sorted(EDGES)}")
-    source_name, target_name, added_labels, kills_r = EDGES[edge]
+    source_name, target_name, added = EDGES[edge]
     source = catalog(source_name, n)
-    added = _added_schemas(added_labels, n)
-    combined = quotient_by(source, added, name=f"{source_name}+{edge}")
+    core = _core(n)
+    combined = quotient_by(source, [core[label] for label in added], name=f"{source_name}+{edge}")
     p = TruncatedPresentation.from_schema(combined, 0, name=f"edge-{edge}-n{n}")
-    if kills_r:
+    if "kill_r" in added:
         for i in range(1, n):
             p.eliminate(("r", (i,)), origin_of("kill_r", {"i": i}), step=f"edge {edge}")
     if edge == "gamma":
@@ -156,12 +141,10 @@ def verify_diagram_edge(edge: str, n: int) -> EdgeReport:
     replayed = {canonical_cyclic(w) for w in p.relators.values() if w}
     target = catalog(target_name, n)
     expected = instance_set(target, target.relators, 0)
-    missing = sorted(expected - replayed, key=str)
-    extra = sorted(replayed - expected, key=str)
     perm_ok = None
     if target_name == "S":
         perm_ok = _permutation_cross_check(source, n)
-    return EdgeReport(edge, n, not missing and not extra, missing, extra, perm_ok)
+    return EdgeReport(edge, n, match_relators(expected, replayed), perm_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +222,13 @@ def sg3_abelianization_certificate(window: int) -> int:
         raise CertificateError(
             f"interior survivors {sorted(survivors)} differ from the expected basis")
     mat = relation_matrix(p)
-    _, torsion = abelian_invariants_of_matrix(mat.rows, len(mat.gens))
+    free_rank, torsion = abelian_invariants_of_matrix(mat.rows, len(mat.gens))
     if torsion:
         raise CertificateError(f"certificate refused: torsion {torsion}")
-    cols = [mat.index[g] for g in sorted(expected)]
-    rank = subgroup_rank(mat.rows, len(mat.gens), cols)
+    # the interior columns span rank([E; R]) - rank(R), and rank(R) is the
+    # column count less the free rank just computed
+    units = [{mat.index[g]: 1} for g in sorted(expected)]
+    rank = matrix_rank(mat.rows + units, len(mat.gens)) - (len(mat.gens) - free_rank)
     if rank != len(expected):
         raise CertificateError(
             f"interior generators span rank {rank}, expected {len(expected)}")
@@ -262,19 +247,7 @@ def sg3_abelianization_certificate(window: int) -> int:
 # SG'_3 as a quotient of SG'_4
 
 
-@dataclass
-class QuotientMatchReport:
-    window: int
-    match: bool
-    missing: list[Word] = field(default_factory=list)
-    extra: list[Word] = field(default_factory=list)
-
-    def __str__(self) -> str:
-        return ("SG'_4 / <<a[3], b[m,3]>> matches SG'_3" if self.match
-                else f"SG'_4 quotient MISMATCH: missing {self.missing[:3]}, extra {self.extra[:3]}")
-
-
-def sg3_as_quotient_of_sg4(window: int, keep: set[Gen] = frozenset()) -> QuotientMatchReport:
+def sg3_as_quotient_of_sg4(window: int, keep: set[Gen] = frozenset()) -> RelatorMatch:
     """Kill a[3] and every b[m,3] inside the SG'_4 list and compare with
     the SG'_3 list.  ``keep`` exempts generators from the substitution,
     which is how the mutation test drives a detected mismatch."""
@@ -292,7 +265,4 @@ def sg3_as_quotient_of_sg4(window: int, keep: set[Gen] = frozenset()) -> Quotien
                                  if not doomed(g) or g in keep])
             if trimmed:
                 quotiented.add(canonical_cyclic(trimmed))
-    expected = instance_set(sg3, sg3.relators, window)
-    missing = sorted(expected - quotiented, key=str)
-    extra = sorted(quotiented - expected, key=str)
-    return QuotientMatchReport(window, not missing and not extra, missing, extra)
+    return match_relators(instance_set(sg3, sg3.relators, window), quotiented)

@@ -80,8 +80,7 @@ def _run_expansion_identity(group: str, n: int, window: int):
 def _run_relator_list(group: str, n: int, window: int):
     M = max(window, 3)
     rep = verify_simplification(group, n, M)
-    detail = ("replayed collapse reproduces the stored list on the interior"
-              if rep.ok else f"{len(rep.missing)} missing / {len(rep.extra)} extra relators")
+    detail = "replayed collapse reproduces the stored list on the interior" if rep.ok else str(rep)
     return _verdict(rep.ok), detail, M
 
 
@@ -150,9 +149,9 @@ def _run_sg3_quotient(window: int):
     M = max(window, 4)
     main = quotients.sg3_as_quotient_of_sg4(M)
     mutated = quotients.sg3_as_quotient_of_sg4(M, keep={("b", (0, 3))})
-    ok = main.match and not mutated.match
-    return _verdict(ok), ("substitution matches and the mutation is detected"
-                          if ok else str(main)), M
+    ok = main.ok and not mutated.ok
+    return _verdict(ok), ("substitution matches and the mutation is detected" if ok
+                          else f"substitution: {main}; mutation: {mutated}"), M
 
 
 def _stated(verdict: str, detail: str):

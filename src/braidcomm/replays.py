@@ -17,12 +17,10 @@ boundary and never enter interior verdicts (see :data:`~.tietze.MARGIN`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .derived import raw_derived, simplified_derived, simplified_families
-from .schemas import PresentationSchema, instance_set
+from .schemas import PresentationSchema, RelatorMatch, instance_set, match_relators
 from .tietze import MARGIN, TruncatedPresentation, origin_of
-from .words import Gen, Word, word
+from .words import Gen, word
 
 
 def _o(label: str, **bindings):
@@ -65,8 +63,6 @@ def _simplify_start(group: str, n: int, M: int, callback=None) -> TruncatedPrese
     # the widened families must not pre-populate generators that only the
     # final renaming introduces
     p.gens = {g for g in p.gens if len(g[1]) == 3}
-    # straight after from_schema the index keys are the relators' generators
-    p.gens.update(p._gen_index)
     p.callback = callback
     if callback is not None:
         callback({"kind": "start", "presentation": p})
@@ -115,26 +111,7 @@ def simplify(group: str, n: int, M: int, callback=None) -> TruncatedPresentation
     return p
 
 
-@dataclass
-class SimplificationReport:
-    group: str
-    n: int
-    window: int
-    ok: bool
-    missing: list[Word] = field(default_factory=list)
-    extra: list[Word] = field(default_factory=list)
-
-    def __str__(self) -> str:
-        head = f"{self.group}' n={self.n} window={self.window}: "
-        if self.ok:
-            return head + "replayed presentation matches the stored list"
-        lines = [head + "MISMATCH"]
-        lines += [f"  missing: {w}" for w in self.missing]
-        lines += [f"  extra:   {w}" for w in self.extra]
-        return "\n".join(lines)
-
-
-def run_simplification_check(group: str, n: int, window: int) -> SimplificationReport:
+def run_simplification_check(group: str, n: int, window: int) -> RelatorMatch:
     """Replay the collapse and compare interior relators with the stored list."""
     if window < 3:
         raise ValueError("window must be >= 3")
@@ -142,9 +119,7 @@ def run_simplification_check(group: str, n: int, window: int) -> SimplificationR
     replayed = p.interior_relator_set()
     target = simplified_derived(group, n)
     expected = instance_set(target, target.relators, window, interior=window - MARGIN)
-    missing = sorted(expected - replayed, key=str)
-    extra = sorted(replayed - expected, key=str)
-    return SimplificationReport(group, n, window, not missing and not extra, missing, extra)
+    return match_relators(expected, replayed)
 
 
 # ---------------------------------------------------------------------------

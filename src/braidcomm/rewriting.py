@@ -23,8 +23,10 @@ empty word, so expansion identities are unaffected.
 
 from __future__ import annotations
 
-from .schemas import Affine, RelatorSchema, aff
-from .words import Gen, Word, WordError, _join, bidegree, conjugate, fmt_gen, invert, normalize
+from .catalog import catalog
+from .schemas import Affine, RelatorSchema, aff, enumerate_instances, schema
+from .words import (Gen, Word, WordError, _join, bidegree, conjugate, fmt_gen, freely_equal,
+                    invert, normalize)
 
 
 S1: Gen = ("s", (1,))
@@ -134,10 +136,6 @@ def expansion_identity_holds(group: str, n: int, bound: int) -> tuple[bool, int]
     """Check expand(rewrite(c r c^-1)) == c r c^-1 for every defining
     relator r and every representative c with both exponents in
     [-bound, bound].  Returns (all passed, number of pairs checked)."""
-    from .catalog import catalog
-    from .schemas import enumerate_instances
-    from .words import freely_equal
-
     pres = catalog(group, n)
     window = range(-bound, bound + 1)
     reps = [representative(m, k) for m in window for k in window]
@@ -156,8 +154,6 @@ def expansion_identity_holds(group: str, n: int, bound: int) -> tuple[bool, int]
 def trivial_relator_schemas() -> list[RelatorSchema]:
     """The one-letter relation families contributed by trivial pairs:
     a[m,0,1] and b[m,k,1]."""
-    from .schemas import schema
-
     return [
         schema("triv_a", ("m",), [("a", [aff("m"), 0, 1], 1)]),
         schema("triv_b", ("m", "k"), [("b", [aff("m"), aff("k"), 1], 1)]),
@@ -210,6 +206,4 @@ def symbolic_rewrite(rel: RelatorSchema, label: str) -> RelatorSchema:
                 raise WordError(f"cannot rewrite family {fam!r}")
     if cur_m != aff("m") or cur_k != aff("k"):
         raise WordError(f"relator {rel.label} is not bidegree-balanced")
-    from .schemas import schema
-
     return schema(label, ("m", "k") + rel.params, letters, rel.guards)

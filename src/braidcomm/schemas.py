@@ -36,6 +36,10 @@ shared generators but gets letter pairs of its own from ``normalize``; no
 schema in the catalog or in ``derived`` has one.  Equality and hashing
 stay value-based, so the sharing changes no result, only the number of
 objects.
+
+:func:`match_relators` is the one comparison of a replayed relator set
+with an expected :func:`instance_set`; every identification check
+reports its :class:`RelatorMatch`.
 """
 
 from __future__ import annotations
@@ -512,3 +516,24 @@ def instance_set(pres: PresentationSchema, relators, window: int,
             if c:
                 out.add(c)
     return out
+
+
+@dataclass
+class RelatorMatch:
+    """What a replayed relator set lacks and adds against the expected one,
+    each sorted by ``str``."""
+
+    missing: list[Word]
+    extra: list[Word]
+
+    @property
+    def ok(self) -> bool:
+        return not self.missing and not self.extra
+
+    def __str__(self) -> str:
+        return f"{len(self.missing)} missing / {len(self.extra)} extra relators"
+
+
+def match_relators(expected: set[Word], replayed: set[Word]) -> RelatorMatch:
+    return RelatorMatch(sorted(expected - replayed, key=str),
+                        sorted(replayed - expected, key=str))

@@ -130,7 +130,7 @@ def test_criterion_07_surjection_diagram(capfd):
     for edge in sorted(EDGES):
         for n in (3, 4):
             rep = verify_diagram_edge(edge, n)
-            if not rep.match:
+            if not rep.relators.ok:
                 failures.append((edge, n, "mismatch"))
             lands_in_sym = EDGES[edge][1] == "S"
             if lands_in_sym and rep.permutation_check is not True:
@@ -144,7 +144,7 @@ def test_criterion_07_surjection_diagram(capfd):
 def test_criterion_08_sg3_as_quotient_of_sg4(capfd):
     main = sg3_as_quotient_of_sg4(4)
     mutated = sg3_as_quotient_of_sg4(4, keep={("b", (0, 3))})
-    ok = main.match and not mutated.match
+    ok = main.ok and not mutated.ok
     _report(capfd, 8, ok, "SG'_4 with a[3], b[m,3] killed equals SG'_3 at window 4; "
                    "retaining b[0,3] is detected")
     assert ok

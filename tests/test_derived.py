@@ -165,6 +165,25 @@ def test_simplification_comparison_detects_discrepancies():
     assert replayed != expected
 
 
+def test_a_dropped_stored_schema_refutes_the_relator_list(monkeypatch):
+    from dataclasses import replace
+
+    from braidcomm import registry, replays
+
+    # drop the first stored GVB'_3 schema; its replayed instances come out extra
+    def dropped(group, n):
+        pres = simplified_derived(group, n)
+        return replace(pres, relators=pres.relators[1:])
+
+    monkeypatch.setattr(replays, "simplified_derived", dropped)
+    match = verify_simplification("GVB", 3, 3)
+    assert not match.ok and match.extra and not match.missing
+    [result] = registry.run(claim_filter="relator-list:gvb:3", groups="gvb",
+                            ns=(3,), window=3).results
+    assert result.verdict == "refuted"
+    assert result.detail == f"0 missing / {len(match.extra)} extra relators"
+
+
 def test_derived_bundle_round_trips_through_the_grammar():
     for pres in (catalog("SG", 4), raw_derived("SG", 4), simplified_derived("SG", 4)):
         assert parse_presentation(emit_presentation(pres)) == pres

@@ -3,12 +3,11 @@ from math import factorial
 import pytest
 
 from braidcomm.abelian import abelian_invariants, abelian_invariants_of_matrix, relation_matrix
-from braidcomm.catalog import catalog
+from braidcomm.catalog import _core, catalog
 from braidcomm.derived import simplified_derived
 from braidcomm.quotients import (
     EDGES,
     CertificateError,
-    _added_schemas,
     absorb,
     free_quotient_certificate_gvb3,
     permutation_of_word,
@@ -48,6 +47,20 @@ def test_diagram_edges_still_match_at_five_strands():
         assert verify_diagram_edge(edge, 5).ok
 
 
+def test_a_mismatching_edge_prints_mismatch(monkeypatch):
+    from braidcomm import quotients, registry
+
+    # B without s[i]^2 = 1 is not S
+    monkeypatch.setitem(quotients.EDGES, "beta", ("B", "S", ()))
+    report = verify_diagram_edge("beta", 3)
+    assert not report.ok and report.relators.missing and not report.relators.extra
+    assert str(report) == "edge beta (n=3): MISMATCH, permutation cross-check passed"
+    [result] = registry.run(claim_filter="diagram:beta:3", groups="gvb",
+                            ns=(3,), window=3).results
+    assert result.verdict == "refuted"
+    assert result.detail == str(report)
+
+
 def test_sn_landing_edges_run_the_permutation_channel():
     assert verify_diagram_edge("beta", 4).permutation_check is True
     assert verify_diagram_edge("delta", 3).permutation_check is True
@@ -62,9 +75,9 @@ def test_sn_targets_have_order_n_factorial_by_todd_coxeter(edge, n):
         reason="sympy is an optional test-only channel for coset enumeration")
     from sympy.combinatorics.free_groups import free_group
 
-    source, target, added, _ = EDGES[edge]
+    source, target, added = EDGES[edge]
     assert target == "S"
-    pres = quotient_by(catalog(source, n), _added_schemas(added, n))
+    pres = quotient_by(catalog(source, n), [_core(n)[label] for label in added])
     gens = pres.alphabet().gens_in_window(0)
     free, *letters = free_group(",".join(map(fmt_gen, gens)))
     letter = dict(zip(gens, letters))
@@ -115,6 +128,22 @@ def test_sg3_certificate_ranks_and_cross_check():
         assert sg3_abelianization_certificate(M) == expected
 
 
+def test_sg3_certificate_reduces_each_matrix_once(monkeypatch):
+    from braidcomm.abelian import LatticeReduction
+
+    shapes = []
+    run = LatticeReduction.run
+
+    def recorded(red):
+        shapes.append((len(red.rows), red.ncols))
+        return run(red)
+
+    monkeypatch.setattr(LatticeReduction, "run", recorded)
+    sg3_abelianization_certificate(4)
+    # the replayed matrix R, then [E; R]; the direct matrix, then its stack
+    assert shapes == [(42, 46), (52, 46), (324, 208), (334, 208)]
+
+
 def test_sg3_certificate_refuses_a_disagreeing_direct_route(monkeypatch):
     from braidcomm import quotients, registry
 
@@ -140,10 +169,27 @@ def test_certificate_window_bounds():
 
 
 def test_sg3_as_quotient_of_sg4_and_mutation():
-    assert sg3_as_quotient_of_sg4(4).match
-    assert sg3_as_quotient_of_sg4(3).match
+    assert sg3_as_quotient_of_sg4(4).ok
+    assert sg3_as_quotient_of_sg4(3).ok
     mutated = sg3_as_quotient_of_sg4(4, keep={("b", (0, 3))})
-    assert not mutated.match and mutated.extra
+    assert not mutated.ok and mutated.extra
+
+
+def test_an_undetected_mutation_refutes_the_sg4_quotient(monkeypatch):
+    from braidcomm import quotients, registry
+
+    mutated = sg3_as_quotient_of_sg4(4, keep={("b", (0, 3))})
+    assert mutated.extra and not mutated.missing
+    assert str(mutated) == f"0 missing / {len(mutated.extra)} extra relators"
+    # a substitution that ignores ``keep`` cannot detect the mutation
+    original = quotients.sg3_as_quotient_of_sg4
+    monkeypatch.setattr(quotients, "sg3_as_quotient_of_sg4",
+                        lambda window, keep=frozenset(): original(window))
+    [result] = registry.run(claim_filter="sg3-quotient-of-sg4", groups="sg",
+                            ns=(4,), window=4).results
+    assert result.verdict == "refuted"
+    assert result.detail == ("substitution: 0 missing / 0 extra relators; "
+                             "mutation: 0 missing / 0 extra relators")
 
 
 def test_quotient_then_abelianize_commutes():
