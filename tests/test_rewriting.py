@@ -12,13 +12,14 @@ from braidcomm.rewriting import (
     schreier_generator,
     symbolic_rewrite,
 )
-from braidcomm.schemas import enumerate_instances
+from braidcomm.schemas import enumerate_bindings, enumerate_instances
 from braidcomm.words import (
     EMPTY,
     WordError,
     bidegree,
     concat,
     conjugate,
+    delete_generators,
     freely_equal,
     gen,
     normalize,
@@ -110,15 +111,23 @@ def test_expansion_identity_on_sampled_relators():
 
 
 def test_rewrite_vs_instantiated_symbolic_schema_through_expansion():
-    # both rewriting routes must expand back to the same conjugate
-    for group, n in (("GVB", 4), ("SG", 4)):
+    # the symbolic schema, instantiated and stripped of its trivial pairs,
+    # equals the direct rewrite letter for letter, and both expand back to
+    # the conjugate
+    keys = [(m, k) for m in range(-2, 3) for k in range(-2, 3)]
+    for group, n in (("GVB", 4), ("SG", 4), ("GVB", 5)):
         pres = catalog(group, n)
         for rel in pres.relators:
             sym = symbolic_rewrite(rel, "t")
-            for m, k in [(0, 0), (2, -1), (-1, 3)]:
-                for inst in enumerate_instances(pres, rel, 0)[:2]:
+            for bindings in enumerate_bindings(pres, rel, 0):
+                inst = rel.instantiate(bindings)
+                for m, k in keys:
                     conj = conjugate(inst, representative(m, k))
                     direct = rewrite_conjugated_relator((m, k), inst, n)
+                    image = sym.instantiate(dict(bindings, m=m, k=k))
+                    trivial = {g for g in image.generators() if is_trivial_pair(
+                        g[1][:2], ("s" if g[0] == "a" else "r", g[1][2:]))}
+                    assert delete_generators(image, trivial) == direct, (rel.label, bindings, m, k)
                     assert freely_equal(expand(direct, n), conj)
 
 
