@@ -30,7 +30,7 @@ from heapq import heapify, heappop, heappush
 
 from .derived import simplified_derived
 from .tietze import TruncatedPresentation
-from .words import Gen, Word
+from .words import Gen
 
 
 @dataclass
@@ -398,20 +398,13 @@ class RelationMatrix:
     rows: list[dict[int, int]]
 
 
-def exponent_row(w: Word, index: dict[Gen, int]) -> dict[int, int]:
-    row: dict[int, int] = {}
-    for g, e in w.letters:
-        j = index[g]
-        row[j] = row.get(j, 0) + e
-    return {j: v for j, v in row.items() if v}
-
-
 def relation_matrix(p: TruncatedPresentation) -> RelationMatrix:
     """One row per relator, one column per generator, entries are exponent
     sums.  Commutator-shaped relators contribute zero rows by construction."""
     gens = sorted(p.gens)
     index = {g: j for j, g in enumerate(gens)}
-    rows = [exponent_row(p.relators[rid], index) for rid in sorted(p.relators)]
+    rows = [{index[g]: e for g, e in p.relators[rid].exponent_vector().items()}
+            for rid in sorted(p.relators)]
     return RelationMatrix(gens, index, rows)
 
 

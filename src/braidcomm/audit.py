@@ -33,15 +33,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .abelian import abelian_invariants_of_matrix
-from .words import Gen, Word, fmt_gen
+from .words import Gen, fmt_gen
 
 
 class AuditError(AssertionError):
     """A step failed its cokernel-preservation certificate."""
-
-
-def _vec(w: Word) -> dict[Gen, int]:
-    return w.exponent_vector()
 
 
 @dataclass
@@ -111,13 +107,13 @@ class AbelianStepAuditor:
             p = step["presentation"]
             self.rows, self.count = {}, {}
             for rid, w in p.relators.items():
-                self._set_row(rid, _vec(w))
+                self._set_row(rid, w.exponent_vector())
             self.gens = set(p.gens)
             self._epoch_dirty = True
             return
         if kind == "adjoin":
             w = step["word"]
-            self._set_row(step["rid"], _vec(w))
+            self._set_row(step["rid"], w.exponent_vector())
             self.gens.update(w.generators())
             self._epoch_dirty = True
             return
@@ -137,7 +133,7 @@ class AbelianStepAuditor:
         self._open_epoch_if_needed()
         self._checkpoint(force=True)
         # the shadow must agree with the survivor presentation exactly
-        actual = {rid: _vec(w) for rid, w in presentation.relators.items()}
+        actual = {rid: w.exponent_vector() for rid, w in presentation.relators.items()}
         if actual != self.rows:
             raise AuditError("shadow matrix diverged from the presentation")
         if set(presentation.gens) != self.gens:
@@ -154,7 +150,7 @@ class AbelianStepAuditor:
         sign = step["sign"]
         rid = step["defining_rid"]
         defining = self.rows.get(rid)
-        if defining is None or defining != _vec(step["defining"]):
+        if defining is None or defining != step["defining"].exponent_vector():
             raise AuditError(f"defining row for {fmt_gen(target)} out of sync")
         if defining.get(target, 0) != sign or sign not in (1, -1):
             raise AuditError(
@@ -162,7 +158,7 @@ class AbelianStepAuditor:
                 f"{fmt_gen(target)}, expected {sign}")
         for rid2, old, new in step["touched"]:
             oldv = self.rows.get(rid2)
-            if oldv is None or oldv != _vec(old):
+            if oldv is None or oldv != old.exponent_vector():
                 raise AuditError(f"row {rid2} out of sync before substitution")
             coeff = oldv.get(target, 0)
             predicted = dict(oldv)
@@ -170,7 +166,7 @@ class AbelianStepAuditor:
                 predicted[g] = predicted.get(g, 0) - coeff * sign * v
                 if predicted[g] == 0:
                     del predicted[g]
-            newv = _vec(new)
+            newv = new.exponent_vector()
             if predicted != newv:
                 raise AuditError(
                     f"substitution into row {rid2} is not the predicted row operation")
@@ -191,7 +187,7 @@ class AbelianStepAuditor:
 
     def _verify_derive(self, step: dict) -> None:
         source = self.rows.get(step["source_rid"])
-        if source is None or source != _vec(step["source_word"]):
+        if source is None or source != step["source_word"].exponent_vector():
             raise AuditError("derive source row out of sync")
         deleted = set(step["deleted"])
         for g in deleted:
@@ -201,7 +197,7 @@ class AbelianStepAuditor:
                 raise AuditError(
                     f"deletion of {fmt_gen(g)} is not backed by a one-letter row")
         predicted = {g: v for g, v in source.items() if g not in deleted}
-        newv = _vec(step["word"])
+        newv = step["word"].exponent_vector()
         if predicted != newv:
             raise AuditError("derived row is not the source row with letters deleted")
         self._set_row(step["rid"], newv)

@@ -83,7 +83,7 @@ def _parse_affine(text: str, line: int | None = None, n: int | None = None) -> A
     return out
 
 
-def _parse_guard(text: str, line: int, n: int) -> Guard:
+def _parse_guard(text: str, line: int, n: int | None) -> Guard:
     text = text.strip()
     m = re.match(rf"^\|({_IDENT})-({_IDENT})\|>(\d+)$", text.replace(" ", ""))
     if m:
@@ -95,7 +95,7 @@ def _parse_guard(text: str, line: int, n: int) -> Guard:
     raise ParseError(f"cannot read guard {text!r}", line)
 
 
-def _parse_template_letter(token: str, line: int, n: int):
+def _parse_template_letter(token: str, line: int, n: int | None):
     m = _LETTER_RE.match(token)
     if not m:
         raise ParseError(f"cannot read letter {token!r}", line)
@@ -132,7 +132,8 @@ def parse_presentation(text: str) -> PresentationSchema:
                 raise ParseError("expected: n <integer>", lineno)
             n = int(tokens[1])
         elif head == "gen":
-            if len(tokens) != 6 or tokens[2] != "arity" or tokens[4] != "range":
+            if (len(tokens) != 6 or tokens[2] != "arity" or tokens[4] != "range"
+                    or not tokens[3].isdigit()):
                 raise ParseError("expected: gen <fam> arity <k> range <domains>", lineno)
             fam = tokens[1]
             arity = int(tokens[3])
@@ -175,13 +176,13 @@ def parse_presentation(text: str) -> PresentationSchema:
                 elif key == "where":
                     guard_text = " ".join(htokens)
                     htokens = []
-                    guards = [_parse_guard(part, lineno, n or 0)
+                    guards = [_parse_guard(part, lineno, n)
                               for part in guard_text.split(" and ")]
                 else:
                     raise ParseError(f"unexpected token {key!r} in relator header", lineno)
             letters = []
             for token in body.split():
-                fam, idx, exp = _parse_template_letter(token, lineno, n or 0)
+                fam, idx, exp = _parse_template_letter(token, lineno, n)
                 if (fam, len(idx)) not in declared:
                     raise ParseError(f"undeclared family {fam!r} of arity {len(idx)}", lineno)
                 letters.append((fam, idx, exp))

@@ -151,24 +151,15 @@ def verify_diagram_edge(edge: str, n: int) -> EdgeReport:
 # permutation representation (independent channel for maps onto S_n)
 
 
-def transposition(i: int, n: int) -> tuple[int, ...]:
-    p = list(range(n))
-    p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
-
-
-def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # left-to-right: apply p, then q
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
 def permutation_of_word(w: Word, n: int) -> tuple[int, ...]:
-    perm = tuple(range(n))
-    for (family, (i,)), _e in w.units():
-        # both generator kinds map to the adjacent transposition; a
-        # transposition is its own inverse, so signs do not matter
-        perm = compose(perm, transposition(i, n))
-    return perm
+    # both generator kinds map to the adjacent transposition of i-1 and i; a
+    # transposition is its own inverse, so signs do not matter.  Swapping two
+    # entries composes on the right, so the letters are read last to first
+    # to apply the first letter first.
+    perm = list(range(n))
+    for (_, (i,)), _e in reversed(w.units()):
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return tuple(perm)
 
 
 def _permutation_cross_check(source: PresentationSchema, n: int) -> bool:

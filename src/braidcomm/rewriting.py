@@ -8,29 +8,40 @@ below valid.
 
 For a coset key and an ambient letter the subgroup generator is the
 representative times the letter times the inverse of the representative
-of the product coset.  Crossing letters produce the ``a`` family,
-companion letters the ``b`` family, each indexed by ``(m, k, i)``:
+of the product coset.  ``STEPS`` is the one table of this rule: a crossing
+letter ``s[i]`` read at ``(m, k)`` becomes ``a[m,k,i]`` and moves the key
+to ``(m+1, k)``, a companion letter ``r[i]`` becomes ``b[m,k,i]`` and
+moves it to ``(m, k+1)``:
 
     a[m,k,i]  expands to  s1^m r1^k s[i] r1^-k s1^(-m-1)
     b[m,k,i]  expands to  s1^m r1^k r[i] r1^(-k-1) s1^-m
 
 A pair is trivial when that expansion freely reduces to the empty word;
 this happens exactly for ``s1`` at ``k = 0`` and for ``r1`` at any key.
-The rewriting map drops trivial letters, so its output matches the reduced
-relator lists used everywhere downstream; dropped letters expand to the
-empty word, so expansion identities are unaffected.
+
+One walk, ``_walk``, reads ambient letters from a start key, rewrites a
+positive letter at the key before it and a negative one at the key after
+it, and drops trivial pairs.  ``rewrite`` walks a word's concrete keys
+from ``(0, 0)``; ``symbolic_rewrite`` walks a relator schema's affine keys
+from the formal key ``(m, k)``.  Dropping trivial letters makes the output
+match the reduced relator lists used everywhere downstream; dropped
+letters expand to the empty word, so expansion identities are unaffected.
 """
 
 from __future__ import annotations
 
 from .catalog import catalog
 from .schemas import Affine, RelatorSchema, aff, enumerate_instances, schema
-from .words import (Gen, Word, WordError, _join, bidegree, conjugate, fmt_gen, freely_equal,
-                    invert, normalize)
+from .words import (Gen, Word, WordError, _join, conjugate, fmt_gen, freely_equal, invert,
+                    normalize)
 
 
 S1: Gen = ("s", (1,))
 R1: Gen = ("r", (1,))
+
+# ambient family -> (subgroup family, step of m, step of k)
+STEPS = {"s": ("a", 1, 0), "r": ("b", 0, 1)}
+AMBIENT = {sub: family for family, (sub, _, _) in STEPS.items()}
 
 
 def representative(m: int, k: int) -> Word:
@@ -43,31 +54,54 @@ def _check_index(i: int, n: int) -> None:
         raise WordError(f"strand index {i} outside 1..{n - 1}")
 
 
+def _step(family: str) -> tuple[str, int, int]:
+    try:
+        return STEPS[family]
+    except KeyError:
+        raise WordError(f"family {family!r} is not an ambient generator family") from None
+
+
+def _trivial(dm, k, strand, zero, one) -> bool:
+    """True iff the strand-1 letter appended to s1^m r1^k gives the next
+    representative: always for r1 (which leaves m alone), for s1 only at k = 0."""
+    return strand == one and (not dm or k == zero)
+
+
+def _walk(letters, key, zero, one):
+    """Rewrite ``(family, (strand,), exponent)`` letters read from ``key``.
+
+    Returns the subgroup letters ``(family, (m, k, strand), +-1)`` with
+    trivial pairs dropped, and the key reached.  Keys and strands are ints
+    for a word and affine forms for a schema; ``zero`` and ``one`` are the
+    constants of the same type.
+    """
+    m, k = key
+    out = []
+    for family, (strand,), e in letters:
+        sub, dm, dk = _step(family)
+        sign = 1 if e > 0 else -1
+        # the j-th unit letter of the run is rewritten at (m + j*dm, k + j*dk)
+        for j in range(e) if e > 0 else range(-1, e - 1, -1):
+            if not _trivial(dm, k + j * dk, strand, zero, one):
+                out.append((sub, (m + j * dm, k + j * dk, strand), sign))
+        m, k = m + e * dm, k + e * dk
+    return out, (m, k)
+
+
 def schreier_generator(key: tuple[int, int], letter: Gen, n: int) -> tuple[Gen, Word]:
     """Subgroup generator name and its expansion for (representative, letter)."""
     m, k = key
     family, (i,) = letter
+    sub, dm, dk = _step(family)
     _check_index(i, n)
-    if family == "s":
-        name = ("a", (m, k, i))
-        expansion = normalize([(S1, m), (R1, k), (("s", (i,)), 1), (R1, -k), (S1, -m - 1)])
-    elif family == "r":
-        name = ("b", (m, k, i))
-        expansion = normalize([(S1, m), (R1, k), (("r", (i,)), 1), (R1, -k - 1), (S1, -m)])
-    else:
-        raise WordError(f"letter {fmt_gen(letter)} is not an ambient generator")
-    return name, expansion
+    expansion = normalize([(S1, m), (R1, k), (letter, 1), (R1, -k - dk), (S1, -m - dm)])
+    return (sub, (m, k, i)), expansion
 
 
 def is_trivial_pair(key: tuple[int, int], letter: Gen) -> bool:
     """True iff the pair's generator expands to the empty word."""
-    _, k = key
     family, (i,) = letter
-    if family == "s":
-        return k == 0 and i == 1
-    if family == "r":
-        return i == 1
-    raise WordError(f"letter {fmt_gen(letter)} is not an ambient generator")
+    return _trivial(_step(family)[1], key[1], i, 0, 1)
 
 
 def expand(w: Word, n: int, pieces: dict | None = None) -> Word:
@@ -86,10 +120,10 @@ def expand(w: Word, n: int, pieces: dict | None = None) -> Word:
         pair = pieces.get(g)
         if pair is None:
             family, idx = g
-            if family not in ("a", "b") or len(idx) != 3:
+            if family not in AMBIENT or len(idx) != 3:
                 raise WordError(f"cannot expand letter {fmt_gen(g)}")
             m, k, i = idx
-            _, expansion = schreier_generator((m, k), ("s" if family == "a" else "r", (i,)), n)
+            _, expansion = schreier_generator((m, k), (AMBIENT[family], (i,)), n)
             pair = pieces[g] = (expansion.letters, invert(expansion).letters)
         piece = pair[0] if e > 0 else pair[1]
         for _ in range(abs(e)):
@@ -98,38 +132,14 @@ def expand(w: Word, n: int, pieces: dict | None = None) -> Word:
 
 
 def rewrite(w: Word, n: int) -> Word:
-    """Translate a kernel word into a word over the a/b alphabet.
-
-    Walks the letters keeping the bidegree of the running prefix; a
-    positively signed letter is rewritten at the prefix coset, a negative
-    one at the coset including the letter itself.  Trivial pairs are
-    dropped.  Only defined on bidegree-(0,0) words.
-    """
-    if bidegree(w) != (0, 0):
-        raise WordError(f"not a kernel element: bidegree {bidegree(w)} != (0, 0)")
-    m = k = 0
-    out: list[tuple[Gen, int]] = []
-    for (family, (i,)), e in w.units():
+    """Translate a kernel word into a word over the a/b alphabet by walking
+    its letters from the key (0, 0).  Only defined on bidegree-(0,0) words."""
+    letters, end = _walk(((f, idx, e) for (f, idx), e in w.letters), (0, 0), 0, 1)
+    for (_, (i,)), _ in w.letters:
         _check_index(i, n)
-        if family == "s":
-            if e == 1:
-                key = (m, k)
-                m += 1
-            else:
-                m -= 1
-                key = (m, k)
-        elif family == "r":
-            if e == 1:
-                key = (m, k)
-                k += 1
-            else:
-                k -= 1
-                key = (m, k)
-        else:
-            raise WordError(f"foreign letter {family!r} in kernel word")
-        if not is_trivial_pair(key, (family, (i,))):
-            out.append((("a" if family == "s" else "b", key + (i,)), e))
-    return normalize(out)
+    if end != (0, 0):
+        raise WordError(f"not a kernel element: bidegree {end} != (0, 0)")
+    return normalize(((f, idx), e) for f, idx, e in letters)
 
 
 def expansion_identity_holds(group: str, n: int, bound: int) -> tuple[bool, int]:
@@ -163,47 +173,17 @@ def trivial_relator_schemas() -> list[RelatorSchema]:
 def symbolic_rewrite(rel: RelatorSchema, label: str) -> RelatorSchema:
     """Rewrite an ambient relator schema at the formal key (m, k).
 
-    The running prefix coset is tracked as a pair of affine forms in the
-    fresh window parameters m and k; each emitted letter carries those
-    forms plus the ambient strand expression.  A letter is dropped only
-    when it is trivial for every binding, i.e. when its key coordinate and
-    strand expression are identically the required constants.  The
-    conjugating representative contributes nothing: its own letters are
-    all trivial pairs.
+    The walk keeps the running key as a pair of affine forms in the fresh
+    window parameters m and k; a letter is dropped only when it is trivial
+    for every binding, i.e. when its key coordinate and strand expression
+    are identically the required constants.  The conjugating representative
+    contributes nothing: its own letters are all trivial pairs.
     """
     for p in ("m", "k"):
         if p in rel.params:
             raise ValueError(f"ambient schema {rel.label} already uses parameter {p!r}")
-    cur_m, cur_k = aff("m"), aff("k")
-    one = Affine.of(1)
-    zero = Affine.of(0)
-    letters: list[tuple[str, list[Affine], int]] = []
-    for fam, idx, exp in rel.template:
-        (strand,) = idx
-        step = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            if fam == "s":
-                if step == 1:
-                    key = (cur_m, cur_k)
-                    cur_m = cur_m + 1
-                else:
-                    cur_m = cur_m - 1
-                    key = (cur_m, cur_k)
-                trivial = key[1] == zero and strand == one
-                if not trivial:
-                    letters.append(("a", [key[0], key[1], strand], step))
-            elif fam == "r":
-                if step == 1:
-                    key = (cur_m, cur_k)
-                    cur_k = cur_k + 1
-                else:
-                    cur_k = cur_k - 1
-                    key = (cur_m, cur_k)
-                trivial = strand == one
-                if not trivial:
-                    letters.append(("b", [key[0], key[1], strand], step))
-            else:
-                raise WordError(f"cannot rewrite family {fam!r}")
-    if cur_m != aff("m") or cur_k != aff("k"):
+    start = (aff("m"), aff("k"))
+    letters, end = _walk(rel.template, start, Affine.of(0), Affine.of(1))
+    if end != start:
         raise WordError(f"relator {rel.label} is not bidegree-balanced")
     return schema(label, ("m", "k") + rel.params, letters, rel.guards)

@@ -222,12 +222,12 @@ class TruncatedPresentation:
         self.transcript.append(f"eliminate {fmt_gen(target)} via {w} := {expression}")
         return expression
 
-    def add_relators(self, words_with_origins, note: str = "adjoin") -> None:
+    def add_relators(self, words_with_origins) -> None:
         for w, origin in words_with_origins:
             rid = self._insert(w, origin)
             if self.callback is not None:
                 self.callback({"kind": "adjoin", "word": w, "rid": rid})
-            self.transcript.append(f"{note} {w}")
+            self.transcript.append(f"adjoin {w}")
 
     def remove_relator(self, rid: int, note: str) -> None:
         """Drop a relator shown redundant by other means; the caller is

@@ -95,8 +95,8 @@ def test_export_presentation_round_trips(capsys):
 
 
 def test_export_unknown_group(capsys):
-    status = cli.main(["export-presentation", "--group", "zz", "--n", "4"])
-    assert status == 2
+    error = one_error_line(capsys, ["export-presentation", "--group", "zz", "--n", "4"])
+    assert "argument --group:" in error and "'zz'" in error
 
 
 def test_replay_writes_transcript(tmp_path, capsys):
@@ -131,7 +131,8 @@ def test_replay_refuses_a_directory_as_transcript_first(tmp_path, capsys, monkey
 
 
 def test_replay_unknown_script(capsys):
-    assert cli.main(["replay", "--script", "nope", "--window", "3"]) == 2
+    error = one_error_line(capsys, ["replay", "--script", "nope", "--window", "3"])
+    assert "argument --script:" in error and "'nope'" in error
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -57,6 +57,21 @@ def test_header_errors():
         parse_presentation("presentation x\ngen s arity 1 range 1..n-1\nn 4\n")
 
 
+def test_n_in_a_relator_before_the_n_header_is_an_error():
+    base = "presentation x\ngen s arity 1 range 1..3\n"
+    with pytest.raises(ParseError, match="n used before") as err:
+        parse_presentation(base + "rel forall i where i<=n-2 : s[i]\nn 4\n")
+    assert err.value.line == 3
+    with pytest.raises(ParseError, match="n used before"):
+        parse_presentation(base + "rel : s[n-1]\nn 4\n")
+
+
+def test_a_non_integer_arity_is_a_positioned_error():
+    with pytest.raises(ParseError, match="expected: gen") as err:
+        parse_presentation("presentation x\nn 4\ngen s arity x range 1..3\n")
+    assert err.value.line == 3
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = (
         "# header comment\n"

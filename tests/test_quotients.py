@@ -209,8 +209,7 @@ def test_quotient_then_abelianize_commutes():
             if rel.label != "w":
                 continue
             from braidcomm.schemas import enumerate_instances
-            from braidcomm.abelian import exponent_row
             for w in enumerate_instances(base, rel, M):
-                rows.append(exponent_row(w, mat.index))
+                rows.append({mat.index[g]: e for g, e in w.exponent_vector().items()})
         route_two = abelian_invariants_of_matrix(rows, len(mat.gens))
         assert route_one == route_two

@@ -12,7 +12,7 @@ from braidcomm.rewriting import (
     schreier_generator,
     symbolic_rewrite,
 )
-from braidcomm.schemas import enumerate_bindings, enumerate_instances
+from braidcomm.schemas import enumerate_bindings
 from braidcomm.words import (
     EMPTY,
     WordError,
