@@ -1,13 +1,26 @@
 """Scripted elimination replays on truncated presentations.
 
-Each function below drives :class:`TruncatedPresentation` through one
-deterministic sequence of named phases: sweeps that eliminate a grid of
-generators, marches, derives, adjoins and renames.  Recurrences ("iterate
-the relation finitely many times") are marches, all run by :func:`_march`:
-outward from the base values, ascending first, then descending.  Every
-step names its target and the origin of the defining relator, so a
-missing relator fails loudly with the phase that broke.  The observer
-given to a script is fixed on the presentation when it is built.
+Each script is a generator of move records, fixed by its window before
+the run starts: :class:`Eliminate`, :class:`Derive`, :class:`Adjoin` and
+:class:`Rename`.  One runner, :func:`_run`, applies them in order to a
+:class:`TruncatedPresentation`.  Scripts are deterministic sequences of
+named phases: sweeps that eliminate a grid of generators, marches,
+derives, adjoins and renames.  Recurrences ("iterate the relation finitely
+many times") are marches, all generated by :func:`_march`: outward from
+the base values, ascending first, then descending.  Every move names its
+target and the origins of the relators it reads, so a missing relator
+fails loudly with the phase that broke.  The observer given to a script is
+fixed on the presentation when it is built.
+
+A finite-generation verdict reads only the relators its moves name: every
+``via``, every derive source and the one-letter relators a derive deletes
+with.  With ``pruned=True`` a ``fingen`` script starts from those
+instances alone.  Each move reads and rewrites the kept relators exactly
+as it does on the full start, so the transcript after the ``start`` line
+and the surviving generators are the same.  The kept relators are a
+subset of the full ones, so the group they present surjects onto the full
+truncation, generator to generator: a generator expressed through the
+survivors there is expressed through them in the full group too.
 
 Window bookkeeping: parameters are instantiated over ``[-M, M]``; letters
 reach at most two steps past the window, and eliminations sweep exactly
@@ -17,9 +30,11 @@ boundary and never enter interior verdicts (see :data:`~.tietze.MARGIN`).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .derived import raw_derived, simplified_derived, simplified_families
 from .schemas import PresentationSchema, RelatorMatch, instance_set, match_relators
-from .tietze import MARGIN, TruncatedPresentation, origin_of
+from .tietze import MARGIN, Origin, TruncatedPresentation, origin_of
 from .words import Gen, word
 
 
@@ -31,22 +46,91 @@ def _window(M: int):
     return range(-M, M + 1)
 
 
-def _march(p: TruncatedPresentation, step: str, target, via, up,
-           up_shift: int = -1, down_shift: int = 0) -> None:
+# ---------------------------------------------------------------------------
+# move records and the runner
+
+
+class Eliminate(NamedTuple):
+    target: Gen
+    via: Origin
+    step: str
+
+    def reads(self):
+        return (self.via,)
+
+    def apply(self, p: TruncatedPresentation) -> None:
+        p.eliminate(self.target, self.via, step=self.step)
+
+
+class Derive(NamedTuple):
+    """Adjoin ``source`` with its ``doomed`` letters deleted; ``doomed``
+    maps each generator to the origin of its one-letter relator."""
+
+    source: Origin
+    doomed: dict[Gen, Origin]
+    origin: Origin
+    step: str
+
+    def reads(self):
+        return (self.source, *self.doomed.values())
+
+    def apply(self, p: TruncatedPresentation) -> None:
+        p.derive_collapsed(self.source, self.doomed, self.origin, step=self.step)
+
+
+class Adjoin(NamedTuple):
+    """Pass to a quotient: adjoin ``(word, origin)`` pairs."""
+
+    relators: list
+
+    def reads(self):
+        return ()
+
+    def apply(self, p: TruncatedPresentation) -> None:
+        p.add_relators(self.relators)
+
+
+class Rename(NamedTuple):
+    """Rename ``old`` to ``new`` if ``old`` is present: which boundary
+    generators outlive a collapse depends on how far its letters reach."""
+
+    old: Gen
+    new: Gen
+
+    def reads(self):
+        return ()
+
+    def apply(self, p: TruncatedPresentation) -> None:
+        if self.old in p.gens:
+            p.rename(self.old, self.new)
+
+
+def _run(p: TruncatedPresentation, moves) -> TruncatedPresentation:
+    for move in moves:
+        move.apply(p)
+    return p
+
+
+def _march(M: int, step: str, target, via, up, up_shift: int = -1, down_shift: int = 0):
     """Eliminate ``target(x)`` for x in ``up`` via ``via(x + up_shift)``, then
     for x = -1, ..., -M via ``via(x + down_shift)``.  Marching outward keeps
     every defining relator resting on generators already solved nearer the
     base values."""
     for x in up:
-        p.eliminate(target(x), via(x + up_shift), step=step)
-    for x in range(-1, -p.window - 1, -1):
-        p.eliminate(target(x), via(x + down_shift), step=step)
+        yield Eliminate(target(x), via(x + up_shift), step)
+    for x in range(-1, -M - 1, -1):
+        yield Eliminate(target(x), via(x + down_shift), step)
 
 
-def _sweep(p: TruncatedPresentation, step: str, moves) -> None:
+def _sweep(step: str, pairs):
     """Eliminate each ``(target, via)`` pair in order."""
-    for target, via in moves:
-        p.eliminate(target, via, step=step)
+    for target, via in pairs:
+        yield Eliminate(target, via, step)
+
+
+def _trivial_level0(M: int) -> dict[Gen, Origin]:
+    """The level-0 letters a[t,0,1] with their one-letter relators."""
+    return {("a", (t, 0, 1)): _o("triv_a", m=t) for t in _window(M)}
 
 
 # ---------------------------------------------------------------------------
@@ -69,46 +153,48 @@ def _simplify_start(group: str, n: int, M: int, callback=None) -> TruncatedPrese
     return p
 
 
-def simplify(group: str, n: int, M: int, callback=None) -> TruncatedPresentation:
-    """Collapse the raw presentation onto the two-parameter one."""
-    p = _simplify_start(group, n, M, callback=callback)
+def _simplify_moves(group: str, n: int, M: int):
     W = _window(M)
     # companion level-1 generators are trivial pairs
-    _sweep(p, "kill b level-1",
-           ((("b", (m, k, 1)), _o("triv_b", m=m, k=k)) for m in W for k in W))
+    yield from _sweep("kill b level-1",
+                      ((("b", (m, k, 1)), _o("triv_b", m=m, k=k)) for m in W for k in W))
     # b[m,k,j] with j >= 3 does not depend on k
     for j in range(3, n):
         for m in W:
-            _march(p, f"b k-collapse j={j}", lambda k: ("b", (m, k, j)),
-                   lambda k: _o("rw_comm_rr", m=m, k=k, i=1, j=j), range(1, M + 2))
+            yield from _march(M, f"b k-collapse j={j}", lambda k: ("b", (m, k, j)),
+                              lambda k: _o("rw_comm_rr", m=m, k=k, i=1, j=j), range(1, M + 2))
     # a[m,k,i] with i >= 3 does not depend on k
     for i in range(3, n):
         for m in W:
-            _march(p, f"a k-collapse i={i}", lambda k: ("a", (m, k, i)),
-                   lambda k: _o("rw_comm_sr", m=m, k=k, i=i, j=1), range(1, M + 2))
+            yield from _march(M, f"a k-collapse i={i}", lambda k: ("a", (m, k, i)),
+                              lambda k: _o("rw_comm_sr", m=m, k=k, i=i, j=1), range(1, M + 2))
     # at level k=0 the crossing commutations collapse the m direction too;
     # the edge at m = M would need a trivial letter one step past the
     # window, so the march stops at m = M and a[M+1,0,j] stays boundary junk
-    level0 = {("a", (t, 0, 1)) for t in range(-M - 2, M + 3)}
+    level0 = _trivial_level0(M)
     for j in range(3, n):
         for m in range(-M, M):
-            p.derive_collapsed(_o("rw_comm_ss", m=m, k=0, i=1, j=j), level0,
-                               _o("edge_a", m=m, j=j), step=f"derive a m-edge j={j}")
-        _march(p, f"a m-collapse j={j}", lambda m: ("a", (m, 0, j)),
-               lambda m: _o("edge_a", m=m, j=j), range(1, M + 1))
+            yield Derive(_o("rw_comm_ss", m=m, k=0, i=1, j=j), level0,
+                         _o("edge_a", m=m, j=j), f"derive a m-edge j={j}")
+        yield from _march(M, f"a m-collapse j={j}", lambda m: ("a", (m, 0, j)),
+                          lambda m: _o("edge_a", m=m, j=j), range(1, M + 1))
     if group == "SG":
         # the same-strand mixed relation kills the whole a level-1 family
         for m in W:
-            _march(p, "a level-1 k-collapse", lambda k: ("a", (m, k, 1)),
-                   lambda k: _o("rw_comm_sr_eq", m=m, k=k, i=1), range(1, M + 2))
-        _sweep(p, "a level-1 trivial", ((("a", (m, 0, 1)), _o("triv_a", m=m)) for m in W))
+            yield from _march(M, "a level-1 k-collapse", lambda k: ("a", (m, k, 1)),
+                              lambda k: _o("rw_comm_sr_eq", m=m, k=k, i=1), range(1, M + 2))
+        yield from _sweep("a level-1 trivial",
+                          ((("a", (m, 0, 1)), _o("triv_a", m=m)) for m in W))
     # record the renamings a[0,0,j] -> a[j], b[m,0,j] -> b[m,j]
     for j in range(3, n):
-        if ("a", (0, 0, j)) in p.gens:
-            p.rename(("a", (0, 0, j)), ("a", (j,)))
-        for m in sorted(t for t in range(-M - 2, M + 3) if ("b", (t, 0, j)) in p.gens):
-            p.rename(("b", (m, 0, j)), ("b", (m, j)))
-    return p
+        yield Rename(("a", (0, 0, j)), ("a", (j,)))
+        for m in range(-M - 2, M + 3):
+            yield Rename(("b", (m, 0, j)), ("b", (m, j)))
+
+
+def simplify(group: str, n: int, M: int, callback=None) -> TruncatedPresentation:
+    """Collapse the raw presentation onto the two-parameter one."""
+    return _run(_simplify_start(group, n, M, callback=callback), _simplify_moves(group, n, M))
 
 
 def run_simplification_check(group: str, n: int, window: int) -> RelatorMatch:
@@ -126,145 +212,158 @@ def run_simplification_check(group: str, n: int, window: int) -> RelatorMatch:
 # finite generation replays
 
 
-def _start(group: str, n: int, M: int, name: str, callback=None) -> TruncatedPresentation:
-    return TruncatedPresentation.from_schema(simplified_derived(group, n), M,
-                                             name=name, callback=callback)
+def _replay(group: str, n: int, M: int, name: str, moves, callback=None,
+            pruned: bool = False) -> TruncatedPresentation:
+    """Run ``moves`` on the simplified presentation; ``pruned`` starts from
+    only the relators the moves read (see the module docstring)."""
+    moves = list(moves)
+    keep = {origin for move in moves for origin in move.reads()} if pruned else None
+    return _run(TruncatedPresentation.from_schema(simplified_derived(group, n), M, name=name,
+                                                  callback=callback, keep=keep), moves)
 
 
-def gvb4_fingen(M: int, callback=None) -> TruncatedPresentation:
-    """Collapse GVB'_4 onto nine generators."""
-    p = _start("GVB", 4, M, "fingen-gvb4", callback=callback)
+def _gvb4_moves(M: int):
     W = _window(M)
-    level0 = {("a", (t, 0, 1)) for t in range(-M - 2, M + 3)}
     # b[m,3] marches in m once the trivial level-0 letters are deleted
+    level0 = _trivial_level0(M)
     for m in W:
-        p.derive_collapsed(_o("comm_sr_1j", m=m, k=0, j=3), level0,
-                           _o("edge_b3", m=m), step="derive b[.,3] m-edge")
-    _march(p, "b[.,3] m-collapse", lambda m: ("b", (m, 3)),
-           lambda m: _o("edge_b3", m=m), range(1, M + 2))
+        yield Derive(_o("comm_sr_1j", m=m, k=0, j=3), level0, _o("edge_b3", m=m),
+                     "derive b[.,3] m-edge")
+    yield from _march(M, "b[.,3] m-collapse", lambda m: ("b", (m, 3)),
+                      lambda m: _o("edge_b3", m=m), range(1, M + 2))
     # the right mixed relation solves every b[m,k,2]
-    _sweep(p, "solve b[m,k,2]", ((("b", (m, k, 2)), _o("mixed_r_2", m=m - 2, k=k))
-                                 for k in W for m in range(-M + 2, M + 3)))
+    yield from _sweep("solve b[m,k,2]", ((("b", (m, k, 2)), _o("mixed_r_2", m=m - 2, k=k))
+                                         for k in W for m in range(-M + 2, M + 3)))
     # the companion recurrence now bounds k to {0,1,2} for a[m,k,2]
     for m in range(-M, M - 1):
-        _march(p, "a[m,k,2] k-recurrence", lambda k: ("a", (m, k, 2)),
-               lambda k: _o("braid_rr_1", m=m + 2, k=k), range(3, M + 2), up_shift=-3)
+        yield from _march(M, "a[m,k,2] k-recurrence", lambda k: ("a", (m, k, 2)),
+                          lambda k: _o("braid_rr_1", m=m + 2, k=k), range(3, M + 2), up_shift=-3)
     # the crossing recurrence bounds m to {0,1}
     for k in (0, 1, 2):
-        _march(p, "a[m,k,2] m-recurrence", lambda m: ("a", (m, k, 2)),
-               lambda m: _o("braid_ss_2", m=m, k=k), range(2, M + 3), up_shift=-2)
+        yield from _march(M, "a[m,k,2] m-recurrence", lambda m: ("a", (m, k, 2)),
+                          lambda m: _o("braid_ss_2", m=m, k=k), range(2, M + 3), up_shift=-2)
     # a[m,k,1] is conjugate to a[0,k,1]
     for k in W:
-        _march(p, "a[m,k,1] conjugation", lambda m: ("a", (m, k, 1)),
-               lambda m: _o("comm_ss_1j", m=m, k=k, j=3), range(1, M + 2))
+        yield from _march(M, "a[m,k,1] conjugation", lambda m: ("a", (m, k, 1)),
+                          lambda m: _o("comm_ss_1j", m=m, k=k, j=3), range(1, M + 2))
     # the left mixed relation expresses a[0,k,1] from levels 0 and 1
-    _march(p, "a[0,k,1] recurrence", lambda k: ("a", (0, k, 1)),
-           lambda k: _o("mixed_l_1", m=-1, k=k), range(2, M + 2))
-    p.eliminate(("a", (0, 0, 1)), _o("triv_a", m=0), step="a[0,0,1] trivial")
-    return p
+    yield from _march(M, "a[0,k,1] recurrence", lambda k: ("a", (0, k, 1)),
+                      lambda k: _o("mixed_l_1", m=-1, k=k), range(2, M + 2))
+    yield Eliminate(("a", (0, 0, 1)), _o("triv_a", m=0), "a[0,0,1] trivial")
 
 
-def gvbn_fingen(n: int, M: int, callback=None) -> TruncatedPresentation:
+def gvb4_fingen(M: int, callback=None, pruned: bool = False) -> TruncatedPresentation:
+    """Collapse GVB'_4 onto nine generators."""
+    return _replay("GVB", 4, M, "fingen-gvb4", _gvb4_moves(M), callback, pruned)
+
+
+def _gvbn_moves(n: int, M: int):
+    W = _window(M)
+    # left mixed relation solves every b[m,k,2]
+    yield from _sweep("solve b[m,k,2]", ((("b", (m, k, 2)), _o("mixed_l_1", m=m - 2, k=k))
+                                         for k in W for m in range(-M + 2, M + 3)))
+    # conjugation by b[.,4] collapses k for a[m,k,2]
+    for m in W:
+        yield from _march(M, "a[m,k,2] k-collapse", lambda k: ("a", (m, k, 2)),
+                          lambda k: _o("comm_sr_2j", m=m, k=k, j=4), range(1, M + 2))
+    # crossing recurrence bounds m to {0,1} at level k=0
+    yield from _march(M, "a[m,0,2] m-recurrence", lambda m: ("a", (m, 0, 2)),
+                      lambda m: _o("braid_ss_2", m=m, k=0), range(2, M + 3), up_shift=-2)
+    # a[m,k,1] collapses to the trivial level-0 letters via b[.,3]
+    for m in W:
+        yield from _march(M, "a[m,k,1] k-collapse", lambda k: ("a", (m, k, 1)),
+                          lambda k: _o("comm_sr_1j", m=m, k=k, j=3), range(1, M + 2))
+    yield from _sweep("a[m,0,1] trivial", ((("a", (m, 0, 1)), _o("triv_a", m=m)) for m in W))
+    # b[m,3] marches in m through the level-1 conjugation relators
+    yield from _march(M, "b[m,3] m-collapse", lambda m: ("b", (m, 3)),
+                      lambda m: _o("comm_ss_1j", m=m, k=1, j=3), range(2, M + 2), up_shift=-2)
+    # and b[m,j], j >= 4, through the mixed commutations at level 0
+    for j in range(4, n):
+        yield from _march(M, f"b[m,{j}] m-collapse", lambda m: ("b", (m, j)),
+                          lambda m: _o("comm_sr_1j", m=m, k=0, j=j), range(2, M + 2))
+
+
+def gvbn_fingen(n: int, M: int, callback=None, pruned: bool = False) -> TruncatedPresentation:
     """Collapse GVB'_n, n >= 5, onto 3n-7 generators."""
     if n < 5:
         raise ValueError("this replay needs n >= 5")
-    p = _start("GVB", n, M, f"fingen-gvb-n{n}", callback=callback)
-    W = _window(M)
-    # left mixed relation solves every b[m,k,2]
-    _sweep(p, "solve b[m,k,2]", ((("b", (m, k, 2)), _o("mixed_l_1", m=m - 2, k=k))
-                                 for k in W for m in range(-M + 2, M + 3)))
-    # conjugation by b[.,4] collapses k for a[m,k,2]
-    for m in W:
-        _march(p, "a[m,k,2] k-collapse", lambda k: ("a", (m, k, 2)),
-               lambda k: _o("comm_sr_2j", m=m, k=k, j=4), range(1, M + 2))
-    # crossing recurrence bounds m to {0,1} at level k=0
-    _march(p, "a[m,0,2] m-recurrence", lambda m: ("a", (m, 0, 2)),
-           lambda m: _o("braid_ss_2", m=m, k=0), range(2, M + 3), up_shift=-2)
-    # a[m,k,1] collapses to the trivial level-0 letters via b[.,3]
-    for m in W:
-        _march(p, "a[m,k,1] k-collapse", lambda k: ("a", (m, k, 1)),
-               lambda k: _o("comm_sr_1j", m=m, k=k, j=3), range(1, M + 2))
-    _sweep(p, "a[m,0,1] trivial", ((("a", (m, 0, 1)), _o("triv_a", m=m)) for m in W))
-    # b[m,3] marches in m through the level-1 conjugation relators
-    _march(p, "b[m,3] m-collapse", lambda m: ("b", (m, 3)),
-           lambda m: _o("comm_ss_1j", m=m, k=1, j=3), range(2, M + 2), up_shift=-2)
-    # and b[m,j], j >= 4, through the mixed commutations at level 0
-    for j in range(4, n):
-        _march(p, f"b[m,{j}] m-collapse", lambda m: ("b", (m, j)),
-               lambda m: _o("comm_sr_1j", m=m, k=0, j=j), range(2, M + 2))
-    return p
+    return _replay("GVB", n, M, f"fingen-gvb-n{n}", _gvbn_moves(n, M), callback, pruned)
 
 
-def sgn_fingen(n: int, M: int, callback=None) -> TruncatedPresentation:
-    """Collapse SG'_n, n >= 5, onto 2n-4 generators."""
-    if n < 5:
-        raise ValueError("this replay needs n >= 5")
-    p = _start("SG", n, M, f"fingen-sg-n{n}", callback=callback)
+def _sgn_moves(n: int, M: int):
     W = _window(M)
     # b[m,k,2] is conjugate to b[0,k,2] by powers of a[4]
     for k in W:
-        _march(p, "b[m,k,2] m-collapse", lambda m: ("b", (m, k, 2)),
-               lambda m: _o("comm_sr_j2", m=m, k=k, i=4), range(1, M + 2))
+        yield from _march(M, "b[m,k,2] m-collapse", lambda m: ("b", (m, k, 2)),
+                          lambda m: _o("comm_sr_j2", m=m, k=k, i=4), range(1, M + 2))
     # b[0,k,2] is conjugate to b[0,0,2] by powers of b[0,4]
-    _march(p, "b[0,k,2] k-collapse", lambda k: ("b", (0, k, 2)),
-           lambda k: _o("comm_rr_2j", m=0, k=k, j=4), range(1, M + 2))
+    yield from _march(M, "b[0,k,2] k-collapse", lambda k: ("b", (0, k, 2)),
+                      lambda k: _o("comm_rr_2j", m=0, k=k, j=4), range(1, M + 2))
     # b[m,j] does not depend on m
     for j in range(3, n):
-        _march(p, f"b[m,{j}] m-collapse", lambda m: ("b", (m, j)),
-               lambda m: _o("comm_sr_1j", m=m, j=j), range(1, M + 2))
+        yield from _march(M, f"b[m,{j}] m-collapse", lambda m: ("b", (m, j)),
+                          lambda m: _o("comm_sr_1j", m=m, j=j), range(1, M + 2))
     # conjugation by b[0,4] collapses k for a[m,k,2]
     for m in W:
-        _march(p, "a[m,k,2] k-collapse", lambda k: ("a", (m, k, 2)),
-               lambda k: _o("comm_sr_2j", m=m, k=k, j=4), range(1, M + 2))
+        yield from _march(M, "a[m,k,2] k-collapse", lambda k: ("a", (m, k, 2)),
+                          lambda k: _o("comm_sr_2j", m=m, k=k, j=4), range(1, M + 2))
     # two-term recurrence bounds m to {0,1} at level k=0
-    _march(p, "a[m,0,2] m-recurrence", lambda m: ("a", (m, 0, 2)),
-           lambda m: _o("braid_ss_1", m=m, k=0), range(2, M + 3), up_shift=-2)
+    yield from _march(M, "a[m,0,2] m-recurrence", lambda m: ("a", (m, 0, 2)),
+                      lambda m: _o("braid_ss_1", m=m, k=0), range(2, M + 3), up_shift=-2)
     # the surviving b[0,0,2] is itself redundant
-    p.eliminate(("b", (0, 0, 2)), _o("mixed_r_1", m=0, k=0), step="solve b[0,0,2]")
-    return p
+    yield Eliminate(("b", (0, 0, 2)), _o("mixed_r_1", m=0, k=0), "solve b[0,0,2]")
+
+
+def sgn_fingen(n: int, M: int, callback=None, pruned: bool = False) -> TruncatedPresentation:
+    """Collapse SG'_n, n >= 5, onto 2n-4 generators."""
+    if n < 5:
+        raise ValueError("this replay needs n >= 5")
+    return _replay("SG", n, M, f"fingen-sg-n{n}", _sgn_moves(n, M), callback, pruned)
 
 
 # ---------------------------------------------------------------------------
 # quotient replays for the rank-growth certificates
 
 
-def gvb3_quotient_chain(M: int, callback=None) -> TruncatedPresentation:
-    """Two successive quotients of GVB'_3 ending in a free presentation."""
-    p = _start("GVB", 3, M, "gvb3-free-quotient", callback=callback)
+def _gvb3_quotient_moves(M: int):
     W = _window(M)
     # solve b[m,k,2] from the right mixed relation
-    _sweep(p, "solve b[m,k,2]",
-           ((("b", (m, k, 2)), _o("mixed_r_1", m=m, k=k)) for m in W for k in W))
+    yield from _sweep("solve b[m,k,2]",
+                      ((("b", (m, k, 2)), _o("mixed_r_1", m=m, k=k)) for m in W for k in W))
     # quotient 1: force a[m,k,1] a[m+1,k,2] = 1
-    p.add_relators(
-        [(word((("a", (m, k, 1)), 1), (("a", (m + 1, k, 2)), 1)), _o("w", m=m, k=k))
-         for m in W for k in W])
-    _sweep(p, "kill a[m,k,2] mod W",
-           ((("a", (m + 1, k, 2)), _o("w", m=m, k=k)) for k in W for m in W))
+    yield Adjoin([(word((("a", (m, k, 1)), 1), (("a", (m + 1, k, 2)), 1)), _o("w", m=m, k=k))
+                  for m in W for k in W])
+    yield from _sweep("kill a[m,k,2] mod W",
+                      ((("a", (m + 1, k, 2)), _o("w", m=m, k=k)) for k in W for m in W))
     # quotient 2: force a[m+1,k,1] = a[m-1,k,1]
-    p.add_relators(
-        [(word((("a", (m + 1, k, 1)), -1), (("a", (m - 1, k, 1)), 1)), _o("v", m=m, k=k))
-         for m in W for k in W])
+    yield Adjoin([(word((("a", (m + 1, k, 1)), -1), (("a", (m - 1, k, 1)), 1)), _o("v", m=m, k=k))
+                  for m in W for k in W])
     for k in W:
-        _march(p, "a[m,k,1] two-step collapse", lambda m: ("a", (m, k, 1)),
-               lambda m: _o("v", m=m, k=k), range(2, M + 2), down_shift=1)
+        yield from _march(M, "a[m,k,1] two-step collapse", lambda m: ("a", (m, k, 1)),
+                          lambda m: _o("v", m=m, k=k), range(2, M + 2), down_shift=1)
     # a[1,k,1] inverts to a[0,k,1]
-    _sweep(p, "a[1,k,1] inversion",
-           ((("a", (1, k, 1)), _o("braid_ss_1", m=0, k=k)) for k in W))
-    p.eliminate(("a", (0, 0, 1)), _o("triv_a", m=0), step="a[0,0,1] trivial")
-    return p
+    yield from _sweep("a[1,k,1] inversion",
+                      ((("a", (1, k, 1)), _o("braid_ss_1", m=0, k=k)) for k in W))
+    yield Eliminate(("a", (0, 0, 1)), _o("triv_a", m=0), "a[0,0,1] trivial")
+
+
+def gvb3_quotient_chain(M: int, callback=None) -> TruncatedPresentation:
+    """Two successive quotients of GVB'_3 ending in a free presentation."""
+    return _replay("GVB", 3, M, "gvb3-free-quotient", _gvb3_quotient_moves(M), callback)
+
+
+def _sg3_beta_moves(M: int):
+    W = _window(M)
+    yield from _sweep("solve b[m,k,2]",
+                      ((("b", (m, k, 2)), _o("mixed_r_1", m=m, k=k)) for m in W for k in W))
+    for k in W:
+        yield from _march(M, "a[m,k,2] m-recurrence", lambda m: ("a", (m, k, 2)),
+                          lambda m: _o("braid_ss_1", m=m, k=k), range(2, M + 3), up_shift=-2)
 
 
 def sg3_beta_elimination(M: int, callback=None) -> TruncatedPresentation:
     """Eliminate b[m,k,2] from SG'_3 and bound m by the two-term recurrence."""
-    p = _start("SG", 3, M, "sg3-abelianization", callback=callback)
-    W = _window(M)
-    _sweep(p, "solve b[m,k,2]",
-           ((("b", (m, k, 2)), _o("mixed_r_1", m=m, k=k)) for m in W for k in W))
-    for k in W:
-        _march(p, "a[m,k,2] m-recurrence", lambda m: ("a", (m, k, 2)),
-               lambda m: _o("braid_ss_1", m=m, k=k), range(2, M + 3), up_shift=-2)
-    return p
+    return _replay("SG", 3, M, "sg3-abelianization", _sg3_beta_moves(M), callback)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +376,15 @@ def _run_simplify(group, n):
     return run
 
 
+# the fingen scripts also take pruned=True, the route their verdicts use
 SCRIPTS = {
-    "fingen-gvb4": lambda M, callback=None: gvb4_fingen(M, callback=callback),
-    "fingen-gvb-n5": lambda M, callback=None: gvbn_fingen(5, M, callback=callback),
-    "fingen-gvb-n6": lambda M, callback=None: gvbn_fingen(6, M, callback=callback),
-    "fingen-sg-n5": lambda M, callback=None: sgn_fingen(5, M, callback=callback),
-    "fingen-sg-n6": lambda M, callback=None: sgn_fingen(6, M, callback=callback),
-    "gvb3-free-quotient": lambda M, callback=None: gvb3_quotient_chain(M, callback=callback),
-    "sg3-abelianization": lambda M, callback=None: sg3_beta_elimination(M, callback=callback),
+    "fingen-gvb4": lambda M, **kw: gvb4_fingen(M, **kw),
+    "fingen-gvb-n5": lambda M, **kw: gvbn_fingen(5, M, **kw),
+    "fingen-gvb-n6": lambda M, **kw: gvbn_fingen(6, M, **kw),
+    "fingen-sg-n5": lambda M, **kw: sgn_fingen(5, M, **kw),
+    "fingen-sg-n6": lambda M, **kw: sgn_fingen(6, M, **kw),
+    "gvb3-free-quotient": lambda M, **kw: gvb3_quotient_chain(M, **kw),
+    "sg3-abelianization": lambda M, **kw: sg3_beta_elimination(M, **kw),
 }
 for _g in ("GVB", "SG"):
     for _n in (3, 4, 5, 6):

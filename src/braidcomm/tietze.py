@@ -16,12 +16,13 @@ Only two group-changing moves exist:
 
 Two presentation-preserving moves support them: ``rename`` (bijective
 relabelling of a generator) and ``derive_collapsed`` (adjoin a copy of an
-existing relator with letters deleted whose generators carry a visible
+existing relator with letters deleted whose generators carry a named
 one-letter relator; the copy is a product of conjugates of present
 relators, so the group is unchanged).
 
 ``from_schema`` inserts the instances one by one with ``_insert``, as
-``add_relators`` and ``derive_collapsed`` do.  One
+``add_relators`` and ``derive_collapsed`` do; given ``keep``, only the
+instances with those origins.  One
 :class:`~.schemas.SharedValues` table serves all of its schemas and is
 dropped when the build ends, so the start holds one object per distinct
 letter, generator and binding pair.  ``rename`` rebuilds only the runs of
@@ -29,9 +30,12 @@ the renamed generator, and ``substitute`` copies untouched runs, so the
 letters a move does not touch stay shared.  Equality and hashing stay
 value-based; nothing depends on which object holds a value.
 
-Every move appends one transcript line; replays are deterministic, so
-transcripts are reproducible byte for byte.  An observer ``callback``, fixed
-when the presentation is built, sees one event per move before it applies.
+Every move appends one transcript record holding the words it built;
+``transcript`` and ``transcript_text()`` render the records as lines when
+read, so a caller that never reads them formats nothing.  Replays are
+deterministic, so transcripts are reproducible byte for byte.  An
+observer ``callback``, fixed when the presentation is built, sees one
+event per move before it applies.
 
 The generator index is a superset: ``_gen_index[g]`` lists every live
 relator in which ``g`` occurs, and may also list removed ids and ids whose
@@ -39,8 +43,7 @@ last ``g`` cancelled at a seam.  No move scans a rewritten word to keep it:
 ``eliminate`` adds the rewritten ids under the generators of the expression
 and drops the target's entry.  Every reader filters against the words:
 ``eliminate`` keeps only candidates that ``substitute`` changes, and
-``rename`` and ``single_letter_relator`` keep only live ids whose word
-contains the generator.
+``rename`` keeps only live ids whose word contains the generator.
 """
 
 from __future__ import annotations
@@ -70,6 +73,20 @@ class ReplayError(RuntimeError):
     """A scripted step could not be performed; the message names the step."""
 
 
+# how each kind of transcript record renders as a line
+_LINES = {
+    "start": lambda name, window, gens, relators: (
+        f"start {name} window {window}: {gens} generators, {relators} relators"),
+    "eliminate": lambda target, w, expression: (
+        f"eliminate {fmt_gen(target)} via {w} := {expression}"),
+    "adjoin": lambda w: f"adjoin {w}",
+    "absorb": lambda w, note: f"absorb {w} ({note})",
+    "rename": lambda old, new: f"rename {fmt_gen(old)} -> {fmt_gen(new)}",
+    "derive": lambda new, w, used: (
+        f"derive {new if new else EMPTY} from {w} deleting {{{', '.join(map(fmt_gen, used))}}}"),
+}
+
+
 def origin_of(label: str, bindings: dict[str, int]) -> Origin:
     return (label, tuple(sorted(bindings.items())))
 
@@ -86,24 +103,29 @@ class TruncatedPresentation:
         self._by_origin: dict[Origin, int] = {}
         self._gen_index: dict[Gen, set[int]] = {}
         self._next_id = 0
-        self.transcript: list[str] = []
+        self._records: list[tuple] = []  # (kind, *values), rendered by _LINES
         self.callback = callback
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def from_schema(cls, schema: PresentationSchema, window: int, name: str = "",
-                    callback=None) -> "TruncatedPresentation":
+                    callback=None, keep=None) -> "TruncatedPresentation":
+        """Every instance over the window, or only those whose origin is in
+        ``keep``; the generators are always all of the window's."""
         p = cls(schema, window, name, callback)
         shared = SharedValues()  # one table for all schemas, dropped with the build
+        labels = None if keep is None else {label for label, _ in keep}
         for rel in schema.relators:
+            if labels is not None and rel.label not in labels:
+                continue
             for items, w in instances(schema, rel, window, shared):
-                p._insert(w, (rel.label, items))
+                origin = (rel.label, items)
+                if keep is None or origin in keep:
+                    p._insert(w, origin)
         # after the inserts, so that p.gens holds the shared generators
         p.gens.update(p.alphabet.gens_in_window(window))
-        p.transcript.append(
-            f"start {p.name} window {window}: {len(p.gens)} generators, {len(p.relators)} relators"
-        )
+        p._records.append(("start", p.name, window, len(p.gens), len(p.relators)))
         if callback is not None:
             callback({"kind": "start", "presentation": p})
         return p
@@ -145,13 +167,6 @@ class TruncatedPresentation:
             if w is not None and g in map(itemgetter(0), w.letters):
                 yield rid
 
-    def single_letter_relator(self, g: Gen) -> int | None:
-        for rid in self._live_with(g):
-            letters = self.relators[rid].letters
-            if len(letters) == 1 and abs(letters[0][1]) == 1:
-                return rid
-        return None
-
     def interior(self) -> set[Gen]:
         """Generators whose window coordinates all lie in [-M+MARGIN, M-MARGIN]."""
         bound = self.window - MARGIN
@@ -173,9 +188,9 @@ class TruncatedPresentation:
         The occurrence must be isolating: exactly one run, exponent +-1.
         Returns the solved expression.
         """
+        rid, w = self.current(via, step)
         if target not in self.gens:
             raise ReplayError(f"{step}: generator {fmt_gen(target)} not present")
-        rid, w = self.current(via, step)
         column = [g for g, _ in w.letters]
         pos = column.index(target) if column.count(target) == 1 else None
         if pos is None or abs(w.letters[pos][1]) != 1:
@@ -219,7 +234,7 @@ class TruncatedPresentation:
         self._gen_index.pop(target, None)
         self._remove(rid)
         self.gens.discard(target)
-        self.transcript.append(f"eliminate {fmt_gen(target)} via {w} := {expression}")
+        self._records.append(("eliminate", target, w, expression))
         return expression
 
     def add_relators(self, words_with_origins) -> None:
@@ -227,14 +242,14 @@ class TruncatedPresentation:
             rid = self._insert(w, origin)
             if self.callback is not None:
                 self.callback({"kind": "adjoin", "word": w, "rid": rid})
-            self.transcript.append(f"adjoin {w}")
+            self._records.append(("adjoin", w))
 
     def remove_relator(self, rid: int, note: str) -> None:
         """Drop a relator shown redundant by other means; the caller is
         responsible for the justification recorded in ``note``."""
         w = self.relators[rid]
         self._remove(rid)
-        self.transcript.append(f"absorb {w} ({note})")
+        self._records.append(("absorb", w, note))
 
     def rename(self, old: Gen, new: Gen) -> None:
         if old not in self.gens:
@@ -252,22 +267,24 @@ class TruncatedPresentation:
         self._gen_index[new] = ids
         self.gens.discard(old)
         self.gens.add(new)
-        self.transcript.append(f"rename {fmt_gen(old)} -> {fmt_gen(new)}")
+        self._records.append(("rename", old, new))
 
-    def derive_collapsed(self, source: Origin, doomed, origin: Origin, step: str = "") -> Word:
+    def derive_collapsed(self, source: Origin, doomed: dict[Gen, Origin], origin: Origin,
+                         step: str = "") -> Word:
         """Adjoin a copy of ``source`` with all ``doomed`` letters deleted.
 
-        Each doomed generator must carry a one-letter relator, which makes
-        the copy a consequence of present relators.
+        ``doomed`` maps each generator that may be deleted to the origin of
+        its one-letter relator, which makes the copy a consequence of
+        present relators.
         """
         src_rid, w = self.current(source, step)
         used = sorted(g for g in w.generators() if g in doomed)
         trivial_rids = {}
         for g in used:
-            rid = self.single_letter_relator(g)
-            if rid is None:
+            rid, trivial = self.current(doomed[g], step)
+            if trivial.letters not in (((g, 1),), ((g, -1),)):
                 raise ReplayError(
-                    f"{step}: cannot delete {fmt_gen(g)}; no one-letter relator for it"
+                    f"{step}: cannot delete {fmt_gen(g)}; {trivial} is not a one-letter relator for it"
                 )
             trivial_rids[g] = rid
         new = delete_generators(w, set(used))
@@ -276,12 +293,15 @@ class TruncatedPresentation:
             self.callback({"kind": "derive", "source_rid": src_rid, "source_word": w,
                            "deleted": used, "trivial_rids": trivial_rids,
                            "word": new, "rid": new_rid})
-        self.transcript.append(
-            f"derive {new if new else EMPTY} from {w} deleting {{{', '.join(fmt_gen(g) for g in used)}}}"
-        )
+        self._records.append(("derive", new, w, used))
         return new
 
     # -- reporting -------------------------------------------------------------
+
+    @property
+    def transcript(self) -> list[str]:
+        """One line per move, rendered from its record."""
+        return [_LINES[kind](*values) for kind, *values in self._records]
 
     def transcript_text(self) -> str:
         return "\n".join(self.transcript) + "\n"

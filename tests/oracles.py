@@ -222,8 +222,7 @@ def from_schema_by_insert(schema, window):
     for rel in schema.relators:
         for items, w in instances_by_bindings(schema, rel, window):
             p._insert(w, (rel.label, items))
-    p.transcript.append(f"start {p.name} window {window}: "
-                        f"{len(p.gens)} generators, {len(p.relators)} relators")
+    p._records.append(("start", p.name, window, len(p.gens), len(p.relators)))
     return p
 
 

@@ -80,7 +80,8 @@ def test_auditor_requires_one_letter_backing_for_derives():
     gvb.callback = forge
     with pytest.raises(AuditError, match="one-letter row"):
         gvb.derive_collapsed(origin_of("braid_ss_1", {"m": 0, "k": 0}),
-                             {("a", (m, 0, 1)) for m in range(-3, 4)},
+                             {("a", (m, 0, 1)): origin_of("triv_a", {"m": m})
+                              for m in range(-3, 4)},
                              ("edge", 0))
 
 

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from braidcomm import registry
 from braidcomm.replays import (
     SCRIPTS,
     expected_fingen_survivors,
@@ -11,7 +12,7 @@ from braidcomm.replays import (
     sgn_fingen,
     simplify,
 )
-from braidcomm.tietze import ReplayError
+from braidcomm.tietze import ReplayError, TruncatedPresentation
 from braidcomm.words import fmt_gen
 
 
@@ -133,18 +134,75 @@ GOLDEN = {
 }
 
 
-def _fingerprint(name, window):
-    kinds = []
-    p = SCRIPTS[name](window, callback=lambda step: kinds.append(step["kind"]))
+FINGEN = ("fingen-gvb4", "fingen-gvb-n5", "fingen-gvb-n6", "fingen-sg-n5", "fingen-sg-n6")
+
+
+def _fingerprint(p, kinds):
     survivors = ", ".join(fmt_gen(g) for g in sorted(p.interior()))
     blob = "\n--\n".join((p.transcript_text(), survivors, " ".join(kinds)))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _assert_pruned_replays_like(full, name, window):
+    """The fingen verdict route: a start pruned to the relators the moves
+    read gives the same moves and the same survivors as the full start."""
+    pruned = SCRIPTS[name](window, pruned=True)
+    start = pruned.transcript[0]
+    assert start.startswith(f"start {name} window {window}: ")
+    assert int(start.split()[-2]) < int(full.transcript[0].split()[-2])  # relator counts
+    assert pruned.transcript[1:] == full.transcript[1:]
+    assert pruned.interior() == full.interior()
+
+
 @pytest.mark.parametrize("name,window", sorted(GOLDEN))
 def test_replay_matches_golden_hash(name, window):
-    assert _fingerprint(name, window) == GOLDEN[(name, window)]
+    kinds = []
+    p = SCRIPTS[name](window, callback=lambda step: kinds.append(step["kind"]))
+    assert _fingerprint(p, kinds) == GOLDEN[(name, window)]
+    if name in FINGEN:
+        _assert_pruned_replays_like(p, name, window)
 
 
 def test_golden_covers_every_script():
     assert {name for name, _ in GOLDEN} == set(SCRIPTS)
+    assert {name for name in SCRIPTS if name.startswith("fingen-")} == set(FINGEN)
+
+
+def test_the_pruned_start_replays_like_the_full_one_past_the_golden_windows():
+    _assert_pruned_replays_like(SCRIPTS["fingen-sg-n6"](8), "fingen-sg-n6", 8)
+
+
+def _start_vias(name, window):
+    """The origins of the start relators a full run eliminates with, in
+    the order it uses them."""
+    held, vias = {}, []
+
+    def observer(step):
+        if step["kind"] == "start":
+            held["p"] = step["presentation"]
+            held["start"] = set(held["p"].origins.values())
+        elif step["kind"] == "eliminate":
+            vias.append(held["p"].origins[step["defining_rid"]])
+
+    SCRIPTS[name](window, callback=observer)
+    return [via for via in vias if via in held["start"]]
+
+
+@pytest.mark.parametrize("name", FINGEN)
+def test_a_pruned_start_without_a_named_via_refutes(name, monkeypatch):
+    claim = {script: f"fingen:{group.lower()}:{n}"
+             for (group, n), script in registry._FINGEN_SCRIPTS.items()}[name]
+    build = TruncatedPresentation.from_schema
+    vias = _start_vias(name, 5)
+    for dropped in (vias[0], vias[len(vias) // 2], vias[-1]):
+        def without(schema, window, name="", callback=None, keep=None):
+            assert dropped in keep
+            return build(schema, window, name, callback, keep=keep - {dropped})
+
+        monkeypatch.setattr(TruncatedPresentation, "from_schema", without)
+        with pytest.raises(ReplayError, match="no longer present"):
+            SCRIPTS[name](5, pruned=True)
+        result, = registry.run(claim, ns=(4, 5, 6), window=5).results
+        assert result.verdict == "refuted"
+        assert result.detail.startswith("ReplayError: ") and "no longer present" in result.detail
+        assert str(dropped) in result.detail

@@ -161,13 +161,19 @@ def test_rename_moves_occurrences():
 
 def test_derive_collapsed_requires_one_letter_relators():
     p = _gvb3()
-    doomed = {("a", (m, 0, 1)) for m in range(-5, 6)}
+    doomed = {("a", (m, 0, 1)): origin_of("triv_a", {"m": m}) for m in range(-3, 4)}
     w = p.derive_collapsed(origin_of("braid_ss_1", {"m": 0, "k": 0}), doomed,
                            ("edge", 0))
     assert str(w) == "a[1,0,2] a[2,0,2]^-1 a[0,0,2]^-1"
-    bad = {("b", (0, 0, 2))}
-    with pytest.raises(ReplayError, match="no one-letter relator"):
-        p.derive_collapsed(origin_of("mixed_r_1", {"m": 0, "k": 0}), bad, ("edge", 1))
+    assert p.transcript[-1] == (
+        "derive a[1,0,2] a[2,0,2]^-1 a[0,0,2]^-1 from a[0,0,1] a[1,0,2] a[2,0,1] "
+        "a[2,0,2]^-1 a[1,0,1]^-1 a[0,0,2]^-1 deleting {a[0,0,1], a[1,0,1], a[2,0,1]}")
+    mixed = origin_of("mixed_r_1", {"m": 0, "k": 0})
+    with pytest.raises(ReplayError, match="is not a one-letter relator"):
+        p.derive_collapsed(mixed, {("b", (0, 0, 2)): mixed}, ("edge", 1))
+    with pytest.raises(ReplayError, match="no longer present"):
+        p.derive_collapsed(mixed, {("b", (0, 0, 2)): origin_of("triv_a", {"m": 9})},
+                           ("edge", 2))
 
 
 def test_interior_bookkeeping():
@@ -222,6 +228,3 @@ def test_the_generator_index_and_touched_lists_match_brute_force(name):
     assert held["p"] is p
     for g, ids in relators_containing(p).items():
         assert list(p._live_with(g)) == ids
-        single = [rid for rid in ids if len(p.relators[rid].letters) == 1
-                  and abs(p.relators[rid].letters[0][1]) == 1]
-        assert p.single_letter_relator(g) == (single[0] if single else None)
