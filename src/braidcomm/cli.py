@@ -104,7 +104,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    p = replays.SCRIPTS[args.script](args.window)
+    p = replays.SCRIPTS[args.script](args.window, pruned=True)
     text = p.transcript_text()
     survivors = sorted(p.interior())
     summary = (f"interior survivors ({len(survivors)}): "

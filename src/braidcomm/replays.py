@@ -12,13 +12,19 @@ target and the origins of the relators it reads, so a missing relator
 fails loudly with the phase that broke.  The observer given to a script is
 fixed on the presentation when it is built.
 
-A finite-generation verdict reads only the relators its moves name: every
-``via``, every derive source and the one-letter relators a derive deletes
-with.  With ``pruned=True`` a ``fingen`` script starts from those
-instances alone.  Each move reads and rewrites the kept relators exactly
-as it does on the full start, so the transcript after the ``start`` line
-and the surviving generators are the same.  The kept relators are a
-subset of the full ones, so the group they present surjects onto the full
+A script reads only the relators its moves name: every ``via``, every
+derive source and the one-letter relators a derive deletes with.  With
+``pruned=True`` it starts from those instances alone, over the full
+truncation's generators (``simplify``'s renames test which generators are
+present); :func:`_moves_and_keep` derives that set for every script.
+Each move reads and rewrites the kept relators exactly as it does on the
+full start, so the whole transcript, ``start`` line included, and the
+surviving generators are the same; only the relators no move reads are
+missing.  ``braidcomm replay`` and the ``fingen`` verdicts run pruned.
+The audit, ``relator-list`` and the quotient certificates read the final
+relators or the observer's view of every relator, so they and every run
+with a ``callback`` keep the full start.  The kept relators are a subset
+of the full ones, so the group they present surjects onto the full
 truncation, generator to generator: a generator expressed through the
 survivors there is expressed through them in the full group too.
 
@@ -111,6 +117,19 @@ def _run(p: TruncatedPresentation, moves) -> TruncatedPresentation:
     return p
 
 
+def _moves_and_keep(moves, callback, pruned: bool):
+    """``(moves, keep)``: if ``pruned``, the moves as a list and the origins
+    they read; else the moves untouched, generated as they run, and None
+    for the full start.  An observer sees every relator a move touches, so
+    a run with a ``callback`` needs the full start."""
+    if not pruned:
+        return moves, None
+    if callback is not None:
+        raise ValueError("a replay with a callback needs the full start")
+    moves = list(moves)
+    return moves, {origin for move in moves for origin in move.reads()}
+
+
 def _march(M: int, step: str, target, via, up, up_shift: int = -1, down_shift: int = 0):
     """Eliminate ``target(x)`` for x in ``up`` via ``via(x + up_shift)``, then
     for x = -1, ..., -M via ``via(x + down_shift)``.  Marching outward keeps
@@ -137,13 +156,14 @@ def _trivial_level0(M: int) -> dict[Gen, Origin]:
 # simplification of the raw rewritten presentations
 
 
-def _simplify_start(group: str, n: int, M: int, callback=None) -> TruncatedPresentation:
+def _simplify_start(group: str, n: int, M: int, callback, keep) -> TruncatedPresentation:
     raw = raw_derived(group, n)
     # widen the alphabet with the renamed families a[j], b[m,j] so interior
     # tests understand renamed generators
     families = raw.families + simplified_families(group, n)[2:]
     start = PresentationSchema(raw.name, n, families, raw.relators)
-    p = TruncatedPresentation.from_schema(start, M, name=f"simplify-{group.lower()}-n{n}")
+    p = TruncatedPresentation.from_schema(start, M, name=f"simplify-{group.lower()}-n{n}",
+                                          keep=keep)
     # the widened families must not pre-populate generators that only the
     # final renaming introduces
     p.gens = {g for g in p.gens if len(g[1]) == 3}
@@ -192,9 +212,11 @@ def _simplify_moves(group: str, n: int, M: int):
             yield Rename(("b", (m, 0, j)), ("b", (m, j)))
 
 
-def simplify(group: str, n: int, M: int, callback=None) -> TruncatedPresentation:
+def simplify(group: str, n: int, M: int, callback=None,
+             pruned: bool = False) -> TruncatedPresentation:
     """Collapse the raw presentation onto the two-parameter one."""
-    return _run(_simplify_start(group, n, M, callback=callback), _simplify_moves(group, n, M))
+    moves, keep = _moves_and_keep(_simplify_moves(group, n, M), callback, pruned)
+    return _run(_simplify_start(group, n, M, callback, keep), moves)
 
 
 def run_simplification_check(group: str, n: int, window: int) -> RelatorMatch:
@@ -214,10 +236,8 @@ def run_simplification_check(group: str, n: int, window: int) -> RelatorMatch:
 
 def _replay(group: str, n: int, M: int, name: str, moves, callback=None,
             pruned: bool = False) -> TruncatedPresentation:
-    """Run ``moves`` on the simplified presentation; ``pruned`` starts from
-    only the relators the moves read (see the module docstring)."""
-    moves = list(moves)
-    keep = {origin for move in moves for origin in move.reads()} if pruned else None
+    """Run ``moves`` on the simplified presentation."""
+    moves, keep = _moves_and_keep(moves, callback, pruned)
     return _run(TruncatedPresentation.from_schema(simplified_derived(group, n), M, name=name,
                                                   callback=callback, keep=keep), moves)
 
@@ -347,9 +367,9 @@ def _gvb3_quotient_moves(M: int):
     yield Eliminate(("a", (0, 0, 1)), _o("triv_a", m=0), "a[0,0,1] trivial")
 
 
-def gvb3_quotient_chain(M: int, callback=None) -> TruncatedPresentation:
+def gvb3_quotient_chain(M: int, callback=None, pruned: bool = False) -> TruncatedPresentation:
     """Two successive quotients of GVB'_3 ending in a free presentation."""
-    return _replay("GVB", 3, M, "gvb3-free-quotient", _gvb3_quotient_moves(M), callback)
+    return _replay("GVB", 3, M, "gvb3-free-quotient", _gvb3_quotient_moves(M), callback, pruned)
 
 
 def _sg3_beta_moves(M: int):
@@ -361,9 +381,9 @@ def _sg3_beta_moves(M: int):
                           lambda m: _o("braid_ss_1", m=m, k=k), range(2, M + 3), up_shift=-2)
 
 
-def sg3_beta_elimination(M: int, callback=None) -> TruncatedPresentation:
+def sg3_beta_elimination(M: int, callback=None, pruned: bool = False) -> TruncatedPresentation:
     """Eliminate b[m,k,2] from SG'_3 and bound m by the two-term recurrence."""
-    return _replay("SG", 3, M, "sg3-abelianization", _sg3_beta_moves(M), callback)
+    return _replay("SG", 3, M, "sg3-abelianization", _sg3_beta_moves(M), callback, pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +391,12 @@ def sg3_beta_elimination(M: int, callback=None) -> TruncatedPresentation:
 
 
 def _run_simplify(group, n):
-    def run(M, callback=None):
-        return simplify(group, n, M, callback=callback)
+    def run(M, **kw):
+        return simplify(group, n, M, **kw)
     return run
 
 
-# the fingen scripts also take pruned=True, the route their verdicts use
+# every script takes callback= (full start) or pruned=True (see _moves_and_keep)
 SCRIPTS = {
     "fingen-gvb4": lambda M, **kw: gvb4_fingen(M, **kw),
     "fingen-gvb-n5": lambda M, **kw: gvbn_fingen(5, M, **kw),

@@ -21,8 +21,11 @@ one-letter relator; the copy is a product of conjugates of present
 relators, so the group is unchanged).
 
 ``from_schema`` inserts the instances one by one with ``_insert``, as
-``add_relators`` and ``derive_collapsed`` do; given ``keep``, only the
-instances with those origins.  One
+``add_relators`` and ``derive_collapsed`` do.  Given ``keep``, it inserts
+only the instances with those origins, but still enumerates every
+instance: the generators of a pruned start, and the counts on its
+``start`` line, are the full truncation's, so it differs from the full
+start only in the relators it leaves out.  One
 :class:`~.schemas.SharedValues` table serves all of its schemas and is
 dropped when the build ends, so the start holds one object per distinct
 letter, generator and binding pair.  ``rename`` rebuilds only the runs of
@@ -112,20 +115,22 @@ class TruncatedPresentation:
     def from_schema(cls, schema: PresentationSchema, window: int, name: str = "",
                     callback=None, keep=None) -> "TruncatedPresentation":
         """Every instance over the window, or only those whose origin is in
-        ``keep``; the generators are always all of the window's."""
+        ``keep``.  Either way the generators and the ``start`` counts are the
+        full truncation's: the window's generators and every instance's."""
         p = cls(schema, window, name, callback)
         shared = SharedValues()  # one table for all schemas, dropped with the build
-        labels = None if keep is None else {label for label, _ in keep}
+        count = 0
         for rel in schema.relators:
-            if labels is not None and rel.label not in labels:
-                continue
             for items, w in instances(schema, rel, window, shared):
+                count += 1
                 origin = (rel.label, items)
                 if keep is None or origin in keep:
                     p._insert(w, origin)
+                else:
+                    p.gens.update(map(itemgetter(0), w.letters))
         # after the inserts, so that p.gens holds the shared generators
         p.gens.update(p.alphabet.gens_in_window(window))
-        p._records.append(("start", p.name, window, len(p.gens), len(p.relators)))
+        p._records.append(("start", p.name, window, len(p.gens), count))
         if callback is not None:
             callback({"kind": "start", "presentation": p})
         return p

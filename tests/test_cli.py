@@ -8,6 +8,7 @@ import pytest
 from braidcomm import cli, quotients, registry
 from braidcomm.grammar import parse_presentation
 from braidcomm.registry import ClaimResult, VerificationReport, emit_table
+from braidcomm.words import fmt_gen
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +108,20 @@ def test_replay_writes_transcript(tmp_path, capsys):
     text = path.read_text()
     assert text.startswith("start gvb3-free-quotient")
     assert "interior survivors (2):" in text
+
+
+@pytest.mark.parametrize("script", sorted(cli.replays.SCRIPTS))
+def test_replay_writes_the_full_route_transcript(script, tmp_path, capsys):
+    """``replay`` runs on a pruned start; its bytes are the full start's."""
+    path = tmp_path / "transcript.txt"
+    status, _ = run_cli(capsys, "replay", "--script", script, "--window", "4",
+                        "--transcript", str(path))
+    assert status == 0
+    full = cli.replays.SCRIPTS[script](4)
+    survivors = sorted(full.interior())
+    assert path.read_bytes() == (
+        full.transcript_text() + f"interior survivors ({len(survivors)}): "
+        + ", ".join(map(fmt_gen, survivors)) + "\n").encode()
 
 
 def test_replay_checks_the_transcript_directory_first(tmp_path, capsys, monkeypatch):

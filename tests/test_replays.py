@@ -171,6 +171,13 @@ def test_the_pruned_start_replays_like_the_full_one_past_the_golden_windows():
         _assert_pruned_replays_like(SCRIPTS[name](window), name, window)
 
 
+def test_a_run_with_a_callback_refuses_a_pruned_start():
+    with pytest.raises(ValueError, match="callback"):
+        SCRIPTS["fingen-sg-n5"](3, callback=lambda step: None, pruned=True)
+    with pytest.raises(ValueError, match="callback"):
+        SCRIPTS["simplify-sg-n3"](3, callback=lambda step: None, pruned=True)
+
+
 def _start_vias(name, window):
     """The origins of the start relators a full run eliminates with, in
     the order it uses them."""
@@ -187,10 +194,10 @@ def _start_vias(name, window):
     return [via for via in vias if via in held["start"]]
 
 
-@pytest.mark.parametrize("name", FINGEN)
+@pytest.mark.parametrize("name", FINGEN + ("simplify-sg-n5", "gvb3-free-quotient"))
 def test_a_pruned_start_without_a_named_via_refutes(name, monkeypatch):
     claim = {script: f"fingen:{group.lower()}:{n}"
-             for (group, n), script in registry._FINGEN_SCRIPTS.items()}[name]
+             for (group, n), script in registry._FINGEN_SCRIPTS.items()}.get(name)
     build = TruncatedPresentation.from_schema
     vias = _start_vias(name, 5)
     for dropped in (vias[0], vias[len(vias) // 2], vias[-1]):
@@ -201,6 +208,8 @@ def test_a_pruned_start_without_a_named_via_refutes(name, monkeypatch):
         monkeypatch.setattr(TruncatedPresentation, "from_schema", without)
         with pytest.raises(ReplayError, match="no longer present"):
             SCRIPTS[name](5, pruned=True)
+        if claim is None:
+            continue
         result, = registry.run(claim, ns=(4, 5, 6), window=5).results
         assert result.verdict == "refuted"
         assert result.detail.startswith("ReplayError: ") and "no longer present" in result.detail

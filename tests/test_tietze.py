@@ -37,6 +37,14 @@ def test_from_schema_matches_the_insert_route_on_every_schema():
             assert p._next_id == q._next_id, where
             assert p.transcript == q.transcript, where
             count += len(p.relators)
+            # a pruned start: the kept subset in order, the full generators and start line
+            keep = set(list(q.origins.values())[::2])
+            r = TruncatedPresentation.from_schema(pres, window, keep=keep)
+            assert list(r.origins.values()) == [o for o in q.origins.values() if o in keep], where
+            assert list(r.relators.values()) == [
+                w for rid, w in q.relators.items() if q.origins[rid] in keep], where
+            assert r.gens == q.gens, where
+            assert r.transcript == q.transcript, where
     assert count > 20000
 
 
