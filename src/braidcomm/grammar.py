@@ -137,6 +137,8 @@ def parse_presentation(text: str) -> PresentationSchema:
                 raise ParseError("expected: gen <fam> arity <k> range <domains>", lineno)
             fam = tokens[1]
             arity = int(tokens[3])
+            if (fam, arity) in declared:
+                raise ParseError(f"family {fam!r} of arity {arity} declared twice", lineno)
             domains = []
             for part in tokens[5].split(","):
                 if part == "int":

@@ -35,7 +35,10 @@ a fresh table of its own.  A word that free reduction shortens keeps the
 shared generators but gets letter pairs of its own from ``normalize``; no
 schema in the catalog or in ``derived`` has one.  Equality and hashing
 stay value-based, so the sharing changes no result, only the number of
-objects.
+objects.  Given the binding values to keep, the function takes that route
+only for a kept instance; for any other it yields the instance's
+generators alone, after the same reduction and range checks, with no
+word, no binding pairs and no table lookup.
 
 :func:`match_relators` is the one comparison of a replayed relator set
 with an expected :func:`instance_set`; every identification check
@@ -378,7 +381,7 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
     if failure is None:
         failure = unbound(e for _, idx, _ in rel.template for e in idx)
 
-    letters, checks, coincide = [], [], []
+    letters, plain, gens, checks, coincide = [], [], [], [], []
     never = False  # some constant index lies outside its range
     # a band guard |x-y|>b with b >= 0 keeps x and y apart
     apart = {g.lhs - g.rhs for g in rel.guards if g.kind == "band" and g.bound >= 0}
@@ -413,30 +416,47 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
                 if test not in coincide:
                     coincide.append(test)
         previous = (fam, idx)
-        generator = f"_shared[({_str(fam)}, ({''.join(code(e) + ', ' for e in idx)}))]"
-        letters.append(f"_shared[({generator}, {_int(exp)})]")
+        generator = f"({_str(fam)}, ({''.join(code(e) + ', ' for e in idx)}))"
+        letters.append(f"_shared[(_shared[{generator}], {_int(exp)})]")
+        plain.append(f"({generator}, {_int(exp)})")
+        if generator not in gens:
+            gens.append(generator)
 
     items = "(" + "".join(f"_shared[({_str(p)}, {var[p]})], " for p in sorted(var)) + ")"
-    word = "(" + "".join(letter + ", " for letter in letters) + ")"
-    normalized = [f"w = _normalize({word})", f"yield {items}, w"]
-    if never or checks:  # the letters left after reduction are checked instead
-        normalized[1:] = ["if all([_in_domain(g) for g, _ in w.letters]):",
-                          "    " + normalized[1]]
-    reduced = [f"yield {items}, _make({word})"]
-    if checks:
-        reduced = [f"if {' and '.join(checks)}:", "    " + reduced[0]]
+    values = "(" + "".join(f"{var[p]}, " for p in sorted(var)) + ")"
+
+    def leaf(kept: bool) -> list[str]:
+        """The body of a kept instance, which yields its binding items and
+        word, or of an unkept one, which yields ``None`` and its generators
+        after the same free reduction and range checks."""
+        word = "(" + "".join(x + ", " for x in (letters if kept else plain)) + ")"
+        found = f"{items}, w" if kept else "None, [g for g, _ in w.letters]"
+        normalized = [f"w = _normalize({word})", f"yield {found}"]
+        if never or checks:  # the letters left after reduction are checked instead
+            normalized[1:] = ["if all([_in_domain(g) for g, _ in w.letters]):",
+                              "    " + normalized[1]]
+        reduced = [f"yield {items}, _make({word})" if kept
+                   else f"yield None, ({''.join(g + ', ' for g in gens)})"]
+        if checks:
+            reduced = [f"if {' and '.join(checks)}:", "    " + reduced[0]]
+        if "True" in coincide:
+            return normalized
+        if coincide:
+            out = [f"if {' or '.join(f'({c})' for c in coincide)}:"]
+            out += ["    " + line for line in normalized]
+            if not never:
+                out += ["else:"] + ["    " + line for line in reduced]
+            return out
+        return [] if never else reduced
+
     if failure is not None:
         body = [f"raise GuardError({failure!r})"]
-    elif "True" in coincide:
-        body = normalized
-    elif coincide:
-        body = [f"if {' or '.join(f'({c})' for c in coincide)}:"]
-        body += ["    " + line for line in normalized]
-        if not never:
-            body += ["else:"] + ["    " + line for line in reduced]
+    elif kept := leaf(True):
+        body = ([f"if _keep is None or {values} in _keep:"] + ["    " + x for x in kept]
+                + ["else:"] + ["    " + x for x in leaf(False)])
     else:
-        body = [] if never else reduced
-    lines = ["def _instances(window, _shared, _make=_make, _normalize=_normalize,"
+        body = []
+    lines = ["def _instances(window, _shared, _keep, _make=_make, _normalize=_normalize,"
              " _in_domain=_in_domain):",
              "    yield from ()",
              "    window_range = range(-window, window + 1)"]
@@ -482,7 +502,7 @@ class SharedValues(dict):
 
 
 def instances(pres: PresentationSchema, rel: RelatorSchema, window: int,
-              shared: SharedValues | None = None):
+              shared: SharedValues | None = None, keep=None):
     """``(binding_items, word)`` for every strand-valid instance over the
     window, in the order of :func:`enumerate_bindings`.
 
@@ -491,8 +511,15 @@ def instances(pres: PresentationSchema, rel: RelatorSchema, window: int,
     the module docstring.  Its letters, generators and binding pairs come
     from ``shared``; pass one table to several calls to share them across
     schemas, as ``TruncatedPresentation.from_schema`` does.
+
+    ``keep``, if given, holds the binding values to keep, each a tuple
+    ordered like ``binding_items``.  An instance whose values are not in it
+    yields ``(None, generators)`` instead, in the same place: the
+    generators of its word, after free reduction and the range checks, but
+    no word, no binding items and no ``shared`` lookup.
     """
-    return _compiled(pres.families, rel)(window, SharedValues() if shared is None else shared)
+    return _compiled(pres.families, rel)(
+        window, SharedValues() if shared is None else shared, keep)
 
 
 def enumerate_instances(pres: PresentationSchema, rel: RelatorSchema, window: int) -> list[Word]:

@@ -25,20 +25,24 @@ relators, so the group is unchanged).
 only the instances with those origins, but still enumerates every
 instance: the generators of a pruned start, and the counts on its
 ``start`` line, are the full truncation's, so it differs from the full
-start only in the relators it leaves out.  One
+start only in the relators it leaves out.  The enumerator builds a word
+only for a kept instance; an unkept one yields just its generators.  One
 :class:`~.schemas.SharedValues` table serves all of its schemas and is
-dropped when the build ends, so the start holds one object per distinct
-letter, generator and binding pair.  ``rename`` rebuilds only the runs of
+dropped when the build ends, so the start's relators hold one object per
+distinct letter, generator and binding pair.  (The generator set of a
+pruned start may hold a second copy of a generator that an unkept
+instance yielded before a kept one.)  ``rename`` rebuilds only the runs of
 the renamed generator, and ``substitute`` copies untouched runs, so the
 letters a move does not touch stay shared.  Equality and hashing stay
 value-based; nothing depends on which object holds a value.
 
 Every move appends one transcript record holding the words it built;
 ``transcript`` and ``transcript_text()`` render the records as lines when
-read, so a caller that never reads them formats nothing.  Replays are
-deterministic, so transcripts are reproducible byte for byte.  An
-observer ``callback``, fixed when the presentation is built, sees one
-event per move before it applies.
+read, so a caller that never reads them formats nothing.  A render formats
+each distinct generator and letter once, through a table it drops when it
+returns.  Replays are deterministic, so transcripts are reproducible byte
+for byte.  An observer ``callback``, fixed when the presentation is built,
+sees one event per move before it applies.
 
 The generator index is a superset: ``_gen_index[g]`` lists every live
 relator in which ``g`` occurs, and may also list removed ids and ids whose
@@ -56,7 +60,6 @@ from operator import itemgetter
 # enumerate_bindings is unused here; perfbench/tracing.py patches this name
 from .schemas import PresentationSchema, SharedValues, enumerate_bindings, instances  # noqa: F401
 from .words import (
-    EMPTY,
     Gen,
     Word,
     canonical_cyclic,
@@ -76,22 +79,56 @@ class ReplayError(RuntimeError):
     """A scripted step could not be performed; the message names the step."""
 
 
-# how each kind of transcript record renders as a line
+class _Texts(dict):
+    """Maps each generator and each ``(generator, exponent)`` letter looked
+    up to its text, formatted once.  One table serves one render of a
+    transcript and is dropped with it."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        head, tail = key
+        if type(head) is str:  # a generator (family, indices)
+            text = fmt_gen(key)
+        else:  # a letter
+            text = self[head] if tail == 1 else f"{self[head]}^{tail}"
+        self[key] = text
+        return text
+
+    def word(self, w: Word) -> str:
+        """``str(w)``, from the table."""
+        return " ".join(map(self.__getitem__, w.letters)) if w.letters else "1"
+
+
+# how each kind of transcript record renders as a line, given the _Texts
+# table of the render
 _LINES = {
-    "start": lambda name, window, gens, relators: (
+    "start": lambda t, name, window, gens, relators: (
         f"start {name} window {window}: {gens} generators, {relators} relators"),
-    "eliminate": lambda target, w, expression: (
-        f"eliminate {fmt_gen(target)} via {w} := {expression}"),
-    "adjoin": lambda w: f"adjoin {w}",
-    "absorb": lambda w, note: f"absorb {w} ({note})",
-    "rename": lambda old, new: f"rename {fmt_gen(old)} -> {fmt_gen(new)}",
-    "derive": lambda new, w, used: (
-        f"derive {new if new else EMPTY} from {w} deleting {{{', '.join(map(fmt_gen, used))}}}"),
+    "eliminate": lambda t, target, w, expression: (
+        f"eliminate {t[target]} via {t.word(w)} := {t.word(expression)}"),
+    "adjoin": lambda t, w: f"adjoin {t.word(w)}",
+    "absorb": lambda t, w, note: f"absorb {t.word(w)} ({note})",
+    "rename": lambda t, old, new: f"rename {t[old]} -> {t[new]}",
+    "derive": lambda t, new, w, used: (
+        f"derive {t.word(new)} from {t.word(w)} deleting {{{', '.join(map(t.__getitem__, used))}}}"),
 }
 
 
 def origin_of(label: str, bindings: dict[str, int]) -> Origin:
     return (label, tuple(sorted(bindings.items())))
+
+
+def _kept_values(schema: PresentationSchema, keep) -> dict[str, set[tuple]]:
+    """For each label of ``schema``, the binding values of its origins in
+    ``keep``, ordered like the sorted binding items that
+    :func:`~.schemas.instances` yields."""
+    names = {rel.label: tuple(sorted(set(rel.params))) for rel in schema.relators}
+    kept: dict[str, set[tuple]] = {label: set() for label in names}
+    for label, items in keep:
+        if names.get(label) == tuple(map(itemgetter(0), items)):
+            kept[label].add(tuple(map(itemgetter(1), items)))
+    return kept
 
 
 class TruncatedPresentation:
@@ -116,18 +153,23 @@ class TruncatedPresentation:
                     callback=None, keep=None) -> "TruncatedPresentation":
         """Every instance over the window, or only those whose origin is in
         ``keep``.  Either way the generators and the ``start`` counts are the
-        full truncation's: the window's generators and every instance's."""
+        full truncation's: the window's generators and every instance's.  An
+        instance outside ``keep`` is enumerated and counted, but the
+        enumerator yields only its generators, read after free reduction and
+        the range checks, and builds no word for it."""
         p = cls(schema, window, name, callback)
         shared = SharedValues()  # one table for all schemas, dropped with the build
+        kept = None if keep is None else _kept_values(schema, keep)
         count = 0
         for rel in schema.relators:
-            for items, w in instances(schema, rel, window, shared):
+            # each label's kept values are dropped once its instances are read
+            for items, w in instances(schema, rel, window, shared,
+                                      None if kept is None else kept.pop(rel.label)):
                 count += 1
-                origin = (rel.label, items)
-                if keep is None or origin in keep:
-                    p._insert(w, origin)
+                if items is None:  # an unkept instance yields its generators
+                    p.gens.update(w)
                 else:
-                    p.gens.update(map(itemgetter(0), w.letters))
+                    p._insert(w, (rel.label, items))
         # after the inserts, so that p.gens holds the shared generators
         p.gens.update(p.alphabet.gens_in_window(window))
         p._records.append(("start", p.name, window, len(p.gens), count))
@@ -305,8 +347,11 @@ class TruncatedPresentation:
 
     @property
     def transcript(self) -> list[str]:
-        """One line per move, rendered from its record."""
-        return [_LINES[kind](*values) for kind, *values in self._records]
+        """One line per move, rendered from its record.  Each generator and
+        letter is formatted once per render, through one :class:`_Texts`
+        table."""
+        texts = _Texts()
+        return [_LINES[kind](texts, *values) for kind, *values in self._records]
 
     def transcript_text(self) -> str:
         return "\n".join(self.transcript) + "\n"

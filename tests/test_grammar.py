@@ -72,6 +72,16 @@ def test_a_non_integer_arity_is_a_positioned_error():
     assert err.value.line == 3
 
 
+def test_a_family_declared_twice_is_a_positioned_error():
+    base = "presentation x\nn 4\ngen a arity 1 range 1..3\n"
+    with pytest.raises(ParseError, match="family 'a' of arity 1 declared twice") as err:
+        parse_presentation(base + "gen a arity 1 range 1..2\n")
+    assert err.value.line == 4
+    # one letter at two arities is two families
+    pres = parse_presentation(base + "gen a arity 3 range int,int,1..2\n")
+    assert pres.families == (("a", ((1, 3),)), ("a", (None, None, (1, 2))))
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = (
         "# header comment\n"

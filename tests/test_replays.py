@@ -167,7 +167,9 @@ def test_golden_covers_every_script():
 
 
 def test_the_pruned_start_replays_like_the_full_one_past_the_golden_windows():
-    for name, window in (("fingen-sg-n6", 8), ("simplify-sg-n6", 7), ("gvb3-free-quotient", 8)):
+    # simplify-gvb-n6 leaves the largest share of its start unkept
+    for name, window in (("fingen-sg-n6", 8), ("simplify-sg-n6", 7), ("simplify-gvb-n6", 7),
+                         ("gvb3-free-quotient", 8)):
         _assert_pruned_replays_like(SCRIPTS[name](window), name, window)
 
 

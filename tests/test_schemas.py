@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,7 +155,7 @@ def _assert_same(rel):
             _outcome(instances_by_bindings, rel, window), (str(rel), window)
 
 
-@pytest.mark.parametrize("rel", [
+EDGE_CASES = [
     schema("zero_params", (), [("a", [1], 1), ("c", [0], -1), ("a", [4], 1)]),
     schema("zero_params_in_range", (), [("a", [1], 1), ("c", [0], -1)]),
     *(schema(f"guard {kind}", ("i", "j"), [("a", ["i"], 1), ("b", ["j", "i"], -1)],
@@ -167,6 +169,8 @@ def _assert_same(rel):
            [band("i", "j", -1)]),
     schema("coincide_then_range", ("m", "i", "j"),
            [("b", ["m", aff("i", 1)], 1), ("b", ["m", "j"], -1), ("c", ["m"], 1)]),
+    schema("coincide_leaves_range", ("i", "j"),
+           [("a", ["i"], 1), ("a", ["j"], -1), ("a", [aff("i", 1)], 1)]),
     schema("window_guard", ("m", "k"), [("c", ["m"], 1), ("c", [aff("k", 2)], 1)],
            [cmp(aff("m", "k"), ">=", 1), band("m", 0, 0)]),
     schema("repeated_param", ("i", "i"), [("a", ["i"], 2)]),
@@ -175,9 +179,72 @@ def _assert_same(rel):
     schema("unbound_in_guard", ("i",), [("a", ["i"], 1)], [cmp("i", ">", 1), cmp("k", "<", 2)]),
     schema("unbound_in_template", ("i",), [("a", ["i"], 1), ("c", ["k"], 1)]),
     schema("undeclared_family", ("i",), [("a", ["i"], 1), ("z", ["i"], 1)]),
-], ids=lambda rel: rel.label)
+]
+
+
+@pytest.mark.parametrize("rel", EDGE_CASES, ids=lambda rel: rel.label)
 def test_compiled_instances_match_bindings_on_edge_cases(rel):
     _assert_same(rel)
+
+
+# -- instances(..., keep=...) against the unfiltered route --------------------
+
+
+def _assert_keep_filters(pres, rel, window, rng: random.Random):
+    """Draw a ``keep`` from the unfiltered route's binding values.  The kept
+    pairs must be the unfiltered ones, filtered, in order; the generators
+    the unkept instances yield must be, together, those of their words; and
+    every instance must still be counted."""
+    try:
+        full = list(instances(pres, rel, window))
+    except Exception as exc:  # noqa: BLE001 -- the filtered route must fail alike
+        with pytest.raises(type(exc)) as err:
+            list(instances(pres, rel, window, keep=set()))
+        assert str(err.value) == str(exc)
+        return
+    values = [tuple(v for _, v in items) for items, _ in full]
+    share = rng.choice((0.0, 0.1, 0.5, 0.9, 1.0))
+    keep = {v for v in values if rng.random() < share} | {(10 ** 6,) * len(rel.params)}
+    got = list(instances(pres, rel, window, keep=keep))
+    where = (pres.name, rel.label, window)
+    assert [pair for pair in got if pair[0] is not None] == \
+        [pair for pair, v in zip(full, values) if v in keep], where
+    assert set().union(*(gens for items, gens in got if items is None)) == \
+        {g for (_, w), v in zip(full, values) if v not in keep for g, _ in w.letters}, where
+    assert len(got) == len(full), where
+
+
+def test_keep_filters_the_instances_of_every_schema():
+    count = 0
+    for pres in every_schema():
+        for rel in pres.relators:
+            for window in range(4):
+                rng = random.Random(f"{pres.name} {rel.label} {window}")
+                _assert_keep_filters(pres, rel, window, rng)
+                count += 1
+    assert count > 1000
+
+
+def _unkept_branch(rel) -> str:
+    """The generated source of the branch an unkept instance takes."""
+    head, _, rest = _instances_source(TOY.alphabet(), rel).partition("if _keep is None")
+    pad = head[head.rindex("\n") + 1:]
+    return rest.split(f"\n{pad}else:\n", 1)[1]
+
+
+def test_the_keep_edge_cases_reach_the_normalize_and_range_check_bodies():
+    unkept = {rel.label: _unkept_branch(rel) for rel in EDGE_CASES
+              if rel.label in ("leaves_range", "coincide_leaves_range")}
+    assert "if 1 <= v0+1 <= 3:" in unkept["leaves_range"]
+    assert "_normalize(" in unkept["coincide_leaves_range"]
+    assert "_in_domain(" in unkept["coincide_leaves_range"]
+
+
+@pytest.mark.parametrize("rel", EDGE_CASES, ids=lambda rel: rel.label)
+def test_keep_filters_the_instances_of_edge_cases(rel):
+    for window in range(3):
+        for seed in range(3):
+            _assert_keep_filters(TOY, rel, window, random.Random(seed))
 
 
 @st.composite
@@ -207,6 +274,13 @@ def toy_schemas(draw):
 @given(toy_schemas())
 def test_compiled_instances_match_bindings_on_drawn_schemas(rel):
     _assert_same(rel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(toy_schemas(), st.randoms(use_true_random=False))
+def test_keep_filters_the_instances_of_drawn_schemas(rel, rng):
+    for window in range(3):
+        _assert_keep_filters(TOY, rel, window, rng)
 
 
 def test_band_guard_rules_out_the_coincidence_test():
