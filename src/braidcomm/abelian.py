@@ -403,8 +403,9 @@ def relation_matrix(p: TruncatedPresentation) -> RelationMatrix:
     sums.  Commutator-shaped relators contribute zero rows by construction."""
     gens = sorted(p.gens)
     index = {g: j for j, g in enumerate(gens)}
-    rows = [{index[g]: e for g, e in p.relators[rid].exponent_vector().items()}
-            for rid in sorted(p.relators)]
+    relators = p.all_relators()
+    rows = [{index[g]: e for g, e in relators[rid].exponent_vector().items()}
+            for rid in sorted(relators)]
     return RelationMatrix(gens, index, rows)
 
 

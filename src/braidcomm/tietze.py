@@ -221,10 +221,14 @@ class TruncatedPresentation:
             return set()
         return {g for g in self.gens if self.alphabet.within_window(g, bound)}
 
+    def all_relators(self) -> dict[int, Word]:
+        """Every relator of the presentation, by id."""
+        return self.relators
+
     def interior_relator_set(self) -> set[Word]:
         bound = self.window - MARGIN
         within = self.alphabet.within_window
-        return {canonical_cyclic(w) for w in self.relators.values()
+        return {canonical_cyclic(w) for w in self.all_relators().values()
                 if w and all(within(g, bound) for g, _ in w.letters)}
 
     # -- moves ---------------------------------------------------------------

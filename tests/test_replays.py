@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from braidcomm import registry
+from braidcomm.abelian import relation_matrix
 from braidcomm.replays import (
     SCRIPTS,
     expected_fingen_survivors,
@@ -145,12 +146,18 @@ def _fingerprint(p, kinds):
 
 def _assert_pruned_replays_like(full, name, window):
     """A start pruned to the relators the moves read replays exactly like
-    the full start, ``start`` line included, while holding fewer relators."""
+    the full start, ``start`` line included, while holding fewer relators.
+    A run without an observer reports every relator of the full route, id
+    for id, and so the same interior relators and relation matrix."""
     pruned = SCRIPTS[name](window, pruned=True)
     assert pruned.transcript == full.transcript
     assert pruned.gens == full.gens
     assert pruned.interior() == full.interior()
     assert len(pruned.relators) < len(full.relators)
+    unobserved = SCRIPTS[name](window)
+    assert unobserved.all_relators() == full.relators
+    assert unobserved.interior_relator_set() == full.interior_relator_set()
+    assert relation_matrix(unobserved) == relation_matrix(full)
 
 
 @pytest.mark.parametrize("name,window", sorted(GOLDEN))
@@ -170,7 +177,8 @@ def test_the_pruned_start_replays_like_the_full_one_past_the_golden_windows():
     # simplify-gvb-n6 leaves the largest share of its start unkept
     for name, window in (("fingen-sg-n6", 8), ("simplify-sg-n6", 7), ("simplify-gvb-n6", 7),
                          ("gvb3-free-quotient", 8)):
-        _assert_pruned_replays_like(SCRIPTS[name](window), name, window)
+        full = SCRIPTS[name](window, callback=lambda step: None)
+        _assert_pruned_replays_like(full, name, window)
 
 
 def test_a_run_with_a_callback_refuses_a_pruned_start():
