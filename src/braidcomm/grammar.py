@@ -190,6 +190,8 @@ def parse_presentation(text: str) -> PresentationSchema:
                 letters.append((fam, idx, exp))
             counter += 1
             label = label or f"rel{counter}"
+            if any(r.label == label for r in relators):
+                raise ParseError(f"relator label {label!r} used twice", lineno)
             rel = RelatorSchema(label, params, tuple(letters), tuple(guards)).reduced()
             unknown = rel.free_params() - set(params)
             if unknown:

@@ -93,7 +93,7 @@ _FINGEN_SCRIPTS = {
 def _run_fingen(group: str, n: int, window: int):
     M = max(window, 5)
     # the start holds only the relators the moves read; see replays
-    p = replays.SCRIPTS[_FINGEN_SCRIPTS[(group, n)]](M, pruned=True)
+    p = replays.SCRIPTS[_FINGEN_SCRIPTS[(group, n)]](M)
     survivors = p.interior()
     expected = replays.expected_fingen_survivors(group, n)
     ok = survivors == expected

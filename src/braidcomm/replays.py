@@ -13,20 +13,22 @@ fails loudly with the phase that broke.  The observer given to a script is
 fixed on the presentation when it is built.
 
 A script reads only the relators its moves name: every ``via``, every
-derive source and the one-letter relators a derive deletes with.  With
-``pruned=True`` it starts from those instances alone, over the full
+derive source and the one-letter relators a derive deletes with.  A run
+without an observer starts from those instances alone, over the full
 truncation's generators (``simplify``'s renames test which generators are
 present); :func:`_moves_and_keep` derives that set for every script.
 Each move reads and rewrites the kept relators exactly as it does on the
 full start, so the whole transcript, ``start`` line included, and the
 surviving generators are the same; only the relators no move reads are
-missing.  ``braidcomm replay`` and the ``fingen`` verdicts run pruned.
-The audit, ``relator-list`` and the quotient certificates read the final
-relators or the observer's view of every relator, so they and every run
-with a ``callback`` keep the full start.  The kept relators are a subset
-of the full ones, so the group they present surjects onto the full
-truncation, generator to generator: a generator expressed through the
-survivors there is expressed through them in the full group too.
+missing, and ``TruncatedPresentation.all_relators()`` brings them back,
+carried through the composite of the moves, for the callers that read
+the final relators: ``relator-list`` and the quotient certificates.
+``braidcomm replay`` and the ``fingen`` verdicts never ask for them.  An
+observer sees every relator a move touches, so a run with a ``callback``
+(the audit) keeps the full start.  The kept relators are a subset of the
+full ones, so the group they present surjects onto the full truncation,
+generator to generator: a generator expressed through the survivors there
+is expressed through them in the full group too.
 
 Window bookkeeping: parameters are instantiated over ``[-M, M]``; letters
 reach at most two steps past the window, and eliminations sweep exactly
@@ -117,15 +119,13 @@ def _run(p: TruncatedPresentation, moves) -> TruncatedPresentation:
     return p
 
 
-def _moves_and_keep(moves, callback, pruned: bool):
-    """``(moves, keep)``: if ``pruned``, the moves as a list and the origins
-    they read; else the moves untouched, generated as they run, and None
-    for the full start.  An observer sees every relator a move touches, so
-    a run with a ``callback`` needs the full start."""
-    if not pruned:
-        return moves, None
+def _moves_and_keep(moves, callback):
+    """``(moves, keep)``: without an observer, the moves as a list and the
+    origins they read, for a pruned start.  An observer sees every relator
+    a move touches, so a run with a ``callback`` gets the moves untouched,
+    generated as they run, and None for the full start."""
     if callback is not None:
-        raise ValueError("a replay with a callback needs the full start")
+        return moves, None
     moves = list(moves)
     return moves, {origin for move in moves for origin in move.reads()}
 
@@ -212,10 +212,9 @@ def _simplify_moves(group: str, n: int, M: int):
             yield Rename(("b", (m, 0, j)), ("b", (m, j)))
 
 
-def simplify(group: str, n: int, M: int, callback=None,
-             pruned: bool = False) -> TruncatedPresentation:
+def simplify(group: str, n: int, M: int, callback=None) -> TruncatedPresentation:
     """Collapse the raw presentation onto the two-parameter one."""
-    moves, keep = _moves_and_keep(_simplify_moves(group, n, M), callback, pruned)
+    moves, keep = _moves_and_keep(_simplify_moves(group, n, M), callback)
     return _run(_simplify_start(group, n, M, callback, keep), moves)
 
 
@@ -234,10 +233,9 @@ def run_simplification_check(group: str, n: int, window: int) -> RelatorMatch:
 # finite generation replays
 
 
-def _replay(group: str, n: int, M: int, name: str, moves, callback=None,
-            pruned: bool = False) -> TruncatedPresentation:
+def _replay(group: str, n: int, M: int, name: str, moves, callback=None) -> TruncatedPresentation:
     """Run ``moves`` on the simplified presentation."""
-    moves, keep = _moves_and_keep(moves, callback, pruned)
+    moves, keep = _moves_and_keep(moves, callback)
     return _run(TruncatedPresentation.from_schema(simplified_derived(group, n), M, name=name,
                                                   callback=callback, keep=keep), moves)
 
@@ -272,9 +270,9 @@ def _gvb4_moves(M: int):
     yield Eliminate(("a", (0, 0, 1)), _o("triv_a", m=0), "a[0,0,1] trivial")
 
 
-def gvb4_fingen(M: int, callback=None, pruned: bool = False) -> TruncatedPresentation:
+def gvb4_fingen(M: int, callback=None) -> TruncatedPresentation:
     """Collapse GVB'_4 onto nine generators."""
-    return _replay("GVB", 4, M, "fingen-gvb4", _gvb4_moves(M), callback, pruned)
+    return _replay("GVB", 4, M, "fingen-gvb4", _gvb4_moves(M), callback)
 
 
 def _gvbn_moves(n: int, M: int):
@@ -303,11 +301,11 @@ def _gvbn_moves(n: int, M: int):
                           lambda m: _o("comm_sr_1j", m=m, k=0, j=j), range(2, M + 2))
 
 
-def gvbn_fingen(n: int, M: int, callback=None, pruned: bool = False) -> TruncatedPresentation:
+def gvbn_fingen(n: int, M: int, callback=None) -> TruncatedPresentation:
     """Collapse GVB'_n, n >= 5, onto 3n-7 generators."""
     if n < 5:
         raise ValueError("this replay needs n >= 5")
-    return _replay("GVB", n, M, f"fingen-gvb-n{n}", _gvbn_moves(n, M), callback, pruned)
+    return _replay("GVB", n, M, f"fingen-gvb-n{n}", _gvbn_moves(n, M), callback)
 
 
 def _sgn_moves(n: int, M: int):
@@ -334,11 +332,11 @@ def _sgn_moves(n: int, M: int):
     yield Eliminate(("b", (0, 0, 2)), _o("mixed_r_1", m=0, k=0), "solve b[0,0,2]")
 
 
-def sgn_fingen(n: int, M: int, callback=None, pruned: bool = False) -> TruncatedPresentation:
+def sgn_fingen(n: int, M: int, callback=None) -> TruncatedPresentation:
     """Collapse SG'_n, n >= 5, onto 2n-4 generators."""
     if n < 5:
         raise ValueError("this replay needs n >= 5")
-    return _replay("SG", n, M, f"fingen-sg-n{n}", _sgn_moves(n, M), callback, pruned)
+    return _replay("SG", n, M, f"fingen-sg-n{n}", _sgn_moves(n, M), callback)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +365,9 @@ def _gvb3_quotient_moves(M: int):
     yield Eliminate(("a", (0, 0, 1)), _o("triv_a", m=0), "a[0,0,1] trivial")
 
 
-def gvb3_quotient_chain(M: int, callback=None, pruned: bool = False) -> TruncatedPresentation:
+def gvb3_quotient_chain(M: int, callback=None) -> TruncatedPresentation:
     """Two successive quotients of GVB'_3 ending in a free presentation."""
-    return _replay("GVB", 3, M, "gvb3-free-quotient", _gvb3_quotient_moves(M), callback, pruned)
+    return _replay("GVB", 3, M, "gvb3-free-quotient", _gvb3_quotient_moves(M), callback)
 
 
 def _sg3_beta_moves(M: int):
@@ -381,9 +379,9 @@ def _sg3_beta_moves(M: int):
                           lambda m: _o("braid_ss_1", m=m, k=k), range(2, M + 3), up_shift=-2)
 
 
-def sg3_beta_elimination(M: int, callback=None, pruned: bool = False) -> TruncatedPresentation:
+def sg3_beta_elimination(M: int, callback=None) -> TruncatedPresentation:
     """Eliminate b[m,k,2] from SG'_3 and bound m by the two-term recurrence."""
-    return _replay("SG", 3, M, "sg3-abelianization", _sg3_beta_moves(M), callback, pruned)
+    return _replay("SG", 3, M, "sg3-abelianization", _sg3_beta_moves(M), callback)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +394,7 @@ def _run_simplify(group, n):
     return run
 
 
-# every script takes callback= (full start) or pruned=True (see _moves_and_keep)
+# every script takes callback=, which runs it on the full start (see _moves_and_keep)
 SCRIPTS = {
     "fingen-gvb4": lambda M, **kw: gvb4_fingen(M, **kw),
     "fingen-gvb-n5": lambda M, **kw: gvbn_fingen(5, M, **kw),

@@ -253,6 +253,14 @@ class PresentationSchema:
     families: tuple[tuple[str, tuple], ...]  # (family letter, per-position domain)
     relators: tuple[RelatorSchema, ...]
 
+    def __post_init__(self):
+        # an instance's origin is its label and bindings, so labels must differ
+        seen = set()
+        for rel in self.relators:
+            if rel.label in seen:
+                raise ValueError(f"relator label {rel.label!r} occurs twice in {self.name}")
+            seen.add(rel.label)
+
     def alphabet(self) -> Alphabet:
         return alphabet_of(self.families)
 

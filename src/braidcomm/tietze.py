@@ -25,16 +25,27 @@ relators, so the group is unchanged).
 only the instances with those origins, but still enumerates every
 instance: the generators of a pruned start, and the counts on its
 ``start`` line, are the full truncation's, so it differs from the full
-start only in the relators it leaves out.  The enumerator builds a word
-only for a kept instance; an unkept one yields just its generators.  One
-:class:`~.schemas.SharedValues` table serves all of its schemas and is
-dropped when the build ends, so the start's relators hold one object per
-distinct letter, generator and binding pair.  (The generator set of a
-pruned start may hold a second copy of a generator that an unkept
-instance yielded before a kept one.)  ``rename`` rebuilds only the runs of
-the renamed generator, and ``substitute`` copies untouched runs, so the
-letters a move does not touch stay shared.  Equality and hashing stay
-value-based; nothing depends on which object holds a value.
+start only in the relators it leaves out.  A kept instance gets its id in
+the full start, so every relator a pruned run holds has the full route's
+id.  The enumerator builds a word only for a kept instance; an unkept one
+yields just its generators.  One :class:`~.schemas.SharedValues` table
+serves all of its schemas and is dropped when the build ends, so the
+start's relators hold one object per distinct letter, generator and
+binding pair.  (The generator set of a pruned start may hold a second
+copy of a generator that an unkept instance yielded before a kept one.)
+``rename`` rebuilds only the runs of the renamed generator, and
+``substitute`` copies untouched runs, so the letters a move does not touch
+stay shared.  Equality and hashing stay value-based; nothing depends on
+which object holds a value.
+
+A move reads only relators it names; it changes every other relator by a
+substitution (``eliminate``) or a relabelling (``rename``), both
+free-group endomorphisms followed by free reduction.  Free reduction
+commutes with endomorphisms, so ``all_relators()`` gets the full route's
+relators on a pruned start by enumerating the start again and applying
+the composite of the moves once to each unkept instance.  A relator some
+substitution empties is dropped there, as ``eliminate`` drops it; an
+untouched one stays as it was.  Nothing is kept between calls.
 
 Every move appends one transcript record holding the words it built;
 ``transcript`` and ``transcript_text()`` render the records as lines when
@@ -67,6 +78,7 @@ from .words import (
     fmt_gen,
     invert,
     substitute,
+    substitute_all,
 )
 
 Origin = tuple
@@ -145,6 +157,8 @@ class TruncatedPresentation:
         self._next_id = 0
         self._records: list[tuple] = []  # (kind, *values), rendered by _LINES
         self.callback = callback
+        # a pruned start's schema, and one byte per start instance: 1 if kept
+        self._pruned: tuple[PresentationSchema, bytearray] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -156,7 +170,9 @@ class TruncatedPresentation:
         full truncation's: the window's generators and every instance's.  An
         instance outside ``keep`` is enumerated and counted, but the
         enumerator yields only its generators, read after free reduction and
-        the range checks, and builds no word for it."""
+        the range checks, and builds no word for it.  Each kept instance
+        gets the id it has in the full start, its position in the
+        enumeration, so later relators get the full route's ids too."""
         p = cls(schema, window, name, callback)
         shared = SharedValues()  # one table for all schemas, dropped with the build
         kept = None if keep is None else _kept_values(schema, keep)
@@ -165,11 +181,18 @@ class TruncatedPresentation:
             # each label's kept values are dropped once its instances are read
             for items, w in instances(schema, rel, window, shared,
                                       None if kept is None else kept.pop(rel.label)):
-                count += 1
                 if items is None:  # an unkept instance yields its generators
                     p.gens.update(w)
                 else:
+                    p._next_id = count
                     p._insert(w, (rel.label, items))
+                count += 1
+        p._next_id = count
+        if keep is not None:
+            mask = bytearray(count)
+            for rid in p.relators:
+                mask[rid] = 1
+            p._pruned = (schema, mask)
         # after the inserts, so that p.gens holds the shared generators
         p.gens.update(p.alphabet.gens_in_window(window))
         p._records.append(("start", p.name, window, len(p.gens), count))
@@ -222,14 +245,50 @@ class TruncatedPresentation:
         return {g for g in self.gens if self.alphabet.within_window(g, bound)}
 
     def all_relators(self) -> dict[int, Word]:
-        """Every relator of the presentation, by id."""
-        return self.relators
+        """Every relator of the presentation, by ascending id, as the full
+        route holds it.  On a full start these are the held relators.  A
+        pruned start enumerates its instances again and adds the image of
+        each unkept one under the composite of the moves, unless a move
+        emptied it; see the module docstring."""
+        if self._pruned is None:
+            return self.relators
+        schema, mask = self._pruned
+        images = self._composite()
+        out: dict[int, Word] = {}
+        rid = 0
+        shared = SharedValues()
+        for rel in schema.relators:
+            for _, w in instances(schema, rel, self.window, shared):
+                if not mask[rid]:
+                    image = substitute_all(w, images)
+                    if image is w or image:  # the full route drops an emptied relator
+                        out[rid] = image
+                rid += 1
+        out.update(self.relators)
+        return dict(sorted(out.items()))
+
+    def _composite(self) -> dict[Gen, Word]:
+        """The image of each generator the moves replace, under all of the
+        moves: walking the records backwards, ``eliminate t := E`` maps t to
+        the image of E, and ``rename old -> new`` maps old to that of new."""
+        images: dict[Gen, Word] = {}
+        for kind, *values in reversed(self._records):
+            if kind == "eliminate":
+                target, _, expression = values
+                images[target] = substitute_all(expression, images)
+            elif kind == "rename":
+                old, new = values
+                image = images.get(new)
+                images[old] = Word._make(((new, 1),)) if image is None else image
+        return images
 
     def interior_relator_set(self) -> set[Word]:
         bound = self.window - MARGIN
         within = self.alphabet.within_window
-        return {canonical_cyclic(w) for w in self.all_relators().values()
-                if w and all(within(g, bound) for g, _ in w.letters)}
+        # many relators repeat a word; each distinct one is canonized once
+        words = {w for w in self.all_relators().values()
+                 if w and all(within(g, bound) for g, _ in w.letters)}
+        return set(map(canonical_cyclic, words))
 
     # -- moves ---------------------------------------------------------------
 

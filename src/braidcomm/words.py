@@ -249,6 +249,33 @@ def substitute(w: Word, target: Gen, replacement: Word, inverse: Word | None = N
     return Word._make(tuple(out))
 
 
+def substitute_all(w: Word, images: dict[Gen, Word]) -> Word:
+    """Replace every letter g^e whose generator has an image by image^e,
+    all at once, and reduce: the endomorphism ``images`` describes, the
+    identity on every generator it does not name.  Untouched runs are
+    copied and joined by ``_join``.  When no generator of ``w`` has an
+    image, ``w`` itself is returned."""
+    letters = w.letters
+    out: list = []
+    start = 0  # the first letter not yet copied
+    for pos, (g, e) in enumerate(letters):
+        image = images.get(g)
+        if image is None:
+            continue
+        if pos > start:
+            _join(out, letters[start:pos])
+        piece = (image if e > 0 else invert(image)).letters
+        if piece:
+            for _ in range(abs(e)):
+                _join(out, piece)
+        start = pos + 1
+    if not start:
+        return w
+    if start < len(letters):
+        _join(out, letters[start:])
+    return Word._make(tuple(out))
+
+
 def delete_generators(w: Word, doomed) -> Word:
     """Drop every letter whose generator lies in ``doomed`` and reduce."""
     return normalize([(g, e) for g, e in w.letters if g not in doomed])

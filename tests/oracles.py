@@ -72,6 +72,21 @@ def substitute_by_normalize(w, target, replacement):
     return normalize(substitute_units(w, target, replacement))
 
 
+def substitute_all_by_normalize(w, images):
+    """Spell out every letter whose generator has an image, all at once,
+    then normalize the concatenated letters."""
+    from braidcomm.words import normalize
+
+    raw = []
+    for g, e in w.letters:
+        if g in images:
+            piece = list(images[g].letters) if e > 0 else inverse_units(images[g].letters)
+            raw.extend(piece * abs(e))
+        else:
+            raw.append((g, e))
+    return normalize(raw)
+
+
 def canonical_cyclic_all_rotations(w):
     """Least representative among all rotations of w and of w^-1, found by
     comparing every rotation."""

@@ -117,7 +117,7 @@ def test_replay_writes_the_full_route_transcript(script, tmp_path, capsys):
     status, _ = run_cli(capsys, "replay", "--script", script, "--window", "4",
                         "--transcript", str(path))
     assert status == 0
-    full = cli.replays.SCRIPTS[script](4)
+    full = cli.replays.SCRIPTS[script](4, callback=lambda step: None)
     survivors = sorted(full.interior())
     assert path.read_bytes() == (
         full.transcript_text() + f"interior survivors ({len(survivors)}): "

@@ -82,6 +82,20 @@ def test_a_family_declared_twice_is_a_positioned_error():
     assert pres.families == (("a", ((1, 3),)), ("a", (None, None, (1, 2))))
 
 
+def test_a_relator_label_used_twice_is_a_positioned_error():
+    base = "presentation x\nn 4\ngen c arity 1 range int\n"
+    with pytest.raises(ParseError, match="relator label 't' used twice") as err:
+        parse_presentation(base + "rel t forall m : c[m]\nrel t forall m : c[m] c[m+1]\n")
+    assert err.value.line == 5
+    # an explicit label may collide with an automatic one, in either order
+    with pytest.raises(ParseError, match="relator label 'rel1' used twice") as err:
+        parse_presentation(base + "rel forall m : c[m]\nrel rel1 forall m : c[m+1]\n")
+    assert err.value.line == 5
+    with pytest.raises(ParseError, match="relator label 'rel2' used twice") as err:
+        parse_presentation(base + "rel rel2 forall m : c[m]\nrel forall m : c[m+1]\n")
+    assert err.value.line == 5
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = (
         "# header comment\n"

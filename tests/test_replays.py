@@ -147,17 +147,16 @@ def _fingerprint(p, kinds):
 def _assert_pruned_replays_like(full, name, window):
     """A start pruned to the relators the moves read replays exactly like
     the full start, ``start`` line included, while holding fewer relators.
-    A run without an observer reports every relator of the full route, id
-    for id, and so the same interior relators and relation matrix."""
-    pruned = SCRIPTS[name](window, pruned=True)
+    It reports every relator of the full route, id for id, and so the same
+    interior relators and relation matrix."""
+    pruned = SCRIPTS[name](window)
     assert pruned.transcript == full.transcript
     assert pruned.gens == full.gens
     assert pruned.interior() == full.interior()
     assert len(pruned.relators) < len(full.relators)
-    unobserved = SCRIPTS[name](window)
-    assert unobserved.all_relators() == full.relators
-    assert unobserved.interior_relator_set() == full.interior_relator_set()
-    assert relation_matrix(unobserved) == relation_matrix(full)
+    assert pruned.all_relators() == full.relators
+    assert pruned.interior_relator_set() == full.interior_relator_set()
+    assert relation_matrix(pruned) == relation_matrix(full)
 
 
 @pytest.mark.parametrize("name,window", sorted(GOLDEN))
@@ -181,11 +180,18 @@ def test_the_pruned_start_replays_like_the_full_one_past_the_golden_windows():
         _assert_pruned_replays_like(full, name, window)
 
 
-def test_a_run_with_a_callback_refuses_a_pruned_start():
-    with pytest.raises(ValueError, match="callback"):
-        SCRIPTS["fingen-sg-n5"](3, callback=lambda step: None, pruned=True)
-    with pytest.raises(ValueError, match="callback"):
-        SCRIPTS["simplify-sg-n3"](3, callback=lambda step: None, pruned=True)
+@pytest.mark.parametrize("name", ("fingen-sg-n5", "simplify-sg-n4"))
+def test_a_run_with_a_callback_holds_the_full_start(name):
+    held = {}
+
+    def observer(step):
+        if step["kind"] == "start":
+            held["start"] = len(step["presentation"].relators)
+
+    p = SCRIPTS[name](3, callback=observer)
+    counted = int(p.transcript[0].split(", ")[-1].removesuffix(" relators"))
+    assert held["start"] == counted
+    assert p.all_relators() is p.relators
 
 
 def _start_vias(name, window):
@@ -217,7 +223,7 @@ def test_a_pruned_start_without_a_named_via_refutes(name, monkeypatch):
 
         monkeypatch.setattr(TruncatedPresentation, "from_schema", without)
         with pytest.raises(ReplayError, match="no longer present"):
-            SCRIPTS[name](5, pruned=True)
+            SCRIPTS[name](5)
         if claim is None:
             continue
         result, = registry.run(claim, ns=(4, 5, 6), window=5).results

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from braidcomm.catalog import catalog
 from braidcomm.derived import raw_derived, simplified_derived
+from braidcomm.quotients import quotient_by
 from braidcomm.schemas import (
     Affine,
     GuardError,
@@ -91,6 +92,18 @@ def test_schema_set_comparison_modulo_rotation_and_inverse():
     xy = schema("xy", (), [("x", [1], 1), ("x", [2], 1), ("x", [1], -1), ("x", [2], -1)])
     yx = schema("yx", (), [("x", [2], 1), ("x", [1], 1), ("x", [2], -1), ("x", [1], -1)])
     assert schema_sets_equal(pres, [xy], pres, [yx], 0)
+
+
+def test_a_presentation_refuses_a_relator_label_used_twice():
+    families = (("c", (None,)),)
+    single = schema("t", ("m",), [("c", ["m"], 1)])
+    pair = schema("t", ("m",), [("c", ["m"], 1), ("c", [aff("m", 1)], 1)])
+    with pytest.raises(ValueError, match="relator label 't' occurs twice"):
+        PresentationSchema("twice", 1, families, (single, pair))
+    # a quotient adds its relators through the same constructor
+    gvb = simplified_derived("GVB", 3)
+    with pytest.raises(ValueError, match="relator label 'triv_a' occurs twice"):
+        quotient_by(gvb, [gvb.relator("triv_a")])
 
 
 def test_reduced_cancels_and_merges_equal_adjacent_letters():

@@ -37,14 +37,17 @@ def test_from_schema_matches_the_insert_route_on_every_schema():
             assert p._next_id == q._next_id, where
             assert p.transcript == q.transcript, where
             count += len(p.relators)
-            # a pruned start: the kept subset in order, the full generators and start line
+            # a pruned start: the kept subset under the full start's ids, the
+            # full generators and start line, and every relator on request
             keep = set(list(q.origins.values())[::2])
             r = TruncatedPresentation.from_schema(pres, window, keep=keep)
             assert list(r.origins.values()) == [o for o in q.origins.values() if o in keep], where
-            assert list(r.relators.values()) == [
-                w for rid, w in q.relators.items() if q.origins[rid] in keep], where
+            assert list(r.relators.items()) == [
+                (rid, w) for rid, w in q.relators.items() if q.origins[rid] in keep], where
+            assert r._next_id == q._next_id, where
             assert r.gens == q.gens, where
             assert r.transcript == q.transcript, where
+            assert list(r.all_relators().items()) == list(q.relators.items()), where
     assert count > 20000
 
 

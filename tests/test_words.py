@@ -17,6 +17,7 @@ from braidcomm.words import (
     normalize,
     power,
     substitute,
+    substitute_all,
     word,
 )
 from oracles import (
@@ -25,6 +26,7 @@ from oracles import (
     inverse_units,
     naive_reduce,
     reduce_units,
+    substitute_all_by_normalize,
     substitute_by_normalize,
     substitute_units,
 )
@@ -221,6 +223,17 @@ def test_word_algebra_matches_the_stack_oracle(w, v, target):
     assert conjugate(w, v).letters == reduce_units(
         v.letters + w.letters + tuple(inverse_units(v.letters)))
     assert_substitute_matches_oracles(w, target, v)
+
+
+@given(WORDS3, st.dictionaries(THREE, WORDS3, max_size=3))
+@settings(max_examples=150)
+def test_substitute_all_matches_the_simultaneous_oracle(w, images):
+    out = substitute_all(w, images)
+    assert out == substitute_all_by_normalize(w, images)
+    assert (out is w) == images.keys().isdisjoint(w.generators())
+    if len(images) == 1:
+        (target, replacement), = images.items()
+        assert out == substitute(w, target, replacement)
 
 
 def test_substitute_with_an_empty_replacement_merges_the_seam():
