@@ -14,10 +14,9 @@ Two engines:
   operations never change the row space, so tracking ``V`` alone supports
   membership tests ``v in rowspace(A)`` (forced-trivial generators) and
   rank questions on matrices with thousands of rows.  Unit pivots are
-  eaten first by the Markowitz rule, least ``(fill, col, row)``; the rule
-  is unchanged from a full rescan of the matrix but kept lazily in a heap
-  of per-row lower bounds.  Whatever dense core remains is finished by the
-  dense engine.
+  eaten first, from the shortest row that holds a +-1, kept in a heap of
+  row lengths.  Whatever dense core remains is finished by the dense
+  engine.
 
 :func:`perfectness_window_check` asks one tracked reduction which interior
 generators of a truncated presentation are forced trivial.
@@ -178,16 +177,14 @@ class LatticeReduction:
     ``x @ v`` is divisible entrywise by the pivot diagonal and vanishes on
     non-pivot columns.
 
-    Unit pivots follow the Markowitz rule: among all entries equal to +-1,
-    take the least key ``(fill, col, row)`` with
-    ``fill = (|col_support[col]| - 1) * (|row| - 1)``.  The rule is kept
-    lazily rather than by rescanning the matrix: a heap holds ``_best[i]``,
-    a lower bound on row i's key.  A row whose entries changed gets its
-    exact key; when a column's support changes, each row with a unit there
-    gets only that entry's key, and only if it lowers the bound.  A popped
-    bound is checked by rescanning its row: if it is the true key, it is
-    at most every queued bound, hence the pivot a full rescan would pick
-    (keys are unique); otherwise the row is requeued at its true key.
+    Unit pivots: the shortest live row that holds a +-1, ties to the lower
+    row index, pivots on its unit of least column support, ties to the
+    lower column.  A heap of ``(len(row), row)`` keeps the rule: every row
+    a row operation changes is pushed again, a popped entry whose length is
+    stale is dropped, and so is a row without a unit until a change
+    re-queues it.  Clearing the pivot column by row operations leaves the
+    pivot row alone in it, so the column operations that clear the pivot
+    row only drop it from its columns' supports (and update ``v``).
     """
 
     def __init__(self, rows: list[dict[int, int]], ncols: int, track_v: bool = True):
@@ -204,129 +201,62 @@ class LatticeReduction:
         self.v = IntegerMatrix.identity(ncols) if track_v else None
         self.pivots: dict[int, int] = {}
         self.done = False
-        # lazy Markowitz queue: a lower bound per live row, plus stale keys
-        # that are dropped when popped; rows and columns changed since the
-        # last pick are re-queued by the next one, and every row starts so
-        self._heap: list[tuple[int, int, int]] = []
-        self._best: dict[int, tuple[int, int, int]] = {}
-        self._dirty_rows: set[int] = set(self.rows)
-        self._dirty_cols: set[int] = set()
-
-    def _row_axpy(self, target: int, source: int, q: int) -> None:
-        # row_target -= q * row_source
-        trow = self.rows[target]
-        for j, val in self.rows[source].items():
-            new = trow.get(j, 0) - q * val
-            if new:
-                if j not in trow:
-                    self.col_support.setdefault(j, set()).add(target)
-                    self._dirty_cols.add(j)
-                trow[j] = new
-            elif j in trow:
-                del trow[j]
-                self.col_support[j].discard(target)
-                self._dirty_cols.add(j)
-        self._dirty_rows.add(target)
-        if not trow:
-            del self.rows[target]
-
-    def _col_axpy(self, target: int, source: int, q: int) -> None:
-        # col_target -= q * col_source  (matrix and v)
-        for i in set(self.col_support.get(source, ())):
-            row = self.rows[i]
-            val = row.get(source, 0)
-            if not val:
-                continue
-            new = row.get(target, 0) - q * val
-            if new:
-                if target not in row:
-                    self.col_support.setdefault(target, set()).add(i)
-                    self._dirty_cols.add(target)
-                row[target] = new
-            elif target in row:
-                del row[target]
-                self.col_support[target].discard(i)
-                self._dirty_cols.add(target)
-            self._dirty_rows.add(i)
-        if self.track_v:
-            ventries = self.v.entries
-            for r in range(self.ncols):
-                ventries[r][target] -= q * ventries[r][source]
-
-    def _row_key(self, i: int):
-        """The least ``(fill, col, row)`` over the unit entries of live row
-        ``i``, or None when it has none."""
-        row = self.rows.get(i)
-        if row is None:
-            return None
-        col_support = self.col_support
-        rfill = len(row) - 1
-        best = None
-        for j, val in row.items():
-            if val == 1 or val == -1:
-                key = ((len(col_support[j]) - 1) * rfill, j, i)
-                if best is None or key < best:
-                    best = key
-        return best
+        self._heap = [(len(row), i) for i, row in self.rows.items()]
+        heapify(self._heap)
 
     def _pick_unit_pivot(self):
-        rows, heap, best = self.rows, self._heap, self._best
-        for i in self._dirty_rows:
-            key = self._row_key(i)
-            if key is None:
-                best.pop(i, None)
-            elif best.get(i) != key:
-                best[i] = key
-                heappush(heap, key)
-        self._dirty_rows.clear()
-        # a changed column support changes the fill of its unit entries
-        for j in self._dirty_cols:
-            support = self.col_support.get(j, ())
-            for i in support:
-                row = rows[i]
-                if row[j] == 1 or row[j] == -1:
-                    key = ((len(support) - 1) * (len(row) - 1), j, i)
-                    if key < best[i]:
-                        best[i] = key
-                        heappush(heap, key)
-        self._dirty_cols.clear()
-        if len(heap) > 2 * len(rows) + 64:
-            # stale keys pile up: rebuild from the live rows only
-            heap[:] = best.values()
-            heapify(heap)
-        # every live row's bound is queued, so a popped bound that is its
-        # row's true key is the least key over the whole matrix
+        """The next pivot ``(row, col)`` by the unit rule, or None."""
+        rows, heap = self.rows, self._heap
         while heap:
-            key = heappop(heap)
-            i = key[2]
-            if best.get(i) != key:
+            length, i = heappop(heap)
+            row = rows.get(i)
+            if row is None or len(row) != length:
                 continue
-            true = self._row_key(i)
-            if true is not None and true != key:
-                best[i] = true
-                heappush(heap, true)
-                continue
-            del best[i]  # the row has no unit, or it is the pivot and leaves
-            if true is not None:
-                return i, key[1]
+            units = [j for j, val in row.items() if val == 1 or val == -1]
+            if units:
+                col_support = self.col_support
+                return i, min(units, key=lambda j: (len(col_support[j]), j))
         return None
 
     def run(self) -> "LatticeReduction":
+        rows, col_support, heap = self.rows, self.col_support, self._heap
         while True:
             where = self._pick_unit_pivot()
             if where is None:
                 break
             i, j = where
-            val = self.rows[i][j]
-            for other in sorted(self.col_support.get(j, set()) - {i}):
-                q = self.rows[other][j] * val  # val in {1,-1}: exact quotient
-                self._row_axpy(other, i, q)
-            for col in sorted(set(self.rows[i]) - {j}):
-                q = self.rows[i][col] * val
-                self._col_axpy(col, j, q)
+            pivot = rows.pop(i)
+            val = pivot.pop(j)
+            support = col_support.pop(j)
+            support.discard(i)
+            # row_other -= (row_other[j] * val) * pivot; val in {1,-1}
+            for other in support:
+                trow = rows[other]
+                q = trow.pop(j) * val
+                for col, x in pivot.items():
+                    new = trow.get(col, 0) - q * x
+                    if new:
+                        if col not in trow:
+                            col_support[col].add(other)
+                        trow[col] = new
+                    elif col in trow:
+                        del trow[col]
+                        col_support[col].discard(other)
+                if trow:
+                    heappush(heap, (len(trow), other))
+                else:
+                    del rows[other]
+            for col in pivot:
+                col_support[col].discard(i)
+            if self.track_v and pivot:
+                # col_col -= (pivot[col] * val) * col_j, in v only
+                ventries = self.v.entries
+                vcol = [(vrow, x) for vrow in ventries if (x := vrow[j])]
+                for col, x in pivot.items():
+                    q = x * val
+                    for vrow, y in vcol:
+                        vrow[col] -= q * y
             self.pivots[j] = 1
-            del self.rows[i]
-            self.col_support.pop(j, None)
         self._finish_core()
         self.done = True
         return self

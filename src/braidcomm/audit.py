@@ -21,10 +21,17 @@ On top of the certificates the auditor recomputes the full invariants
 verified moves, and at the end, and insists they never move inside an
 epoch.
 
-Every write to ``rows`` goes through ``_set_row`` and ``_del_row``, which keep
-``count[g]`` the number of rows nonzero at ``g``.  Verified rewrites vanish at
-the target, so no unrewritten row touches it iff ``count[target] == 1``; rows
-are scanned only to name an offender, and ``finish`` recounts them.
+``count[g]`` is the number of rows nonzero at ``g``.  A verified rewrite
+changes a row only at the defining row's generators, so ``eliminate`` updates
+the counts there alone.  Verified rewrites vanish at the target, so no
+unrewritten row touches it iff ``count[target] == 1``; rows are scanned only
+to name an offender, and ``finish`` recounts them.
+
+``words[rid]`` is the immutable word that row ``rid`` was last computed from,
+so ``rows[rid] == words[rid].exponent_vector()`` always holds.  A step that
+passes that same object as a row's word is in sync without a recount; any
+other object, an equal copy included, is recounted and compared.  A rename
+relabels rows without a word, so it forgets the word of every row it changes.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .abelian import abelian_invariants_of_matrix
-from .words import Gen, fmt_gen
+from .words import Gen, Word, fmt_gen
 
 
 class AuditError(AssertionError):
@@ -58,6 +65,7 @@ class AuditReport:
 class AbelianStepAuditor:
     def __init__(self, checkpoint_every: int = 400):
         self.rows: dict[int, dict[Gen, int]] = {}
+        self.words: dict[int, Word] = {}
         self.count: dict[Gen, int] = {}
         self.gens: set[Gen] = set()
         self.checkpoint_every = checkpoint_every
@@ -67,17 +75,27 @@ class AbelianStepAuditor:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _set_row(self, rid: int, vec: dict[Gen, int]) -> None:
+    def _set_row(self, rid: int, w: Word) -> None:
+        vec = w.exponent_vector()
         old = self.rows.get(rid, {})
         for g in old.keys() - vec.keys():
             self.count[g] -= 1
         for g in vec.keys() - old.keys():
             self.count[g] = self.count.get(g, 0) + 1
         self.rows[rid] = vec
+        self.words[rid] = w
 
     def _del_row(self, rid: int) -> None:
         for g in self.rows.pop(rid):
             self.count[g] -= 1
+        self.words.pop(rid, None)
+
+    def _synced_row(self, rid: int, w: Word) -> dict[Gen, int] | None:
+        """Row ``rid`` if it exists and equals the exponent vector of ``w``."""
+        row = self.rows.get(rid)
+        if row is not None and (self.words.get(rid) is w or row == w.exponent_vector()):
+            return row
+        return None
 
     def _invariants(self) -> tuple:
         order = {g: j for j, g in enumerate(sorted(self.gens))}
@@ -105,15 +123,15 @@ class AbelianStepAuditor:
         kind = step["kind"]
         if kind == "start":
             p = step["presentation"]
-            self.rows, self.count = {}, {}
+            self.rows, self.words, self.count = {}, {}, {}
             for rid, w in p.relators.items():
-                self._set_row(rid, w.exponent_vector())
+                self._set_row(rid, w)
             self.gens = set(p.gens)
             self._epoch_dirty = True
             return
         if kind == "adjoin":
             w = step["word"]
-            self._set_row(step["rid"], w.exponent_vector())
+            self._set_row(step["rid"], w)
             self.gens.update(w.generators())
             self._epoch_dirty = True
             return
@@ -149,16 +167,17 @@ class AbelianStepAuditor:
         target = step["target"]
         sign = step["sign"]
         rid = step["defining_rid"]
-        defining = self.rows.get(rid)
-        if defining is None or defining != step["defining"].exponent_vector():
+        defining = self._synced_row(rid, step["defining"])
+        if defining is None:
             raise AuditError(f"defining row for {fmt_gen(target)} out of sync")
         if defining.get(target, 0) != sign or sign not in (1, -1):
             raise AuditError(
                 f"defining row has coefficient {defining.get(target, 0)} at "
                 f"{fmt_gen(target)}, expected {sign}")
+        rows, count = self.rows, self.count
         for rid2, old, new in step["touched"]:
-            oldv = self.rows.get(rid2)
-            if oldv is None or oldv != old.exponent_vector():
+            oldv = self._synced_row(rid2, old)
+            if oldv is None:
                 raise AuditError(f"row {rid2} out of sync before substitution")
             coeff = oldv.get(target, 0)
             predicted = dict(oldv)
@@ -172,12 +191,16 @@ class AbelianStepAuditor:
                     f"substitution into row {rid2} is not the predicted row operation")
             if new:
                 # a relator may abelianize to zero yet survive as a word
-                self._set_row(rid2, newv)
+                for g in defining:
+                    if (g in oldv) != (g in newv):
+                        count[g] += 1 if g in newv else -1
+                rows[rid2] = newv
+                self.words[rid2] = new
             else:
                 self._del_row(rid2)
         # applied rows vanish at the target: only the defining row may hold it
-        if self.count[target] != 1:
-            for rid2, row in self.rows.items():
+        if count[target] != 1:
+            for rid2, row in rows.items():
                 if rid2 != rid and target in row:
                     raise AuditError(
                         f"row {rid2} still references {fmt_gen(target)} but was not rewritten")
@@ -186,8 +209,8 @@ class AbelianStepAuditor:
         self.gens.discard(target)
 
     def _verify_derive(self, step: dict) -> None:
-        source = self.rows.get(step["source_rid"])
-        if source is None or source != step["source_word"].exponent_vector():
+        source = self._synced_row(step["source_rid"], step["source_word"])
+        if source is None:
             raise AuditError("derive source row out of sync")
         deleted = set(step["deleted"])
         for g in deleted:
@@ -197,10 +220,9 @@ class AbelianStepAuditor:
                 raise AuditError(
                     f"deletion of {fmt_gen(g)} is not backed by a one-letter row")
         predicted = {g: v for g, v in source.items() if g not in deleted}
-        newv = step["word"].exponent_vector()
-        if predicted != newv:
+        if predicted != step["word"].exponent_vector():
             raise AuditError("derived row is not the source row with letters deleted")
-        self._set_row(step["rid"], newv)
+        self._set_row(step["rid"], step["word"])
 
     def _verify_rename(self, step: dict) -> None:
         old, new = step["old"], step["new"]
@@ -209,6 +231,7 @@ class AbelianStepAuditor:
         for rid, row in self.rows.items():
             if old in row:
                 row[new] = row.pop(old)
+                self.words.pop(rid, None)
         self.count[new] = self.count.pop(old, 0)
         self.gens.discard(old)
         self.gens.add(new)

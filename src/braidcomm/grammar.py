@@ -175,6 +175,9 @@ def parse_presentation(text: str) -> PresentationSchema:
                     if not htokens:
                         raise ParseError("forall needs parameters", lineno)
                     params = tuple(p.strip() for p in htokens.pop(0).split(","))
+                    for k, p in enumerate(params):
+                        if p in params[:k]:
+                            raise ParseError(f"parameter {p!r} listed twice", lineno)
                 elif key == "where":
                     guard_text = " ".join(htokens)
                     htokens = []

@@ -188,6 +188,12 @@ class RelatorSchema:
     template: tuple[TemplateLetter, ...]
     guards: tuple[Guard, ...] = ()
 
+    def __post_init__(self):
+        # an instance's origin is its label and bindings, so names must differ
+        for k, p in enumerate(self.params):
+            if p in self.params[:k]:
+                raise ValueError(f"parameter {p!r} listed twice in {self.label}")
+
     def __str__(self) -> str:
         letters = " ".join(
             f"{fam}[{','.join(str(e) for e in idx)}]" + (f"^{exp}" if exp != 1 else "")
@@ -338,7 +344,7 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
     domains = param_domains(alphabet, rel)
     for p in rel.params:
         _str(p)
-    var = {p: f"v{k}" for k, p in enumerate(rel.params)}  # a repeated name binds last
+    var = {p: f"v{k}" for k, p in enumerate(rel.params)}
     depth = {p: k + 1 for k, p in enumerate(rel.params)}
     innermost = len(rel.params)
 

@@ -4,8 +4,8 @@ Each oracle deliberately uses a different algorithm from the code under
 test: single-letter stack reduction instead of run-length merging at the
 seams, whole-word normalization instead of seam joins, minor
 gcds instead of elimination for invariant factors, dict counters instead
-of walking reductions for exponent sums, a full rescan instead of a lazy
-heap for the unit pivot, a scan of every word instead of the generator
+of walking reductions for exponent sums, a full rescan instead of a heap
+of row lengths for the unit pivot, a scan of every word instead of the generator
 index, every rotation instead of those at the least letter for the cyclic
 normal form, a fresh ``schreier_generator`` per letter instead of a table
 of expansions, a rename of every unit letter and a normalize instead of
@@ -173,17 +173,15 @@ def invariant_factors_by_minors(entries):
 
 
 def unit_pivot_by_rescan(rows, col_support):
-    """The Markowitz unit pivot (row, col) of a sparse matrix, found by
-    scanning every entry: the least (fill, col, row) over entries equal to
-    +-1, with fill = (|col_support[col]| - 1) * (|row| - 1).  None when no
-    entry is a unit."""
+    """The unit pivot (row, col) of a sparse matrix, found by scanning every
+    entry: the least (len(row), row, len(col_support[col]), col) over
+    entries equal to +-1.  None when no entry is a unit."""
     best = None
     where = None
     for i, row in rows.items():
-        rlen = len(row)
         for j, val in row.items():
             if val in (1, -1):
-                key = ((len(col_support[j]) - 1) * (rlen - 1), j, i)
+                key = (len(row), i, len(col_support[j]), j)
                 if best is None or key < best:
                     best, where = key, (i, j)
     return where

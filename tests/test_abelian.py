@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcomm import audit, replays
+from braidcomm import abelian, audit, replays
 from braidcomm.abelian import (
     IntegerMatrix,
     LatticeReduction,
@@ -15,7 +15,7 @@ from braidcomm.abelian import (
     subgroup_rank,
 )
 from braidcomm.catalog import catalog
-from braidcomm.derived import simplified_derived
+from braidcomm.derived import raw_derived, simplified_derived
 from braidcomm.tietze import TruncatedPresentation
 from oracles import (
     dense,
@@ -97,8 +97,8 @@ def _sparse_rows(m):
 
 
 class RescanCheckedReduction(LatticeReduction):
-    """Asserts at every step that the lazy heap picks the pivot a full
-    rescan of the live matrix picks."""
+    """Asserts at every step that the heap of row lengths picks the pivot a
+    full rescan of the live matrix picks."""
 
     def _pick_unit_pivot(self):
         where = super()._pick_unit_pivot()
@@ -112,25 +112,48 @@ def test_unit_pivots_follow_the_rescan_rule(m, track_v):
     RescanCheckedReduction(_sparse_rows(m), m.cols, track_v=track_v).run()
 
 
-def test_unit_pivots_follow_the_rescan_rule_on_real_matrices(monkeypatch):
+def _audit_matrices(monkeypatch):
+    """Every matrix the simplify-gvb-n4 audit abelianizes at window 4,
+    starting with the start presentation's."""
     matrices = []
 
     def record(rows, ncols):
         matrices.append((rows, ncols))
         return (0, [])
 
-    # every matrix the simplify-gvb-n4 audit abelianizes at window 4,
-    # starting with the start presentation's
     monkeypatch.setattr(audit, "abelian_invariants_of_matrix", record)
     audit.audit_script(replays.SCRIPTS["simplify-gvb-n4"], "simplify-gvb-n4", 4,
                        checkpoint_every=150)
     monkeypatch.undo()
+    return matrices
+
+
+def test_unit_pivots_follow_the_rescan_rule_on_real_matrices(monkeypatch):
+    matrices = _audit_matrices(monkeypatch)
     p = TruncatedPresentation.from_schema(simplified_derived("GVB", 5), 4)
     mat = relation_matrix(p)
     matrices.append((mat.rows, len(mat.gens)))
     for rows, ncols in matrices:
         RescanCheckedReduction(rows, ncols, track_v=False).run()
     RescanCheckedReduction(mat.rows, len(mat.gens)).run()
+
+
+def test_unit_pivots_leave_no_dense_core_on_real_matrices(monkeypatch):
+    """The unit phase alone finishes the simplify-gvb-n4 audit's matrices,
+    the raw GVB'_6 truncation at window 6 (8970 x 2150) and the tracked
+    GVB'_6 at window 8 with a membership test per interior generator."""
+    matrices = _audit_matrices(monkeypatch)
+    raw = relation_matrix(TruncatedPresentation.from_schema(raw_derived("GVB", 6), 6))
+    matrices.append((raw.rows, len(raw.gens)))
+
+    def refuse(a):
+        raise AssertionError(f"a {a.rows} x {a.cols} dense core is left")
+
+    monkeypatch.setattr(abelian, "smith_normal_form", refuse)
+    for rows, ncols in matrices:
+        LatticeReduction(rows, ncols, track_v=False).run()
+    report = perfectness_window_check("GVB", 6, 8)
+    assert report.perfect_on_interior and len(report.forced_trivial) == 549
 
 
 @given(sparse_matrices(), st.booleans(), st.data())

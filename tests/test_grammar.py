@@ -96,6 +96,16 @@ def test_a_relator_label_used_twice_is_a_positioned_error():
     assert err.value.line == 5
 
 
+def test_a_parameter_listed_twice_is_a_positioned_error():
+    base = "presentation x\nn 4\ngen c arity 1 range int\n"
+    with pytest.raises(ParseError, match="parameter 'm' listed twice") as err:
+        parse_presentation(base + "rel s forall k : c[k]\nrel t forall m,k,m : c[m]\n")
+    assert err.value.line == 5
+    # one name in two relators is two parameters
+    pres = parse_presentation(base + "rel s forall m : c[m]\nrel t forall m : c[m+1]\n")
+    assert [rel.params for rel in pres.relators] == [("m",), ("m",)]
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = (
         "# header comment\n"

@@ -11,6 +11,7 @@ from braidcomm.schemas import (
     Affine,
     GuardError,
     PresentationSchema,
+    RelatorSchema,
     aff,
     band,
     cmp,
@@ -106,6 +107,13 @@ def test_a_presentation_refuses_a_relator_label_used_twice():
         quotient_by(gvb, [gvb.relator("triv_a")])
 
 
+def test_a_relator_refuses_a_parameter_listed_twice():
+    with pytest.raises(ValueError, match="parameter 'm' listed twice in t"):
+        schema("t", ("m", "m"), [("c", ["m"], 1)])
+    with pytest.raises(ValueError, match="parameter 'i' listed twice in u"):
+        RelatorSchema("u", ("i", "j", "i"), ())
+
+
 def test_reduced_cancels_and_merges_equal_adjacent_letters():
     assert schema("x", ("i",), [("a", ["i"], 1), ("a", ["i"], -1)]).template == ()
     merged = schema("x", ("i",), [("a", ["i"], 1), ("a", ["i"], 1)])
@@ -186,7 +194,6 @@ EDGE_CASES = [
            [("a", ["i"], 1), ("a", ["j"], -1), ("a", [aff("i", 1)], 1)]),
     schema("window_guard", ("m", "k"), [("c", ["m"], 1), ("c", [aff("k", 2)], 1)],
            [cmp(aff("m", "k"), ">=", 1), band("m", 0, 0)]),
-    schema("repeated_param", ("i", "i"), [("a", ["i"], 2)]),
     schema("zero_exponent", ("i", "j"), [("a", ["i"], 1), ("a", [aff("j", 3)], 0),
                                          ("a", ["j"], -1)]),
     schema("unbound_in_guard", ("i",), [("a", ["i"], 1)], [cmp("i", ">", 1), cmp("k", "<", 2)]),
@@ -262,7 +269,7 @@ def test_keep_filters_the_instances_of_edge_cases(rel):
 
 @st.composite
 def toy_schemas(draw):
-    params = tuple(draw(st.lists(st.sampled_from("ijm"), max_size=3)))
+    params = tuple(draw(st.lists(st.sampled_from("ijm"), max_size=3, unique=True)))
 
     def expr():
         e = aff(draw(st.sampled_from((0, 0, 0, 1, -1, 3, 4))))
