@@ -185,6 +185,11 @@ class LatticeReduction:
     re-queues it.  Clearing the pivot column by row operations leaves the
     pivot row alone in it, so the column operations that clear the pivot
     row only drop it from its columns' supports (and update ``v``).
+
+    Without ``track_v`` the column keys may be any sortable values, such
+    as the generators themselves: ties then follow the keys' order, as
+    they follow the index order of the sorted keys, and rank and invariant
+    factors do not depend on the keys anyway.
     """
 
     def __init__(self, rows: list[dict[int, int]], ncols: int, track_v: bool = True):

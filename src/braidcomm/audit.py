@@ -19,7 +19,22 @@ provably preserves the cokernel:
 On top of the certificates the auditor recomputes the full invariants
 (free rank and torsion) at epoch starts, every ``checkpoint_every``
 verified moves, and at the end, and insists they never move inside an
-epoch.
+epoch.  A checkpoint reduces the generator-keyed rows as they are: rank
+and invariant factors do not depend on the column keys.
+
+A replay starts pruned: the presentation holds only the relators its moves
+read.  At ``start`` the auditor reads every relator of the full start
+through ``all_relators()``.  A held row keeps its word; an unheld row keeps
+only its exponent vector, and ``unheld[g]`` lists the unheld rows nonzero
+at ``g``.  A move changes an unheld relator by a free-group endomorphism,
+which abelianizes to a column operation, so the auditor applies it itself:
+``eliminate`` subtracts (row target coefficient) times (sign times defining
+row) from every unheld row that holds the target, and ``rename`` relabels a
+column.  No word of an unheld relator exists during the run, so a bad
+substitution into one is caught at ``finish``, which recounts
+``all_relators()`` and requires every nonzero shadow row to equal it, id
+for id; the full route drops a relator whose word empties, so a zero row
+may be absent there.
 
 ``count[g]`` is the number of rows nonzero at ``g``.  A verified rewrite
 changes a row only at the defining row's generators, so ``eliminate`` updates
@@ -27,11 +42,13 @@ the counts there alone.  Verified rewrites vanish at the target, so no
 unrewritten row touches it iff ``count[target] == 1``; rows are scanned only
 to name an offender, and ``finish`` recounts them.
 
-``words[rid]`` is the immutable word that row ``rid`` was last computed from,
-so ``rows[rid] == words[rid].exponent_vector()`` always holds.  A step that
+``words`` holds exactly the rows the presentation holds.  ``words[rid]`` is
+the immutable word that row ``rid`` was last computed from, so
+``rows[rid] == words[rid].exponent_vector()`` always holds.  A step that
 passes that same object as a row's word is in sync without a recount; any
 other object, an equal copy included, is recounted and compared.  A rename
-relabels rows without a word, so it forgets the word of every row it changes.
+relabels rows without a word, so it sets the word of every held row it
+changes to None.
 """
 
 from __future__ import annotations
@@ -65,8 +82,9 @@ class AuditReport:
 class AbelianStepAuditor:
     def __init__(self, checkpoint_every: int = 400):
         self.rows: dict[int, dict[Gen, int]] = {}
-        self.words: dict[int, Word] = {}
+        self.words: dict[int, Word | None] = {}
         self.count: dict[Gen, int] = {}
+        self.unheld: dict[Gen, set[int]] = {}
         self.gens: set[Gen] = set()
         self.checkpoint_every = checkpoint_every
         self.steps = 0
@@ -85,22 +103,33 @@ class AbelianStepAuditor:
         self.rows[rid] = vec
         self.words[rid] = w
 
+    def _set_unheld_row(self, rid: int, w: Word) -> None:
+        vec = self.rows[rid] = w.exponent_vector()
+        for g in vec:
+            self.count[g] = self.count.get(g, 0) + 1
+            self.unheld.setdefault(g, set()).add(rid)
+
     def _del_row(self, rid: int) -> None:
         for g in self.rows.pop(rid):
             self.count[g] -= 1
         self.words.pop(rid, None)
 
     def _synced_row(self, rid: int, w: Word) -> dict[Gen, int] | None:
-        """Row ``rid`` if it exists and equals the exponent vector of ``w``."""
-        row = self.rows.get(rid)
-        if row is not None and (self.words.get(rid) is w or row == w.exponent_vector()):
+        """Row ``rid`` if the presentation holds it and it equals the
+        exponent vector of ``w``."""
+        if rid not in self.words:
+            return None
+        row = self.rows[rid]
+        if self.words[rid] is w or row == w.exponent_vector():
             return row
         return None
 
     def _invariants(self) -> tuple:
-        order = {g: j for j, g in enumerate(sorted(self.gens))}
-        rows = [{order[g]: v for g, v in row.items()} for row in self.rows.values()]
-        free_rank, torsion = abelian_invariants_of_matrix(rows, len(order))
+        stray = [g for g, c in self.count.items() if c and g not in self.gens]
+        if stray:
+            raise AuditError(f"rows hold {fmt_gen(min(stray))}, which is not a generator")
+        free_rank, torsion = abelian_invariants_of_matrix(list(self.rows.values()),
+                                                          len(self.gens))
         return (free_rank, tuple(torsion))
 
     def _open_epoch_if_needed(self) -> None:
@@ -123,9 +152,13 @@ class AbelianStepAuditor:
         kind = step["kind"]
         if kind == "start":
             p = step["presentation"]
-            self.rows, self.words, self.count = {}, {}, {}
-            for rid, w in p.relators.items():
-                self._set_row(rid, w)
+            self.rows, self.words, self.count, self.unheld = {}, {}, {}, {}
+            held = p.relators
+            for rid, w in p.all_relators().items():
+                if rid in held:
+                    self._set_row(rid, w)
+                else:
+                    self._set_unheld_row(rid, w)
             self.gens = set(p.gens)
             self._epoch_dirty = True
             return
@@ -150,9 +183,12 @@ class AbelianStepAuditor:
     def finish(self, presentation, script: str, window: int) -> AuditReport:
         self._open_epoch_if_needed()
         self._checkpoint(force=True)
-        # the shadow must agree with the survivor presentation exactly
-        actual = {rid: w.exponent_vector() for rid, w in presentation.relators.items()}
-        if actual != self.rows:
+        # the shadow must agree with every relator of the survivor
+        # presentation; the full route drops a relator whose word empties
+        rows, words = self.rows, self.words
+        actual = {rid: rows[rid] if words.get(rid) is w else w.exponent_vector()
+                  for rid, w in presentation.all_relators().items()}
+        if actual != {rid: row for rid, row in rows.items() if row or rid in actual}:
             raise AuditError("shadow matrix diverged from the presentation")
         if set(presentation.gens) != self.gens:
             raise AuditError("shadow generator set diverged from the presentation")
@@ -198,6 +234,23 @@ class AbelianStepAuditor:
                 self.words[rid2] = new
             else:
                 self._del_row(rid2)
+        # the same column operation on the rows the presentation does not hold
+        unheld = self.unheld
+        for rid2 in sorted(unheld.get(target, ())):
+            row = rows[rid2]
+            coeff = row[target] * sign
+            for g, v in defining.items():
+                x = row.get(g, 0) - coeff * v
+                if x:
+                    if g not in row:
+                        count[g] += 1
+                        unheld.setdefault(g, set()).add(rid2)
+                    row[g] = x
+                elif g in row:
+                    del row[g]
+                    count[g] -= 1
+                    unheld[g].discard(rid2)
+        unheld.pop(target, None)
         # applied rows vanish at the target: only the defining row may hold it
         if count[target] != 1:
             for rid2, row in rows.items():
@@ -213,9 +266,9 @@ class AbelianStepAuditor:
         if source is None:
             raise AuditError("derive source row out of sync")
         deleted = set(step["deleted"])
+        trivial_rids = step["trivial_rids"]
         for g in deleted:
-            trid = step["trivial_rids"][g]
-            trivial = self.rows.get(trid)
+            trivial = self.rows.get(trivial_rids.get(g))
             if trivial is None or set(trivial) != {g} or abs(trivial[g]) != 1:
                 raise AuditError(
                     f"deletion of {fmt_gen(g)} is not backed by a one-letter row")
@@ -226,13 +279,20 @@ class AbelianStepAuditor:
 
     def _verify_rename(self, step: dict) -> None:
         old, new = step["old"], step["new"]
+        if old not in self.gens:
+            raise AuditError(f"rename source {fmt_gen(old)} not present")
         if new in self.gens:
             raise AuditError(f"rename target {fmt_gen(new)} already present")
+        words = self.words
         for rid, row in self.rows.items():
             if old in row:
                 row[new] = row.pop(old)
-                self.words.pop(rid, None)
+                if rid in words:
+                    words[rid] = None
         self.count[new] = self.count.pop(old, 0)
+        ids = self.unheld.pop(old, None)
+        if ids is not None:
+            self.unheld[new] = ids
         self.gens.discard(old)
         self.gens.add(new)
 

@@ -13,10 +13,10 @@ fails loudly with the phase that broke.  The observer given to a script is
 fixed on the presentation when it is built.
 
 A script reads only the relators its moves name: every ``via``, every
-derive source and the one-letter relators a derive deletes with.  A run
-without an observer starts from those instances alone, over the full
-truncation's generators (``simplify``'s renames test which generators are
-present); :func:`_moves_and_keep` derives that set for every script.
+derive source and the one-letter relators a derive deletes with.  Every
+run starts from those instances alone, over the full truncation's
+generators (``simplify``'s renames test which generators are present);
+:func:`_moves_and_keep` derives that set for every script.
 Each move reads and rewrites the kept relators exactly as it does on the
 full start, so the whole transcript, ``start`` line included, and the
 surviving generators are the same; only the relators no move reads are
@@ -24,11 +24,13 @@ missing, and ``TruncatedPresentation.all_relators()`` brings them back,
 carried through the composite of the moves, for the callers that read
 the final relators: ``relator-list`` and the quotient certificates.
 ``braidcomm replay`` and the ``fingen`` verdicts never ask for them.  An
-observer sees every relator a move touches, so a run with a ``callback``
-(the audit) keeps the full start.  The kept relators are a subset of the
-full ones, so the group they present surjects onto the full truncation,
-generator to generator: a generator expressed through the survivors there
-is expressed through them in the full group too.
+observer (the audit) sees the ``start`` event and one event per move, each
+naming only the kept relators it touches; it reads the unkept ones once,
+from the ``start`` presentation's ``all_relators()``.  The kept relators
+are a subset of the full ones, so the group they present surjects onto
+the full truncation, generator to generator: a generator expressed
+through the survivors there is expressed through them in the full group
+too.
 
 Window bookkeeping: parameters are instantiated over ``[-M, M]``; letters
 reach at most two steps past the window, and eliminations sweep exactly
@@ -119,13 +121,9 @@ def _run(p: TruncatedPresentation, moves) -> TruncatedPresentation:
     return p
 
 
-def _moves_and_keep(moves, callback):
-    """``(moves, keep)``: without an observer, the moves as a list and the
-    origins they read, for a pruned start.  An observer sees every relator
-    a move touches, so a run with a ``callback`` gets the moves untouched,
-    generated as they run, and None for the full start."""
-    if callback is not None:
-        return moves, None
+def _moves_and_keep(moves):
+    """``(moves, keep)``: the moves as a list and the origins they read,
+    for a pruned start."""
     moves = list(moves)
     return moves, {origin for move in moves for origin in move.reads()}
 
@@ -214,7 +212,7 @@ def _simplify_moves(group: str, n: int, M: int):
 
 def simplify(group: str, n: int, M: int, callback=None) -> TruncatedPresentation:
     """Collapse the raw presentation onto the two-parameter one."""
-    moves, keep = _moves_and_keep(_simplify_moves(group, n, M), callback)
+    moves, keep = _moves_and_keep(_simplify_moves(group, n, M))
     return _run(_simplify_start(group, n, M, callback, keep), moves)
 
 
@@ -235,7 +233,7 @@ def run_simplification_check(group: str, n: int, window: int) -> RelatorMatch:
 
 def _replay(group: str, n: int, M: int, name: str, moves, callback=None) -> TruncatedPresentation:
     """Run ``moves`` on the simplified presentation."""
-    moves, keep = _moves_and_keep(moves, callback)
+    moves, keep = _moves_and_keep(moves)
     return _run(TruncatedPresentation.from_schema(simplified_derived(group, n), M, name=name,
                                                   callback=callback, keep=keep), moves)
 
@@ -394,7 +392,7 @@ def _run_simplify(group, n):
     return run
 
 
-# every script takes callback=, which runs it on the full start (see _moves_and_keep)
+# every script takes callback=, an observer of its pruned run (see _moves_and_keep)
 SCRIPTS = {
     "fingen-gvb4": lambda M, **kw: gvb4_fingen(M, **kw),
     "fingen-gvb-n5": lambda M, **kw: gvbn_fingen(5, M, **kw),

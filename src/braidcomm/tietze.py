@@ -53,7 +53,9 @@ read, so a caller that never reads them formats nothing.  A render formats
 each distinct generator and letter once, through a table it drops when it
 returns.  Replays are deterministic, so transcripts are reproducible byte
 for byte.  An observer ``callback``, fixed when the presentation is built,
-sees one event per move before it applies.
+sees one event per move before it applies, naming only the relators the
+presentation holds; on a pruned start, the ``start`` event's
+``all_relators()`` gives it every relator of the full start.
 
 The generator index is a superset: ``_gen_index[g]`` lists every live
 relator in which ``g`` occurs, and may also list removed ids and ids whose

@@ -10,7 +10,9 @@ index, every rotation instead of those at the least letter for the cyclic
 normal form, a fresh ``schreier_generator`` per letter instead of a table
 of expansions, a rename of every unit letter and a normalize instead of
 a rename of each run, a start built from ``instances_by_bindings``
-instead of from the compiled instances with one shared table.  The last
+instead of from the compiled instances with one shared table, a replay
+on the full start instead of on one pruned to the relators its moves read.
+The last
 helpers (``every_schema``, ``unrename``, ``schema_sets_equal``,
 ``cyclically_reduce``, ``rewrite_conjugated_relator``, and the matrix
 helpers ``zero_matrix``, ``matmul``, ``determinant`` and ``dense``) are
@@ -237,6 +239,26 @@ def from_schema_by_insert(schema, window):
             p._insert(w, (rel.label, items))
     p._records.append(("start", p.name, window, len(p.gens), len(p.relators)))
     return p
+
+
+def run_on_full_start(script, window, callback=None):
+    """The eager route of a replay script: ``script(window)`` with every
+    start built in full, as ``from_schema`` builds it without ``keep``, so
+    the presentation holds every relator and each move rewrites all of
+    those it touches."""
+    from braidcomm.tietze import TruncatedPresentation
+
+    pruned = TruncatedPresentation.__dict__["from_schema"]
+    build = pruned.__func__
+
+    def full(cls, schema, window, name="", callback=None, keep=None):
+        return build(cls, schema, window, name, callback)
+
+    TruncatedPresentation.from_schema = classmethod(full)
+    try:
+        return script(window, callback=callback)
+    finally:
+        TruncatedPresentation.from_schema = pruned
 
 
 def every_schema():

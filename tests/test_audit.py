@@ -8,6 +8,7 @@ from braidcomm.derived import simplified_derived
 from braidcomm.replays import SCRIPTS
 from braidcomm.tietze import TruncatedPresentation, origin_of
 from braidcomm.words import Word, gen, word
+from oracles import run_on_full_start
 
 
 def _audited_presentation(M=3):
@@ -188,6 +189,37 @@ def test_auditor_requires_one_letter_backing_for_derives():
                              ("edge", 0))
 
 
+def test_auditor_rejects_a_derive_without_a_one_letter_row_named():
+    auditor = AbelianStepAuditor(checkpoint_every=1)
+
+    def forge(step):
+        if step["kind"] == "derive":
+            del step["trivial_rids"][step["deleted"][0]]
+        auditor(step)
+
+    gvb = TruncatedPresentation.from_schema(simplified_derived("GVB", 3), 3,
+                                            callback=auditor)
+    gvb.callback = forge
+    with pytest.raises(AuditError, match="one-letter row"):
+        gvb.derive_collapsed(origin_of("braid_ss_1", {"m": 0, "k": 0}),
+                             {("a", (m, 0, 1)): origin_of("triv_a", {"m": m})
+                              for m in range(-3, 4)},
+                             ("edge", 0))
+
+
+def test_auditor_rejects_a_rename_of_an_absent_generator():
+    auditor = AbelianStepAuditor(checkpoint_every=10**9)
+    absent = ("a", (99, 0, 3))
+
+    def forge(step):
+        if step["kind"] == "rename":
+            step["old"] = absent
+        auditor(step)
+
+    with pytest.raises(AuditError, match=r"rename source a\[99,0,3\] not present"):
+        SCRIPTS["simplify-sg-n4"](3, callback=forge)
+
+
 def test_auditor_detects_quotient_epochs():
     report = audit_script(SCRIPTS["gvb3-free-quotient"], "gvb3-free-quotient", 3,
                           checkpoint_every=50)
@@ -202,12 +234,19 @@ def test_audit_script_smoke():
 
 
 class _RecountingAuditor(AbelianStepAuditor):
-    """Checks the per-generator row counts against a recount after every step."""
+    """Checks the per-generator row counts, and the index of the rows the
+    presentation does not hold, against a recount after every step."""
 
     def __call__(self, step):
         super().__call__(step)
         recount = Counter(chain.from_iterable(self.rows.values()))
         assert {g: c for g, c in self.count.items() if c} == dict(recount), step["kind"]
+        unheld = {}
+        for rid, row in self.rows.items():
+            if rid not in self.words:
+                for g in row:
+                    unheld.setdefault(g, set()).add(rid)
+        assert {g: ids for g, ids in self.unheld.items() if ids} == unheld, step["kind"]
 
 
 @pytest.mark.parametrize("name", sorted(SCRIPTS))
@@ -215,3 +254,41 @@ def test_row_counts_match_a_recount_after_every_step(name):
     auditor = _RecountingAuditor(checkpoint_every=10**9)
     presentation = SCRIPTS[name](3, callback=auditor)
     auditor.finish(presentation, name, 3)
+
+
+# the scripts of the benchmark's audit-w4 workload
+AUDIT_W4 = ("fingen-sg-n5", "fingen-sg-n6", "gvb3-free-quotient", "sg3-abelianization",
+            "simplify-gvb-n3", "simplify-gvb-n4", "simplify-gvb-n5", "simplify-sg-n3")
+
+
+@pytest.mark.parametrize("name,window", [(name, 3) for name in sorted(SCRIPTS)]
+                         + [(name, 4) for name in AUDIT_W4])
+def test_the_pruned_audit_reports_like_the_eager_one(name, window):
+    """Shadowing the unread relators by column operations gives the report
+    of an audit that sees every relator rewritten on the full start."""
+    script = SCRIPTS[name]
+    eager = audit_script(lambda M, **kw: run_on_full_start(script, M, **kw), name, window,
+                         checkpoint_every=150)
+    assert audit_script(script, name, window, checkpoint_every=150) == eager
+
+
+@pytest.mark.parametrize("name,kind", [("simplify-gvb-n4", "eliminate"),
+                                       ("fingen-sg-n5", "eliminate"),
+                                       ("simplify-gvb-n4", "rename")])
+def test_a_closure_that_skips_the_last_move_of_a_kind_fails_finish(name, kind, monkeypatch):
+    composite = TruncatedPresentation._composite
+
+    def skipping(self):
+        records = self._records
+        marks = [i for i, record in enumerate(records) if record[0] == kind]
+        if not marks:
+            return composite(self)
+        self._records = records[:marks[-1]] + records[marks[-1] + 1:]
+        try:
+            return composite(self)
+        finally:
+            self._records = records
+
+    monkeypatch.setattr(TruncatedPresentation, "_composite", skipping)
+    with pytest.raises(AuditError, match="shadow matrix diverged"):
+        audit_script(SCRIPTS[name], name, 3)

@@ -9,6 +9,7 @@ from braidcomm import cli, quotients, registry
 from braidcomm.grammar import parse_presentation
 from braidcomm.registry import ClaimResult, VerificationReport, emit_table
 from braidcomm.words import fmt_gen
+from oracles import run_on_full_start
 
 
 def run_cli(capsys, *argv):
@@ -117,7 +118,7 @@ def test_replay_writes_the_full_route_transcript(script, tmp_path, capsys):
     status, _ = run_cli(capsys, "replay", "--script", script, "--window", "4",
                         "--transcript", str(path))
     assert status == 0
-    full = cli.replays.SCRIPTS[script](4, callback=lambda step: None)
+    full = run_on_full_start(cli.replays.SCRIPTS[script], 4)
     survivors = sorted(full.interior())
     assert path.read_bytes() == (
         full.transcript_text() + f"interior survivors ({len(survivors)}): "

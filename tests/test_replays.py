@@ -15,6 +15,7 @@ from braidcomm.replays import (
 )
 from braidcomm.tietze import ReplayError, TruncatedPresentation
 from braidcomm.words import fmt_gen
+from oracles import run_on_full_start
 
 
 def test_collapse_survivors_at_window_four():
@@ -144,12 +145,12 @@ def _fingerprint(p, kinds):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _assert_pruned_replays_like(full, name, window):
+def _assert_pruned_replays_like(pruned, name, window):
     """A start pruned to the relators the moves read replays exactly like
-    the full start, ``start`` line included, while holding fewer relators.
-    It reports every relator of the full route, id for id, and so the same
-    interior relators and relation matrix."""
-    pruned = SCRIPTS[name](window)
+    the full start of the eager route, ``start`` line included, while
+    holding fewer relators.  It reports every relator of the full route,
+    id for id, and so the same interior relators and relation matrix."""
+    full = run_on_full_start(SCRIPTS[name], window)
     assert pruned.transcript == full.transcript
     assert pruned.gens == full.gens
     assert pruned.interior() == full.interior()
@@ -176,22 +177,28 @@ def test_the_pruned_start_replays_like_the_full_one_past_the_golden_windows():
     # simplify-gvb-n6 leaves the largest share of its start unkept
     for name, window in (("fingen-sg-n6", 8), ("simplify-sg-n6", 7), ("simplify-gvb-n6", 7),
                          ("gvb3-free-quotient", 8)):
-        full = SCRIPTS[name](window, callback=lambda step: None)
-        _assert_pruned_replays_like(full, name, window)
+        _assert_pruned_replays_like(SCRIPTS[name](window), name, window)
 
 
 @pytest.mark.parametrize("name", ("fingen-sg-n5", "simplify-sg-n4"))
-def test_a_run_with_a_callback_holds_the_full_start(name):
-    held = {}
+def test_a_run_with_an_observer_starts_pruned(name):
+    """The ``start`` event of an observed run shows a pruned start, whose
+    ``all_relators()`` are the eager start's relators, id for id."""
+    starts = {}
 
-    def observer(step):
-        if step["kind"] == "start":
-            held["start"] = len(step["presentation"].relators)
+    def observer(route):
+        def see(step):
+            if step["kind"] == "start":
+                p = step["presentation"]
+                starts[route] = (len(p.relators), dict(p.all_relators()))
+        return see
 
-    p = SCRIPTS[name](3, callback=observer)
+    p = SCRIPTS[name](3, callback=observer("pruned"))
+    run_on_full_start(SCRIPTS[name], 3, callback=observer("eager"))
+    (held, relators), (eager_held, eager) = starts["pruned"], starts["eager"]
     counted = int(p.transcript[0].split(", ")[-1].removesuffix(" relators"))
-    assert held["start"] == counted
-    assert p.all_relators() is p.relators
+    assert held < eager_held == counted
+    assert relators == eager
 
 
 def _start_vias(name, window):
