@@ -44,12 +44,14 @@ from typing import NamedTuple
 
 from .derived import raw_derived, simplified_derived, simplified_families
 from .schemas import PresentationSchema, RelatorMatch, instance_set, match_relators
-from .tietze import MARGIN, Origin, TruncatedPresentation, origin_of
+from .tietze import MARGIN, Origin, TruncatedPresentation
 from .words import Gen, word
 
 
-def _o(label: str, **bindings):
-    return origin_of(label, bindings)
+def _o(label: str, *pairs) -> Origin:
+    """The origin ``tietze.origin_of(label, dict(pairs))``, built without a sort:
+    ``pairs`` are the ``(parameter, value)`` pairs in parameter order."""
+    return (label, pairs)
 
 
 def _window(M: int):
@@ -147,7 +149,7 @@ def _sweep(step: str, pairs):
 
 def _trivial_level0(M: int) -> dict[Gen, Origin]:
     """The level-0 letters a[t,0,1] with their one-letter relators."""
-    return {("a", (t, 0, 1)): _o("triv_a", m=t) for t in _window(M)}
+    return {("a", (t, 0, 1)): _o("triv_a", ("m", t)) for t in _window(M)}
 
 
 # ---------------------------------------------------------------------------
@@ -175,34 +177,37 @@ def _simplify_moves(group: str, n: int, M: int):
     W = _window(M)
     # companion level-1 generators are trivial pairs
     yield from _sweep("kill b level-1",
-                      ((("b", (m, k, 1)), _o("triv_b", m=m, k=k)) for m in W for k in W))
+                      ((("b", (m, k, 1)), _o("triv_b", ("k", k), ("m", m))) for m in W for k in W))
     # b[m,k,j] with j >= 3 does not depend on k
     for j in range(3, n):
         for m in W:
             yield from _march(M, f"b k-collapse j={j}", lambda k: ("b", (m, k, j)),
-                              lambda k: _o("rw_comm_rr", m=m, k=k, i=1, j=j), range(1, M + 2))
+                              lambda k: _o("rw_comm_rr", ("i", 1), ("j", j), ("k", k), ("m", m)),
+                              range(1, M + 2))
     # a[m,k,i] with i >= 3 does not depend on k
     for i in range(3, n):
         for m in W:
             yield from _march(M, f"a k-collapse i={i}", lambda k: ("a", (m, k, i)),
-                              lambda k: _o("rw_comm_sr", m=m, k=k, i=i, j=1), range(1, M + 2))
+                              lambda k: _o("rw_comm_sr", ("i", i), ("j", 1), ("k", k), ("m", m)),
+                              range(1, M + 2))
     # at level k=0 the crossing commutations collapse the m direction too;
     # the edge at m = M would need a trivial letter one step past the
     # window, so the march stops at m = M and a[M+1,0,j] stays boundary junk
     level0 = _trivial_level0(M)
     for j in range(3, n):
         for m in range(-M, M):
-            yield Derive(_o("rw_comm_ss", m=m, k=0, i=1, j=j), level0,
-                         _o("edge_a", m=m, j=j), f"derive a m-edge j={j}")
+            yield Derive(_o("rw_comm_ss", ("i", 1), ("j", j), ("k", 0), ("m", m)), level0,
+                         _o("edge_a", ("j", j), ("m", m)), f"derive a m-edge j={j}")
         yield from _march(M, f"a m-collapse j={j}", lambda m: ("a", (m, 0, j)),
-                          lambda m: _o("edge_a", m=m, j=j), range(1, M + 1))
+                          lambda m: _o("edge_a", ("j", j), ("m", m)), range(1, M + 1))
     if group == "SG":
         # the same-strand mixed relation kills the whole a level-1 family
         for m in W:
             yield from _march(M, "a level-1 k-collapse", lambda k: ("a", (m, k, 1)),
-                              lambda k: _o("rw_comm_sr_eq", m=m, k=k, i=1), range(1, M + 2))
+                              lambda k: _o("rw_comm_sr_eq", ("i", 1), ("k", k), ("m", m)),
+                              range(1, M + 2))
         yield from _sweep("a level-1 trivial",
-                          ((("a", (m, 0, 1)), _o("triv_a", m=m)) for m in W))
+                          ((("a", (m, 0, 1)), _o("triv_a", ("m", m))) for m in W))
     # record the renamings a[0,0,j] -> a[j], b[m,0,j] -> b[m,j]
     for j in range(3, n):
         yield Rename(("a", (0, 0, j)), ("a", (j,)))
@@ -243,29 +248,32 @@ def _gvb4_moves(M: int):
     # b[m,3] marches in m once the trivial level-0 letters are deleted
     level0 = _trivial_level0(M)
     for m in W:
-        yield Derive(_o("comm_sr_1j", m=m, k=0, j=3), level0, _o("edge_b3", m=m),
-                     "derive b[.,3] m-edge")
+        yield Derive(_o("comm_sr_1j", ("j", 3), ("k", 0), ("m", m)), level0,
+                     _o("edge_b3", ("m", m)), "derive b[.,3] m-edge")
     yield from _march(M, "b[.,3] m-collapse", lambda m: ("b", (m, 3)),
-                      lambda m: _o("edge_b3", m=m), range(1, M + 2))
+                      lambda m: _o("edge_b3", ("m", m)), range(1, M + 2))
     # the right mixed relation solves every b[m,k,2]
-    yield from _sweep("solve b[m,k,2]", ((("b", (m, k, 2)), _o("mixed_r_2", m=m - 2, k=k))
-                                         for k in W for m in range(-M + 2, M + 3)))
+    yield from _sweep("solve b[m,k,2]",
+                      ((("b", (m, k, 2)), _o("mixed_r_2", ("k", k), ("m", m - 2)))
+                       for k in W for m in range(-M + 2, M + 3)))
     # the companion recurrence now bounds k to {0,1,2} for a[m,k,2]
     for m in range(-M, M - 1):
         yield from _march(M, "a[m,k,2] k-recurrence", lambda k: ("a", (m, k, 2)),
-                          lambda k: _o("braid_rr_1", m=m + 2, k=k), range(3, M + 2), up_shift=-3)
+                          lambda k: _o("braid_rr_1", ("k", k), ("m", m + 2)), range(3, M + 2),
+                          up_shift=-3)
     # the crossing recurrence bounds m to {0,1}
     for k in (0, 1, 2):
         yield from _march(M, "a[m,k,2] m-recurrence", lambda m: ("a", (m, k, 2)),
-                          lambda m: _o("braid_ss_2", m=m, k=k), range(2, M + 3), up_shift=-2)
+                          lambda m: _o("braid_ss_2", ("k", k), ("m", m)), range(2, M + 3),
+                          up_shift=-2)
     # a[m,k,1] is conjugate to a[0,k,1]
     for k in W:
         yield from _march(M, "a[m,k,1] conjugation", lambda m: ("a", (m, k, 1)),
-                          lambda m: _o("comm_ss_1j", m=m, k=k, j=3), range(1, M + 2))
+                          lambda m: _o("comm_ss_1j", ("j", 3), ("k", k), ("m", m)), range(1, M + 2))
     # the left mixed relation expresses a[0,k,1] from levels 0 and 1
     yield from _march(M, "a[0,k,1] recurrence", lambda k: ("a", (0, k, 1)),
-                      lambda k: _o("mixed_l_1", m=-1, k=k), range(2, M + 2))
-    yield Eliminate(("a", (0, 0, 1)), _o("triv_a", m=0), "a[0,0,1] trivial")
+                      lambda k: _o("mixed_l_1", ("k", k), ("m", -1)), range(2, M + 2))
+    yield Eliminate(("a", (0, 0, 1)), _o("triv_a", ("m", 0)), "a[0,0,1] trivial")
 
 
 def gvb4_fingen(M: int, callback=None) -> TruncatedPresentation:
@@ -276,27 +284,29 @@ def gvb4_fingen(M: int, callback=None) -> TruncatedPresentation:
 def _gvbn_moves(n: int, M: int):
     W = _window(M)
     # left mixed relation solves every b[m,k,2]
-    yield from _sweep("solve b[m,k,2]", ((("b", (m, k, 2)), _o("mixed_l_1", m=m - 2, k=k))
-                                         for k in W for m in range(-M + 2, M + 3)))
+    yield from _sweep("solve b[m,k,2]",
+                      ((("b", (m, k, 2)), _o("mixed_l_1", ("k", k), ("m", m - 2)))
+                       for k in W for m in range(-M + 2, M + 3)))
     # conjugation by b[.,4] collapses k for a[m,k,2]
     for m in W:
         yield from _march(M, "a[m,k,2] k-collapse", lambda k: ("a", (m, k, 2)),
-                          lambda k: _o("comm_sr_2j", m=m, k=k, j=4), range(1, M + 2))
+                          lambda k: _o("comm_sr_2j", ("j", 4), ("k", k), ("m", m)), range(1, M + 2))
     # crossing recurrence bounds m to {0,1} at level k=0
     yield from _march(M, "a[m,0,2] m-recurrence", lambda m: ("a", (m, 0, 2)),
-                      lambda m: _o("braid_ss_2", m=m, k=0), range(2, M + 3), up_shift=-2)
+                      lambda m: _o("braid_ss_2", ("k", 0), ("m", m)), range(2, M + 3), up_shift=-2)
     # a[m,k,1] collapses to the trivial level-0 letters via b[.,3]
     for m in W:
         yield from _march(M, "a[m,k,1] k-collapse", lambda k: ("a", (m, k, 1)),
-                          lambda k: _o("comm_sr_1j", m=m, k=k, j=3), range(1, M + 2))
-    yield from _sweep("a[m,0,1] trivial", ((("a", (m, 0, 1)), _o("triv_a", m=m)) for m in W))
+                          lambda k: _o("comm_sr_1j", ("j", 3), ("k", k), ("m", m)), range(1, M + 2))
+    yield from _sweep("a[m,0,1] trivial", ((("a", (m, 0, 1)), _o("triv_a", ("m", m))) for m in W))
     # b[m,3] marches in m through the level-1 conjugation relators
     yield from _march(M, "b[m,3] m-collapse", lambda m: ("b", (m, 3)),
-                      lambda m: _o("comm_ss_1j", m=m, k=1, j=3), range(2, M + 2), up_shift=-2)
+                      lambda m: _o("comm_ss_1j", ("j", 3), ("k", 1), ("m", m)), range(2, M + 2),
+                      up_shift=-2)
     # and b[m,j], j >= 4, through the mixed commutations at level 0
     for j in range(4, n):
         yield from _march(M, f"b[m,{j}] m-collapse", lambda m: ("b", (m, j)),
-                          lambda m: _o("comm_sr_1j", m=m, k=0, j=j), range(2, M + 2))
+                          lambda m: _o("comm_sr_1j", ("j", j), ("k", 0), ("m", m)), range(2, M + 2))
 
 
 def gvbn_fingen(n: int, M: int, callback=None) -> TruncatedPresentation:
@@ -311,23 +321,23 @@ def _sgn_moves(n: int, M: int):
     # b[m,k,2] is conjugate to b[0,k,2] by powers of a[4]
     for k in W:
         yield from _march(M, "b[m,k,2] m-collapse", lambda m: ("b", (m, k, 2)),
-                          lambda m: _o("comm_sr_j2", m=m, k=k, i=4), range(1, M + 2))
+                          lambda m: _o("comm_sr_j2", ("i", 4), ("k", k), ("m", m)), range(1, M + 2))
     # b[0,k,2] is conjugate to b[0,0,2] by powers of b[0,4]
     yield from _march(M, "b[0,k,2] k-collapse", lambda k: ("b", (0, k, 2)),
-                      lambda k: _o("comm_rr_2j", m=0, k=k, j=4), range(1, M + 2))
+                      lambda k: _o("comm_rr_2j", ("j", 4), ("k", k), ("m", 0)), range(1, M + 2))
     # b[m,j] does not depend on m
     for j in range(3, n):
         yield from _march(M, f"b[m,{j}] m-collapse", lambda m: ("b", (m, j)),
-                          lambda m: _o("comm_sr_1j", m=m, j=j), range(1, M + 2))
+                          lambda m: _o("comm_sr_1j", ("j", j), ("m", m)), range(1, M + 2))
     # conjugation by b[0,4] collapses k for a[m,k,2]
     for m in W:
         yield from _march(M, "a[m,k,2] k-collapse", lambda k: ("a", (m, k, 2)),
-                          lambda k: _o("comm_sr_2j", m=m, k=k, j=4), range(1, M + 2))
+                          lambda k: _o("comm_sr_2j", ("j", 4), ("k", k), ("m", m)), range(1, M + 2))
     # two-term recurrence bounds m to {0,1} at level k=0
     yield from _march(M, "a[m,0,2] m-recurrence", lambda m: ("a", (m, 0, 2)),
-                      lambda m: _o("braid_ss_1", m=m, k=0), range(2, M + 3), up_shift=-2)
+                      lambda m: _o("braid_ss_1", ("k", 0), ("m", m)), range(2, M + 3), up_shift=-2)
     # the surviving b[0,0,2] is itself redundant
-    yield Eliminate(("b", (0, 0, 2)), _o("mixed_r_1", m=0, k=0), "solve b[0,0,2]")
+    yield Eliminate(("b", (0, 0, 2)), _o("mixed_r_1", ("k", 0), ("m", 0)), "solve b[0,0,2]")
 
 
 def sgn_fingen(n: int, M: int, callback=None) -> TruncatedPresentation:
@@ -345,22 +355,23 @@ def _gvb3_quotient_moves(M: int):
     W = _window(M)
     # solve b[m,k,2] from the right mixed relation
     yield from _sweep("solve b[m,k,2]",
-                      ((("b", (m, k, 2)), _o("mixed_r_1", m=m, k=k)) for m in W for k in W))
+                      ((("b", (m, k, 2)), _o("mixed_r_1", ("k", k), ("m", m)))
+                       for m in W for k in W))
     # quotient 1: force a[m,k,1] a[m+1,k,2] = 1
-    yield Adjoin([(word((("a", (m, k, 1)), 1), (("a", (m + 1, k, 2)), 1)), _o("w", m=m, k=k))
-                  for m in W for k in W])
+    yield Adjoin([(word((("a", (m, k, 1)), 1), (("a", (m + 1, k, 2)), 1)),
+                   _o("w", ("k", k), ("m", m))) for m in W for k in W])
     yield from _sweep("kill a[m,k,2] mod W",
-                      ((("a", (m + 1, k, 2)), _o("w", m=m, k=k)) for k in W for m in W))
+                      ((("a", (m + 1, k, 2)), _o("w", ("k", k), ("m", m))) for k in W for m in W))
     # quotient 2: force a[m+1,k,1] = a[m-1,k,1]
-    yield Adjoin([(word((("a", (m + 1, k, 1)), -1), (("a", (m - 1, k, 1)), 1)), _o("v", m=m, k=k))
-                  for m in W for k in W])
+    yield Adjoin([(word((("a", (m + 1, k, 1)), -1), (("a", (m - 1, k, 1)), 1)),
+                   _o("v", ("k", k), ("m", m))) for m in W for k in W])
     for k in W:
         yield from _march(M, "a[m,k,1] two-step collapse", lambda m: ("a", (m, k, 1)),
-                          lambda m: _o("v", m=m, k=k), range(2, M + 2), down_shift=1)
+                          lambda m: _o("v", ("k", k), ("m", m)), range(2, M + 2), down_shift=1)
     # a[1,k,1] inverts to a[0,k,1]
     yield from _sweep("a[1,k,1] inversion",
-                      ((("a", (1, k, 1)), _o("braid_ss_1", m=0, k=k)) for k in W))
-    yield Eliminate(("a", (0, 0, 1)), _o("triv_a", m=0), "a[0,0,1] trivial")
+                      ((("a", (1, k, 1)), _o("braid_ss_1", ("k", k), ("m", 0))) for k in W))
+    yield Eliminate(("a", (0, 0, 1)), _o("triv_a", ("m", 0)), "a[0,0,1] trivial")
 
 
 def gvb3_quotient_chain(M: int, callback=None) -> TruncatedPresentation:
@@ -371,10 +382,12 @@ def gvb3_quotient_chain(M: int, callback=None) -> TruncatedPresentation:
 def _sg3_beta_moves(M: int):
     W = _window(M)
     yield from _sweep("solve b[m,k,2]",
-                      ((("b", (m, k, 2)), _o("mixed_r_1", m=m, k=k)) for m in W for k in W))
+                      ((("b", (m, k, 2)), _o("mixed_r_1", ("k", k), ("m", m)))
+                       for m in W for k in W))
     for k in W:
         yield from _march(M, "a[m,k,2] m-recurrence", lambda m: ("a", (m, k, 2)),
-                          lambda m: _o("braid_ss_1", m=m, k=k), range(2, M + 3), up_shift=-2)
+                          lambda m: _o("braid_ss_1", ("k", k), ("m", m)), range(2, M + 3),
+                          up_shift=-2)
 
 
 def sg3_beta_elimination(M: int, callback=None) -> TruncatedPresentation:

@@ -36,9 +36,16 @@ shared generators but gets letter pairs of its own from ``normalize``; no
 schema in the catalog or in ``derived`` has one.  Equality and hashing
 stay value-based, so the sharing changes no result, only the number of
 objects.  Given the binding values to keep, the function takes that route
-only for a kept instance; for any other it yields the instance's
-generators alone, after the same reduction and range checks, with no
-word, no binding pairs and no table lookup.
+only for a kept instance.  For any other it yields, after the same
+reduction and range checks, no word, no binding pairs and no table
+lookup, only the generators a caller cannot get from
+``Alphabet.gens_in_window``: those that may lie outside the window.  This
+is decided per template letter when the source is generated.  A window
+coordinate that is a bare window parameter, ``p`` or ``-p``, never leaves
+the window; any other is tested as the instance is enumerated, and the
+letters that have one are yielded if one of the tests fails.  An instance
+with no such letter outside the window yields ``()``.  A word that free
+reduction shortened yields all of its generators.
 
 :func:`match_relators` is the one comparison of a replayed relator set
 with an expected :func:`instance_set`; every identification check
@@ -395,15 +402,23 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
     if failure is None:
         failure = unbound(e for _, idx, _ in rel.template for e in idx)
 
-    letters, plain, gens, checks, coincide = [], [], [], [], []
+    letters, plain, checks, coincide = [], [], [], []
+    far, outside = [], []  # what an unkept instance yields, and when
     never = False  # some constant index lies outside its range
     # a band guard |x-y|>b with b >= 0 keeps x and y apart
     apart = {g.lhs - g.rhs for g in rel.guards if g.kind == "band" and g.bound >= 0}
+
+    def bare_window(e: Affine) -> bool:
+        """Whether ``e`` is +-p for a window parameter p: always in the window."""
+        return (not e.const and len(e.terms) == 1 and e.terms[0][1] in (1, -1)
+                and domains[e.terms[0][0]] is None)
+
     previous = None
     for fam, idx, exp in rel.template:
         if failure is not None or _int(exp) == "0":
             continue
-        for e, dom in zip(idx, alphabet.domains(fam, len(idx))):
+        doms = alphabet.domains(fam, len(idx))
+        for e, dom in zip(idx, doms):
             span = interval(e)
             if dom is None or span is not None and dom[0] <= span[0] and span[1] <= dom[1]:
                 continue
@@ -433,24 +448,36 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
         generator = f"({_str(fam)}, ({''.join(code(e) + ', ' for e in idx)}))"
         letters.append(f"_shared[(_shared[{generator}], {_int(exp)})]")
         plain.append(f"({generator}, {_int(exp)})")
-        if generator not in gens:
-            gens.append(generator)
+        # a window coordinate other than a bare window parameter may leave
+        # the window, so an unkept instance yields its generator if it does
+        tests_out = [f"not -window <= {code(e)} <= window"
+                     for e, dom in zip(idx, doms) if dom is None and not bare_window(e)]
+        if tests_out and generator not in far:
+            far.append(generator)
+        outside += [t for t in tests_out if t not in outside]
 
     items = "(" + "".join(f"_shared[({_str(p)}, {var[p]})], " for p in sorted(var)) + ")"
     values = "(" + "".join(f"{var[p]}, " for p in sorted(var)) + ")"
 
     def leaf(kept: bool) -> list[str]:
         """The body of a kept instance, which yields its binding items and
-        word, or of an unkept one, which yields ``None`` and its generators
-        after the same free reduction and range checks."""
+        word, or of an unkept one, which yields ``None`` and generators of
+        its word, after the same free reduction and range checks: all of
+        them if the word was reduced, else those that may lie outside the
+        window if one of them does, else ``()``."""
         word = "(" + "".join(x + ", " for x in (letters if kept else plain)) + ")"
         found = f"{items}, w" if kept else "None, [g for g, _ in w.letters]"
         normalized = [f"w = _normalize({word})", f"yield {found}"]
         if never or checks:  # the letters left after reduction are checked instead
             normalized[1:] = ["if all([_in_domain(g) for g, _ in w.letters]):",
                               "    " + normalized[1]]
-        reduced = [f"yield {items}, _make({word})" if kept
-                   else f"yield None, ({''.join(g + ', ' for g in gens)})"]
+        if kept:
+            reduced = [f"yield {items}, _make({word})"]
+        elif far:
+            reduced = [f"yield None, ({''.join(g + ', ' for g in far)}) "
+                       f"if {' or '.join(outside)} else ()"]
+        else:
+            reduced = ["yield None, ()"]
         if checks:
             reduced = [f"if {' and '.join(checks)}:", "    " + reduced[0]]
         if "True" in coincide:
@@ -528,9 +555,12 @@ def instances(pres: PresentationSchema, rel: RelatorSchema, window: int,
 
     ``keep``, if given, holds the binding values to keep, each a tuple
     ordered like ``binding_items``.  An instance whose values are not in it
-    yields ``(None, generators)`` instead, in the same place: the
-    generators of its word, after free reduction and the range checks, but
-    no word, no binding items and no ``shared`` lookup.
+    yields ``(None, generators)`` instead, in the same place, after free
+    reduction and the range checks, with no word, no binding items and no
+    ``shared`` lookup.  ``generators`` are some of its word's generators,
+    among them every one outside ``[-window, window]``, often none: with
+    ``Alphabet.gens_in_window(window)`` they cover the word's generators.
+    See the module docstring.
     """
     return _compiled(pres.families, rel)(
         window, SharedValues() if shared is None else shared, keep)

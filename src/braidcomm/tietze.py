@@ -20,23 +20,23 @@ existing relator with letters deleted whose generators carry a named
 one-letter relator; the copy is a product of conjugates of present
 relators, so the group is unchanged).
 
-``from_schema`` inserts the instances one by one with ``_insert``, as
-``add_relators`` and ``derive_collapsed`` do.  Given ``keep``, it inserts
-only the instances with those origins, but still enumerates every
-instance: the generators of a pruned start, and the counts on its
-``start`` line, are the full truncation's, so it differs from the full
-start only in the relators it leaves out.  A kept instance gets its id in
-the full start, so every relator a pruned run holds has the full route's
-id.  The enumerator builds a word only for a kept instance; an unkept one
-yields just its generators.  One :class:`~.schemas.SharedValues` table
-serves all of its schemas and is dropped when the build ends, so the
-start's relators hold one object per distinct letter, generator and
-binding pair.  (The generator set of a pruned start may hold a second
-copy of a generator that an unkept instance yielded before a kept one.)
-``rename`` rebuilds only the runs of the renamed generator, and
-``substitute`` copies untouched runs, so the letters a move does not touch
-stay shared.  Equality and hashing stay value-based; nothing depends on
-which object holds a value.
+``from_schema`` inserts the instances in one inline loop; ``_insert``
+is the insert of ``add_relators`` and ``derive_collapsed``.  Given
+``keep``, it inserts only the instances with those origins, but still
+enumerates every instance: the generators of a pruned start, and the
+counts on its ``start`` line, are the full truncation's, so it differs
+from the full start only in the relators it leaves out.  A kept instance
+gets its id in the full start, so every relator a pruned run holds has
+the full route's id.  The enumerator builds a word only for a kept
+instance.  An unkept one yields only the generators of its word that
+``gens_in_window`` may miss, those that may lie outside the window, and
+only when one does, so most yield none.  One
+:class:`~.schemas.SharedValues` table serves all of its schemas and is
+dropped when the build ends, so the start's relators hold one object per
+distinct letter, generator and binding pair.  ``rename`` rebuilds only
+the runs of the renamed generator, and ``substitute`` copies untouched
+runs, so the letters a move does not touch stay shared.  Equality and
+hashing stay value-based; nothing depends on which object holds a value.
 
 A move reads only relators it names; it changes every other relator by a
 substitution (``eliminate``) or a relabelling (``rename``), both
@@ -137,11 +137,12 @@ def _kept_values(schema: PresentationSchema, keep) -> dict[str, set[tuple]]:
     """For each label of ``schema``, the binding values of its origins in
     ``keep``, ordered like the sorted binding items that
     :func:`~.schemas.instances` yields."""
-    names = {rel.label: tuple(sorted(set(rel.params))) for rel in schema.relators}
+    names = {rel.label: tuple(sorted(rel.params)) for rel in schema.relators}
     kept: dict[str, set[tuple]] = {label: set() for label in names}
     for label, items in keep:
-        if names.get(label) == tuple(map(itemgetter(0), items)):
-            kept[label].add(tuple(map(itemgetter(1), items)))
+        params, values = zip(*items) if items else ((), ())
+        if names.get(label) == params:
+            kept[label].add(values)
     return kept
 
 
@@ -171,23 +172,37 @@ class TruncatedPresentation:
         ``keep``.  Either way the generators and the ``start`` counts are the
         full truncation's: the window's generators and every instance's.  An
         instance outside ``keep`` is enumerated and counted, but the
-        enumerator yields only its generators, read after free reduction and
-        the range checks, and builds no word for it.  Each kept instance
-        gets the id it has in the full start, its position in the
-        enumeration, so later relators get the full route's ids too."""
+        enumerator builds no word for it: it yields the generators of its
+        word that may lie outside the window if one of them does, and an
+        empty tuple, skipped here, otherwise; ``gens_in_window`` adds the
+        rest.  Each kept instance is inserted inline, as ``_insert`` would,
+        under the id it has in the full start, its position in the
+        enumeration, so later relators get the full route's ids too; the
+        kept words' generators are read off the index keys once."""
         p = cls(schema, window, name, callback)
         shared = SharedValues()  # one table for all schemas, dropped with the build
         kept = None if keep is None else _kept_values(schema, keep)
+        relators, origins, by_origin, index = p.relators, p.origins, p._by_origin, p._gen_index
+        outside: set = set()  # generators the unkept instances yield
         count = 0
         for rel in schema.relators:
+            label = rel.label
             # each label's kept values are dropped once its instances are read
             for items, w in instances(schema, rel, window, shared,
-                                      None if kept is None else kept.pop(rel.label)):
-                if items is None:  # an unkept instance yields its generators
-                    p.gens.update(w)
-                else:
-                    p._next_id = count
-                    p._insert(w, (rel.label, items))
+                                      None if kept is None else kept.pop(label)):
+                if items is None:
+                    if w:
+                        outside.update(w)
+                else:  # _insert, inline
+                    relators[count] = w
+                    origins[count] = origin = (label, items)
+                    by_origin[origin] = count
+                    for g, _ in w.letters:  # a generator seldom repeats in a start word
+                        ids = index.get(g)
+                        if ids is None:
+                            index[g] = {count}
+                        else:
+                            ids.add(count)
                 count += 1
         p._next_id = count
         if keep is not None:
@@ -195,7 +210,9 @@ class TruncatedPresentation:
             for rid in p.relators:
                 mask[rid] = 1
             p._pruned = (schema, mask)
-        # after the inserts, so that p.gens holds the shared generators
+        # the index keys first, so that p.gens holds the shared generators
+        p.gens.update(index)
+        p.gens.update(outside)
         p.gens.update(p.alphabet.gens_in_window(window))
         p._records.append(("start", p.name, window, len(p.gens), count))
         if callback is not None:
@@ -269,19 +286,23 @@ class TruncatedPresentation:
         out.update(self.relators)
         return dict(sorted(out.items()))
 
-    def _composite(self) -> dict[Gen, Word]:
+    def _composite(self) -> dict[Gen, tuple[Word, Word]]:
         """The image of each generator the moves replace, under all of the
-        moves: walking the records backwards, ``eliminate t := E`` maps t to
-        the image of E, and ``rename old -> new`` maps old to that of new."""
-        images: dict[Gen, Word] = {}
+        moves, paired with its inverse for ``substitute_all``: walking the
+        records backwards, ``eliminate t := E`` maps t to the image of E,
+        and ``rename old -> new`` maps old to that of new."""
+        images: dict[Gen, tuple[Word, Word]] = {}
         for kind, *values in reversed(self._records):
             if kind == "eliminate":
                 target, _, expression = values
-                images[target] = substitute_all(expression, images)
+                image = substitute_all(expression, images)
+                images[target] = (image, invert(image))
             elif kind == "rename":
                 old, new = values
-                image = images.get(new)
-                images[old] = Word._make(((new, 1),)) if image is None else image
+                pair = images.get(new)
+                if pair is None:
+                    pair = (Word._make(((new, 1),)), Word._make(((new, -1),)))
+                images[old] = pair
         return images
 
     def interior_relator_set(self) -> set[Word]:
@@ -313,7 +334,7 @@ class TruncatedPresentation:
         before = Word._make(w.letters[:pos])
         after = Word._make(w.letters[pos + 1:])
         forward = after * before
-        backward = invert(before) * invert(after)
+        backward = invert(forward)
         expression, inverse = (backward, forward) if sign == 1 else (forward, backward)
         relators = self.relators
         touched = []

@@ -249,22 +249,24 @@ def substitute(w: Word, target: Gen, replacement: Word, inverse: Word | None = N
     return Word._make(tuple(out))
 
 
-def substitute_all(w: Word, images: dict[Gen, Word]) -> Word:
+def substitute_all(w: Word, images: dict[Gen, tuple[Word, Word]]) -> Word:
     """Replace every letter g^e whose generator has an image by image^e,
     all at once, and reduce: the endomorphism ``images`` describes, the
-    identity on every generator it does not name.  Untouched runs are
-    copied and joined by ``_join``.  When no generator of ``w`` has an
-    image, ``w`` itself is returned."""
+    identity on every generator it does not name.  ``images`` maps each
+    generator to the pair of its image and the image's inverse, so a
+    negative exponent inverts nothing.  Untouched runs are copied and
+    joined by ``_join``.  When no generator of ``w`` has an image, ``w``
+    itself is returned."""
     letters = w.letters
     out: list = []
     start = 0  # the first letter not yet copied
     for pos, (g, e) in enumerate(letters):
-        image = images.get(g)
-        if image is None:
+        pair = images.get(g)
+        if pair is None:
             continue
         if pos > start:
             _join(out, letters[start:pos])
-        piece = (image if e > 0 else invert(image)).letters
+        piece = (pair[0] if e > 0 else pair[1]).letters
         if piece:
             for _ in range(abs(e)):
                 _join(out, piece)

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from braidcomm import registry
+from braidcomm import registry, replays
 from braidcomm.abelian import relation_matrix
 from braidcomm.replays import (
     SCRIPTS,
@@ -13,7 +13,7 @@ from braidcomm.replays import (
     sgn_fingen,
     simplify,
 )
-from braidcomm.tietze import ReplayError, TruncatedPresentation
+from braidcomm.tietze import ReplayError, TruncatedPresentation, origin_of
 from braidcomm.words import fmt_gen
 from oracles import run_on_full_start
 
@@ -178,6 +178,34 @@ def test_the_pruned_start_replays_like_the_full_one_past_the_golden_windows():
     for name, window in (("fingen-sg-n6", 8), ("simplify-sg-n6", 7), ("simplify-gvb-n6", 7),
                          ("gvb3-free-quotient", 8)):
         _assert_pruned_replays_like(SCRIPTS[name](window), name, window)
+
+
+def test_every_move_writes_its_origins_as_origin_of_builds_them(monkeypatch):
+    """The scripts spell origins out as binding pairs; each must be the
+    origin ``origin_of`` gives: its label and its bindings, sorted."""
+    runs = []
+    split = replays._moves_and_keep
+
+    def seen(moves):
+        moves, keep = split(moves)
+        runs.append(moves)
+        return moves, keep
+
+    monkeypatch.setattr(replays, "_moves_and_keep", seen)
+    for script in SCRIPTS.values():
+        script(3)
+    origins = []
+    for move in (move for moves in runs for move in moves):
+        if isinstance(move, replays.Eliminate):
+            origins.append(move.via)
+        elif isinstance(move, replays.Derive):
+            origins += [move.source, move.origin, *move.doomed.values()]
+        elif isinstance(move, replays.Adjoin):
+            origins += [origin for _, origin in move.relators]
+    assert len(runs) == len(SCRIPTS) and len(origins) > 3000
+    for label, items in origins:
+        assert len(dict(items)) == len(items)
+        assert (label, items) == origin_of(label, dict(items))
 
 
 @pytest.mark.parametrize("name", ("fingen-sg-n5", "simplify-sg-n4"))

@@ -199,6 +199,12 @@ EDGE_CASES = [
     schema("unbound_in_guard", ("i",), [("a", ["i"], 1)], [cmp("i", ">", 1), cmp("k", "<", 2)]),
     schema("unbound_in_template", ("i",), [("a", ["i"], 1), ("c", ["k"], 1)]),
     schema("undeclared_family", ("i",), [("a", ["i"], 1), ("z", ["i"], 1)]),
+    # window coordinates: a constant, outside windows 0 and 1; a strand
+    # parameter; bare window parameters, +-m, which never leave the window
+    schema("constant_window", ("i",), [("a", ["i"], 1), ("c", [2], 1)]),
+    schema("strand_in_window", ("i", "m"), [("c", ["m"], 1), ("b", ["i", "i"], 1),
+                                            ("c", ["i"], -1)]),
+    schema("bare_window", ("m", "k"), [("c", ["m"], 1), ("b", [-aff("k"), 2], 1)]),
 ]
 
 
@@ -212,9 +218,11 @@ def test_compiled_instances_match_bindings_on_edge_cases(rel):
 
 def _assert_keep_filters(pres, rel, window, rng: random.Random):
     """Draw a ``keep`` from the unfiltered route's binding values.  The kept
-    pairs must be the unfiltered ones, filtered, in order; the generators
-    the unkept instances yield must be, together, those of their words; and
-    every instance must still be counted."""
+    pairs must be the unfiltered ones, filtered, in order, and every
+    instance must still be counted.  Each unkept instance must yield some
+    of its word's generators, among them every one outside the window, so
+    that the yielded generators and ``gens_in_window(window)`` together
+    cover the unkept words' generators."""
     try:
         full = list(instances(pres, rel, window))
     except Exception as exc:  # noqa: BLE001 -- the filtered route must fail alike
@@ -229,9 +237,20 @@ def _assert_keep_filters(pres, rel, window, rng: random.Random):
     where = (pres.name, rel.label, window)
     assert [pair for pair in got if pair[0] is not None] == \
         [pair for pair, v in zip(full, values) if v in keep], where
-    assert set().union(*(gens for items, gens in got if items is None)) == \
-        {g for (_, w), v in zip(full, values) if v not in keep for g, _ in w.letters}, where
     assert len(got) == len(full), where
+    alphabet = pres.alphabet()
+    unkept, yielded = set(), set()
+    for (items, gens), (_, w), v in zip(got, full, values):
+        if v in keep:
+            continue
+        assert items is None, where
+        word_gens = w.generators()
+        assert set(gens) <= word_gens, (where, w, gens)
+        assert {g for g in word_gens if not alphabet.within_window(g, window)} <= set(gens), \
+            (where, w, gens)
+        unkept |= word_gens
+        yielded.update(gens)
+    assert unkept <= yielded | set(alphabet.gens_in_window(window)), where
 
 
 def test_keep_filters_the_instances_of_every_schema():
@@ -258,6 +277,21 @@ def test_the_keep_edge_cases_reach_the_normalize_and_range_check_bodies():
     assert "if 1 <= v0+1 <= 3:" in unkept["leaves_range"]
     assert "_normalize(" in unkept["coincide_leaves_range"]
     assert "_in_domain(" in unkept["coincide_leaves_range"]
+
+
+def test_an_unkept_instance_yields_only_generators_that_may_leave_the_window():
+    unkept = {rel.label: _unkept_branch(rel) for rel in EDGE_CASES
+              if rel.label in ("constant_window", "strand_in_window", "bare_window")}
+    assert unkept["bare_window"].strip() == "yield None, ()"
+    assert unkept["constant_window"].strip() == \
+        "yield None, (('c', (2, )), ) if not -window <= 2 <= window else ()"
+    assert unkept["strand_in_window"].strip() == \
+        "yield None, (('b', (v0, v0, )), ('c', (v0, )), ) if not -window <= v0 <= window else ()"
+    # c[2] leaves windows 0 and 1 only
+    rel = next(rel for rel in EDGE_CASES if rel.label == "constant_window")
+    for window, yielded in ((0, ("c", (2,))), (1, ("c", (2,))), (2, None)):
+        got = [gens for _, gens in instances(TOY, rel, window, keep=set())]
+        assert got == [((yielded,) if yielded else ())] * 3
 
 
 @pytest.mark.parametrize("rel", EDGE_CASES, ids=lambda rel: rel.label)

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from collections import Counter
 
@@ -22,11 +23,41 @@ def test_from_schema_populates_window_generators():
     assert all(w for w in p.relators.values())
 
 
+def _assert_pruned_start_like(full, pres, window, rng: random.Random):
+    """A start pruned to a drawn ``keep`` holds the kept subset of ``full``
+    under the full start's ids, with the full generators and ``start``
+    record, and gives every relator of ``full`` on request.  Origins with a
+    label the schema lacks, or with other parameter names, keep nothing."""
+    origins = list(full.origins.values())
+    share = rng.choice((0.0, 0.1, 0.5, 0.9, 1.0))
+    keep = {o for o in origins if rng.random() < share}
+    decoys = {("no such label", ())} | {
+        (label, tuple((f"{name}'", v) for name, v in items)) for label, items in origins[:3]
+        if items}
+    r = TruncatedPresentation.from_schema(pres, window, keep=keep | decoys)
+    where = (pres.name, pres.n, window, share)
+    assert list(r.origins.items()) == [
+        (rid, o) for rid, o in full.origins.items() if o in keep], where
+    assert list(r.relators.items()) == [
+        (rid, w) for rid, w in full.relators.items() if full.origins[rid] in keep], where
+    assert r._by_origin == {o: rid for rid, o in r.origins.items()}, where
+    assert {g: sorted(ids) for g, ids in r._gen_index.items()} == \
+        {g: ids for g, ids in relators_containing(r).items() if ids}, where
+    assert r.gens == full.gens, where
+    assert r._records == full._records, where
+    assert r._next_id == full._next_id, where
+    assert list(r.all_relators().items()) == list(full.relators.items()), where
+
+
 def test_from_schema_matches_the_insert_route_on_every_schema():
     count = 0
     for pres in every_schema():
-        for window in range(4):
+        for window in range(7):
             p = TruncatedPresentation.from_schema(pres, window)
+            _assert_pruned_start_like(p, pres, window,
+                                      random.Random(f"{pres.name} {pres.n} {window}"))
+            if window > 3:
+                continue
             q = from_schema_by_insert(pres, window)
             where = (pres.name, pres.n, window)
             assert list(p.relators.items()) == list(q.relators.items()), where
@@ -37,17 +68,6 @@ def test_from_schema_matches_the_insert_route_on_every_schema():
             assert p._next_id == q._next_id, where
             assert p.transcript == q.transcript, where
             count += len(p.relators)
-            # a pruned start: the kept subset under the full start's ids, the
-            # full generators and start line, and every relator on request
-            keep = set(list(q.origins.values())[::2])
-            r = TruncatedPresentation.from_schema(pres, window, keep=keep)
-            assert list(r.origins.values()) == [o for o in q.origins.values() if o in keep], where
-            assert list(r.relators.items()) == [
-                (rid, w) for rid, w in q.relators.items() if q.origins[rid] in keep], where
-            assert r._next_id == q._next_id, where
-            assert r.gens == q.gens, where
-            assert r.transcript == q.transcript, where
-            assert list(r.all_relators().items()) == list(q.relators.items()), where
     assert count > 20000
 
 
