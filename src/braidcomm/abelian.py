@@ -186,10 +186,7 @@ class LatticeReduction:
     pivot row alone in it, so the column operations that clear the pivot
     row only drop it from its columns' supports (and update ``v``).
 
-    Without ``track_v`` the column keys may be any sortable values, such
-    as the generators themselves: ties then follow the keys' order, as
-    they follow the index order of the sorted keys, and rank and invariant
-    factors do not depend on the keys anyway.
+    Without ``track_v`` a column index need not be below ``ncols``.
     """
 
     def __init__(self, rows: list[dict[int, int]], ncols: int, track_v: bool = True):

@@ -393,7 +393,7 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
         if failure is not None:
             break
         if g.kind == "band":
-            test = f"abs({code(g.lhs - g.rhs)}) > {_int(g.bound)}"
+            test = f"not {_int(-g.bound)} <= {code(g.lhs - g.rhs)} <= {_int(g.bound)}"
         elif g.kind in _PY_OPS:
             test = f"{code(g.lhs)} {_PY_OPS[g.kind]} {code(g.rhs)}"
         else:
@@ -520,7 +520,7 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
 @lru_cache(maxsize=None)
 def _compiled(families, rel: RelatorSchema):
     alphabet = alphabet_of(families)
-    namespace = {"__builtins__": {"abs": abs, "all": all, "range": range},
+    namespace = {"__builtins__": {"all": all, "range": range},
                  "GuardError": GuardError, "_make": Word._make,
                  "_normalize": normalize, "_in_domain": alphabet.in_domain}
     exec(compile(_instances_source(alphabet, rel), "<schema instances>", "exec"), namespace)

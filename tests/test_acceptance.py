@@ -175,16 +175,23 @@ def test_criterion_09_snf_certificates(capfd):
 def test_criterion_10_tietze_soundness_regression(capfd):
     failures = []
     steps = 0
+    # the reports themselves, so a speed change that moves any step count,
+    # epoch start, invariant or check count fails here
+    reports = hashlib.sha256()
     for name in sorted(SCRIPTS):
         try:
             rep = audit_script(SCRIPTS[name], name, 4, checkpoint_every=150)
             steps += rep.steps_verified
+            reports.update(repr((name, rep.steps_verified, [
+                (e.start_step, e.invariants, e.checks) for e in rep.epochs])).encode())
         except AssertionError as err:
             failures.append((name, str(err)))
     _report(capfd, 10, not failures,
             f"abelian invariants preserved across {steps} certified elimination "
             f"steps over all {len(SCRIPTS)} replay scripts at window 4")
     assert not failures, failures
+    assert reports.hexdigest() == (
+        "2299758a743286027b83c71dfae235e3c6ed539de565d06fedd60aeadbf74f28")
 
 
 def test_registry_ends_green():

@@ -72,15 +72,16 @@ def test_auditor_rejects_a_forged_defining_sign():
 
 
 def _counted_exponent_vectors(monkeypatch):
-    """The words whose exponent vector is computed from now on, in order."""
+    """The words whose exponent vector the auditor computes from now on, in
+    order."""
     counted = []
-    exponent_vector = Word.exponent_vector
+    vector = AbelianStepAuditor._vector
 
-    def counting(w):
+    def counting(self, w):
         counted.append(w)
-        return exponent_vector(w)
+        return vector(self, w)
 
-    monkeypatch.setattr(Word, "exponent_vector", counting)
+    monkeypatch.setattr(AbelianStepAuditor, "_vector", counting)
     return counted
 
 
@@ -170,6 +171,75 @@ def test_a_rename_that_skips_a_relator_fails_the_next_elimination_through_it(mon
         p.eliminate(*ELIMINATE)
 
 
+# a generator that held rows of the presentation above hold, and a fresh name for it
+RENAMED = (("a", (-2, 1, 2)), ("a", (9, 1, 2)))
+
+
+class _RenameCheckingAuditor(AbelianStepAuditor):
+    """Checks that every rename leaves each row and count as it was, moves
+    only the column map, and forgets the words of the held rows in the
+    renamed column."""
+
+    renamed_held = renamed_unheld = 0
+
+    def _verify_rename(self, step):
+        old, new = step["old"], step["new"]
+        c = self.col[old]
+        rows = {rid: dict(row) for rid, row in self.rows.items()}
+        row_objects = dict(self.rows)
+        count, unheld = list(self.count), {c2: set(ids) for c2, ids in self.unheld.items()}
+        col, gen_of = dict(self.col), list(self.gen_of)
+        words = dict(self.words)
+        super()._verify_rename(step)
+        assert self.rows == rows
+        assert all(self.rows[rid] is row for rid, row in row_objects.items())
+        assert self.count == count and self.unheld == unheld
+        del col[old]
+        col[new] = c
+        gen_of[c] = new
+        assert self.col == col and self.gen_of == gen_of
+        assert self.words == {rid: None if c in rows[rid] else w for rid, w in words.items()}
+        self.renamed_held += any(c in rows[rid] for rid in words)
+        self.renamed_unheld += any(c in row for rid, row in rows.items() if rid not in words)
+
+
+def test_a_rename_moves_only_the_column_map():
+    # a script's renames meet only unheld rows; on a full start every row is held
+    auditor = _RenameCheckingAuditor(checkpoint_every=150)
+    presentation = SCRIPTS["simplify-gvb-n4"](3, callback=auditor)
+    assert auditor.renamed_unheld == 10 and not auditor.renamed_held
+    auditor.finish(presentation, "simplify-gvb-n4", 3)
+    auditor = _RenameCheckingAuditor(checkpoint_every=1)
+    p = TruncatedPresentation.from_schema(simplified_derived("SG", 3), 3, callback=auditor)
+    p.rename(*RENAMED)
+    assert auditor.renamed_held == 1
+    assert auditor.finish(p, "demo", 3).steps_verified == 1
+
+
+def test_a_step_passing_a_pre_rename_word_is_out_of_sync():
+    auditor, p = _audited_presentation()
+    old, new = RENAMED
+    c = auditor.col[old]
+    rid = next(rid for rid in auditor.words if c in auditor.rows[rid])
+    before = p.relators[rid]
+    assert auditor.words[rid] is before
+    p.rename(old, new)
+    assert p.relators[rid] is not before
+    with pytest.raises(AuditError, match="out of sync"):
+        auditor({"kind": "derive", "source_rid": rid, "source_word": before,
+                 "deleted": [], "trivial_rids": {}, "rid": -1, "word": before})
+
+
+def test_rows_in_a_column_that_does_not_map_back_fail_the_next_checkpoint():
+    auditor, p = _audited_presentation()
+    old, new = RENAMED
+    p.rename(old, new)
+    # new stands for a fresh column; its old one is still held by rows
+    auditor._column(new)
+    with pytest.raises(AuditError, match=r"rows hold a\[9,1,2\], which is not a generator"):
+        auditor.finish(p, "demo", 3)
+
+
 def test_auditor_requires_one_letter_backing_for_derives():
     auditor, p = _audited_presentation()
 
@@ -234,13 +304,18 @@ def test_audit_script_smoke():
 
 
 class _RecountingAuditor(AbelianStepAuditor):
-    """Checks the per-generator row counts, and the index of the rows the
-    presentation does not hold, against a recount after every step."""
+    """Checks the per-column row counts, and the index of the rows the
+    presentation does not hold, against a recount after every step, and
+    that every column a row holds stands for a generator that maps back
+    to it."""
 
     def __call__(self, step):
         super().__call__(step)
         recount = Counter(chain.from_iterable(self.rows.values()))
-        assert {g: c for g, c in self.count.items() if c} == dict(recount), step["kind"]
+        assert {c: n for c, n in enumerate(self.count) if n} == dict(recount), step["kind"]
+        for c in recount:
+            g = self.gen_of[c]
+            assert g in self.gens and self.col[g] == c, step["kind"]
         unheld = {}
         for rid, row in self.rows.items():
             if rid not in self.words:
