@@ -15,8 +15,8 @@ Two engines:
   membership tests ``v in rowspace(A)`` (forced-trivial generators) and
   rank questions on matrices with thousands of rows.  Unit pivots are
   eaten first, from the shortest row that holds a +-1, kept in a heap of
-  row lengths.  Whatever dense core remains is finished by the dense
-  engine.
+  row lengths that queues a row again only when it shrinks.  Whatever
+  dense core remains is finished by the dense engine.
 
 :func:`perfectness_window_check` asks one tracked reduction which interior
 generators of a truncated presentation are forced trivial.
@@ -24,6 +24,7 @@ generators of a truncated presentation are forced trivial.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -168,6 +169,10 @@ def smith_normal_form(a: IntegerMatrix) -> SNFResult:
 # sparse engine
 
 
+# a length no row reaches: the queued length of a row that is not queued
+_UNQUEUED = sys.maxsize
+
+
 class LatticeReduction:
     """Row-space reduction of an integer matrix, column transform tracked.
 
@@ -179,41 +184,58 @@ class LatticeReduction:
 
     Unit pivots: the shortest live row that holds a +-1, ties to the lower
     row index, pivots on its unit of least column support, ties to the
-    lower column.  A heap of ``(len(row), row)`` keeps the rule: every row
-    a row operation changes is pushed again, a popped entry whose length is
-    stale is dropped, and so is a row without a unit until a change
-    re-queues it.  Clearing the pivot column by row operations leaves the
-    pivot row alone in it, so the column operations that clear the pivot
-    row only drop it from its columns' supports (and update ``v``).
+    lower column.  A heap of ``(length, row)`` keeps the rule, and
+    ``_queued[i]`` is the length at which row ``i`` is queued, never above
+    its length (``_UNQUEUED`` when it is not queued).  A row operation
+    pushes a row only if it shrank below that length, or if it is not
+    queued; a popped entry older than the row's last push is skipped, and
+    one whose row has grown since is pushed again at its length.  A row
+    without a unit is dropped from the queue until a change re-queues it.
+    Clearing the pivot column by row operations leaves the pivot row alone
+    in it, so the column operations that clear the pivot row only drop it
+    from its columns' supports (and update ``v``).
 
     Without ``track_v`` a column index need not be below ``ncols``.
     """
 
     def __init__(self, rows: list[dict[int, int]], ncols: int, track_v: bool = True):
         self.ncols = ncols
-        self.rows: dict[int, dict[int, int]] = {
-            i: {j: val for j, val in row.items() if val} for i, row in enumerate(rows)
-        }
-        self.rows = {i: row for i, row in self.rows.items() if row}
-        self.col_support: dict[int, set[int]] = {}
-        for i, row in self.rows.items():
-            for j in row:
-                self.col_support.setdefault(j, set()).add(i)
+        live: dict[int, dict[int, int]] = {}
+        col_support: dict[int, set[int]] = {}
+        queued = [_UNQUEUED] * len(rows)
+        heap = []
+        for i, row in enumerate(rows):
+            row = {j: val for j, val in row.items() if val}
+            if row:
+                live[i] = row
+                for j in row:
+                    support = col_support.get(j)
+                    if support is None:
+                        col_support[j] = {i}
+                    else:
+                        support.add(i)
+                queued[i] = len(row)
+                heap.append((len(row), i))
+        heapify(heap)
+        self.rows, self.col_support, self._queued, self._heap = live, col_support, queued, heap
         self.track_v = track_v
         self.v = IntegerMatrix.identity(ncols) if track_v else None
         self.pivots: dict[int, int] = {}
         self.done = False
-        self._heap = [(len(row), i) for i, row in self.rows.items()]
-        heapify(self._heap)
 
     def _pick_unit_pivot(self):
         """The next pivot ``(row, col)`` by the unit rule, or None."""
-        rows, heap = self.rows, self._heap
+        rows, heap, queued = self.rows, self._heap, self._queued
         while heap:
             length, i = heappop(heap)
-            row = rows.get(i)
-            if row is None or len(row) != length:
+            if queued[i] != length:  # an older entry, or the row is not queued
                 continue
+            row = rows[i]
+            if len(row) != length:  # grown since it was queued
+                queued[i] = len(row)
+                heappush(heap, (len(row), i))
+                continue
+            queued[i] = _UNQUEUED
             units = [j for j, val in row.items() if val == 1 or val == -1]
             if units:
                 col_support = self.col_support
@@ -221,7 +243,7 @@ class LatticeReduction:
         return None
 
     def run(self) -> "LatticeReduction":
-        rows, col_support, heap = self.rows, self.col_support, self._heap
+        rows, col_support, heap, queued = self.rows, self.col_support, self._heap, self._queued
         while True:
             where = self._pick_unit_pivot()
             if where is None:
@@ -245,9 +267,12 @@ class LatticeReduction:
                         del trow[col]
                         col_support[col].discard(other)
                 if trow:
-                    heappush(heap, (len(trow), other))
+                    if len(trow) < queued[other]:
+                        queued[other] = len(trow)
+                        heappush(heap, (len(trow), other))
                 else:
                     del rows[other]
+                    queued[other] = _UNQUEUED
             for col in pivot:
                 col_support[col].discard(i)
             if self.track_v and pivot:

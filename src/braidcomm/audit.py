@@ -31,18 +31,21 @@ the presentation and maps back to it; a checkpoint refuses rows that hold
 any other column, then reduces the rows as they are.
 
 A replay starts pruned: the presentation holds only the relators its moves
-read.  At ``start`` the auditor reads every relator of the full start
-through ``all_relators()``.  A held row keeps its word; an unheld row keeps
-only its exponent vector, and ``unheld[c]`` lists the unheld rows nonzero
-in column ``c``.  A move changes an unheld relator by a free-group
-endomorphism, which abelianizes to a column operation, so the auditor
-applies it itself: ``eliminate`` subtracts (row target coefficient) times
-(sign times defining row) from every unheld row that holds the target, and
-``rename`` relabels a column.  No word of an unheld relator exists during
-the run, so a bad substitution into one is caught at ``finish``, which
-recounts ``all_relators()`` and requires every nonzero shadow row to equal
-it, id for id; the full route drops a relator whose word empties, so a
-zero row may be absent there.  A generator the shadow never saw gets a
+read.  At ``start`` the auditor keeps ``unread``, the start words of the
+relators the presentation left out (``unread_relators()``), and reads every
+relator of the full start as ``closure(unread)``.  A held row keeps its
+word; an unheld row keeps only its exponent vector, and ``unheld[c]``
+lists the unheld rows nonzero in column ``c``.  A move changes an unheld
+relator by a free-group endomorphism, which abelianizes to a column
+operation, so the auditor applies it itself: ``eliminate`` subtracts (row
+target coefficient) times (sign times defining row) from every unheld row
+that holds the target, and ``rename`` relabels a column.  No word of an
+unheld relator is rewritten during the run, so a bad substitution into one
+is caught at ``finish``.  ``finish`` closes the words read at ``start``,
+``closure(unread)`` on the presentation the ``start`` event named, with no
+enumeration of its schema, and requires every nonzero shadow row to equal
+the recount, id for id; the full route drops a relator whose word empties,
+so a zero row may be absent there.  A generator the shadow never saw gets a
 fresh column there, so such a relator cannot match.
 
 ``count[c]`` is the number of rows nonzero in column ``c``.  A verified
@@ -61,6 +64,7 @@ of every held row in that column to None.
 """
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -96,6 +100,12 @@ class AbelianStepAuditor:
         self.count: list[int] = []
         self.unheld: dict[int, set[int]] = {}
         self.gens: set[Gen] = set()
+        # the presentation the start event named, by a weak reference, since
+        # it holds the auditor as its callback; before a start, none
+        self._started = lambda: None
+        self.unread: dict[int, Word] = {}
+        if checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be at least 1, not {checkpoint_every}")
         self.checkpoint_every = checkpoint_every
         self.steps = 0
         self.epochs: list[EpochRecord] = []
@@ -190,7 +200,8 @@ class AbelianStepAuditor:
             self.col, self.gen_of, self.count = {}, [], []
             self.rows, self.words, self.unheld = {}, {}, {}
             held = p.relators
-            for rid, w in p.all_relators().items():
+            self._started, self.unread = weakref.ref(p), p.unread_relators()
+            for rid, w in p.closure(self.unread).items():
                 if rid in held:
                     self._set_row(rid, w)
                 else:
@@ -217,13 +228,15 @@ class AbelianStepAuditor:
         self._checkpoint()
 
     def finish(self, presentation, script: str, window: int) -> AuditReport:
+        if presentation is not self._started():
+            raise AuditError("finish was given a presentation the audit did not start on")
         self._open_epoch_if_needed()
         self._checkpoint(force=True)
         # the shadow must agree with every relator of the survivor
         # presentation; the full route drops a relator whose word empties
         rows, words = self.rows, self.words
         actual = {rid: rows[rid] if words.get(rid) is w else self._vector(w)
-                  for rid, w in presentation.all_relators().items()}
+                  for rid, w in presentation.closure(self.unread).items()}
         if actual != {rid: row for rid, row in rows.items() if row or rid in actual}:
             raise AuditError("shadow matrix diverged from the presentation")
         if set(presentation.gens) != self.gens:

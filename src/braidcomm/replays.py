@@ -26,7 +26,7 @@ the final relators: ``relator-list`` and the quotient certificates.
 ``braidcomm replay`` and the ``fingen`` verdicts never ask for them.  An
 observer (the audit) sees the ``start`` event and one event per move, each
 naming only the kept relators it touches; it reads the unkept ones once,
-from the ``start`` presentation's ``all_relators()``.  The kept relators
+from the ``start`` presentation's ``unread_relators()``.  The kept relators
 are a subset of the full ones, so the group they present surjects onto
 the full truncation, generator to generator: a generator expressed
 through the survivors there is expressed through them in the full group

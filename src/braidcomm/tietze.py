@@ -41,11 +41,15 @@ hashing stay value-based; nothing depends on which object holds a value.
 A move reads only relators it names; it changes every other relator by a
 substitution (``eliminate``) or a relabelling (``rename``), both
 free-group endomorphisms followed by free reduction.  Free reduction
-commutes with endomorphisms, so ``all_relators()`` gets the full route's
-relators on a pruned start by enumerating the start again and applying
-the composite of the moves once to each unkept instance.  A relator some
-substitution empties is dropped there, as ``eliminate`` drops it; an
-untouched one stays as it was.  Nothing is kept between calls.
+commutes with endomorphisms, so the full route's relators on a pruned
+start are ``all_relators() = closure(unread_relators())``:
+``unread_relators()`` enumerates the start again for the words of the
+unkept instances, and ``closure`` applies the composite of the moves once
+to each of them.  A relator some substitution empties is dropped there, as
+``eliminate`` drops it; an untouched one stays as it was.  The presentation
+keeps nothing between calls; an observer that closes the same start words
+more than once (the audit, at ``start`` and at ``finish``) holds them
+itself, for as long as it needs them.
 
 Every move appends one transcript record holding the words it built;
 ``transcript`` and ``transcript_text()`` render the records as lines when
@@ -55,7 +59,7 @@ returns.  Replays are deterministic, so transcripts are reproducible byte
 for byte.  An observer ``callback``, fixed when the presentation is built,
 sees one event per move before it applies, naming only the relators the
 presentation holds; on a pruned start, the ``start`` event's
-``all_relators()`` gives it every relator of the full start.
+``unread_relators()`` give it the other relators of the full start.
 
 The generator index is a superset: ``_gen_index[g]`` lists every live
 relator in which ``g`` occurs, and may also list removed ids and ids whose
@@ -265,25 +269,40 @@ class TruncatedPresentation:
 
     def all_relators(self) -> dict[int, Word]:
         """Every relator of the presentation, by ascending id, as the full
-        route holds it.  On a full start these are the held relators.  A
-        pruned start enumerates its instances again and adds the image of
-        each unkept one under the composite of the moves, unless a move
-        emptied it; see the module docstring."""
+        route holds it: ``closure(unread_relators())``.  On a full start
+        these are the held relators."""
+        return self.closure(self.unread_relators())
+
+    def unread_relators(self) -> dict[int, Word]:
+        """The start word of each instance a pruned start left out, by
+        ascending id, from one enumeration of its instances; ``{}`` on a
+        full start."""
         if self._pruned is None:
-            return self.relators
+            return {}
         schema, mask = self._pruned
-        images = self._composite()
         out: dict[int, Word] = {}
         rid = 0
         shared = SharedValues()
         for rel in schema.relators:
             for _, w in instances(schema, rel, self.window, shared):
                 if not mask[rid]:
-                    image = substitute_all(w, images)
-                    if image is w or image:  # the full route drops an emptied relator
-                        out[rid] = image
+                    out[rid] = w
                 rid += 1
-        out.update(self.relators)
+        return out
+
+    def closure(self, unread: dict[int, Word]) -> dict[int, Word]:
+        """The held relators and the image of each ``unread`` start word
+        under the composite of the moves, by ascending id, unless a move
+        emptied it; see the module docstring.  With no unread word these
+        are the held relators."""
+        if not unread:
+            return self.relators
+        out = dict(self.relators)
+        images = self._composite()
+        for rid, w in unread.items():
+            image = substitute_all(w, images) if images else w
+            if image is w or image:  # the full route drops an emptied relator
+                out[rid] = image
         return dict(sorted(out.items()))
 
     def _composite(self) -> dict[Gen, tuple[Word, Word]]:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidcomm import abelian, audit, replays
@@ -107,13 +107,16 @@ class RescanCheckedReduction(LatticeReduction):
 
 
 @given(sparse_matrices(), st.booleans())
+# row 0 holds no unit and leaves the queue; clearing column 0 with row 1
+# leaves it {1: 1}, so it must be queued again
+@example(IntegerMatrix([[2, 3], [1, 1]]), True)
 @settings(max_examples=150, deadline=None)
 def test_unit_pivots_follow_the_rescan_rule(m, track_v):
     RescanCheckedReduction(_sparse_rows(m), m.cols, track_v=track_v).run()
 
 
-def _audit_matrices(monkeypatch):
-    """Every matrix the simplify-gvb-n4 audit abelianizes at window 4,
+def _audit_matrices(monkeypatch, name="simplify-gvb-n4"):
+    """Every matrix the audit of the named script abelianizes at window 4,
     starting with the start presentation's."""
     matrices = []
 
@@ -122,13 +125,15 @@ def _audit_matrices(monkeypatch):
         return (0, [])
 
     monkeypatch.setattr(audit, "abelian_invariants_of_matrix", record)
-    audit.audit_script(replays.SCRIPTS["simplify-gvb-n4"], "simplify-gvb-n4", 4,
-                       checkpoint_every=150)
+    audit.audit_script(replays.SCRIPTS[name], name, 4, checkpoint_every=150)
     monkeypatch.undo()
     return matrices
 
 
 def test_unit_pivots_follow_the_rescan_rule_on_real_matrices(monkeypatch):
+    # the fingen-sg-n6 audit's matrices have full column rank
+    for rows, ncols in _audit_matrices(monkeypatch, "fingen-sg-n6"):
+        assert RescanCheckedReduction(rows, ncols, track_v=False).run().rank() == ncols
     matrices = _audit_matrices(monkeypatch)
     p = TruncatedPresentation.from_schema(simplified_derived("GVB", 5), 4)
     mat = relation_matrix(p)

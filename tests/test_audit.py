@@ -1,13 +1,16 @@
+import gc
+import weakref
 from collections import Counter
 from itertools import chain
 
 import pytest
 
+from braidcomm import tietze
 from braidcomm.audit import AbelianStepAuditor, AuditError, audit_script
-from braidcomm.derived import simplified_derived
+from braidcomm.derived import raw_derived, simplified_derived
 from braidcomm.replays import SCRIPTS
 from braidcomm.tietze import TruncatedPresentation, origin_of
-from braidcomm.words import Word, gen, word
+from braidcomm.words import Word, gen, invert, word
 from oracles import run_on_full_start
 
 
@@ -367,3 +370,76 @@ def test_a_closure_that_skips_the_last_move_of_a_kind_fails_finish(name, kind, m
     monkeypatch.setattr(TruncatedPresentation, "_composite", skipping)
     with pytest.raises(AuditError, match="shadow matrix diverged"):
         audit_script(SCRIPTS[name], name, 3)
+
+
+@pytest.mark.parametrize("name,schema", [("fingen-sg-n5", simplified_derived("SG", 5)),
+                                         ("simplify-gvb-n4", raw_derived("GVB", 4))])
+def test_finish_enumerates_no_schema(name, schema, monkeypatch):
+    """The start's schema is enumerated twice, to build the pruned start
+    and to read its unread words; ``finish`` closes the words it read."""
+    enumerated = []
+    instances = tietze.instances
+
+    def counting(pres, rel, *args):
+        enumerated.append(rel.label)
+        return instances(pres, rel, *args)
+
+    monkeypatch.setattr(tietze, "instances", counting)
+    auditor = AbelianStepAuditor(checkpoint_every=150)
+    presentation = SCRIPTS[name](3, callback=auditor)
+    auditor.finish(presentation, name, 3)
+    assert enumerated == [rel.label for rel in schema.relators] * 2
+    assert auditor.unread
+
+
+@pytest.mark.parametrize("forge", ["drop", "invert"])
+def test_finish_fails_on_an_unread_word_it_did_not_read_at_start(forge):
+    name = "simplify-gvb-n4"
+    auditor = AbelianStepAuditor(checkpoint_every=150)
+    presentation = SCRIPTS[name](3, callback=auditor)
+    # an unread relator whose shadow row survives nonzero
+    live = [rid for rid in auditor.unread if auditor.rows.get(rid)]
+    rid = live[len(live) // 2]
+    if forge == "drop":
+        del auditor.unread[rid]
+    else:
+        auditor.unread[rid] = invert(auditor.unread[rid])
+    with pytest.raises(AuditError, match="shadow matrix diverged"):
+        auditor.finish(presentation, name, 3)
+
+
+def test_finish_refuses_a_presentation_the_audit_did_not_start_on():
+    auditor, p = _audited_presentation()
+    p.eliminate(*ELIMINATE)
+    # an equal presentation is still another one
+    twin = TruncatedPresentation.from_schema(simplified_derived("SG", 3), 3)
+    twin.eliminate(*ELIMINATE)
+    with pytest.raises(AuditError, match="did not start on"):
+        auditor.finish(twin, "demo", 3)
+    with pytest.raises(AuditError, match="did not start on"):
+        AbelianStepAuditor().finish(p, "demo", 3)
+    assert auditor.finish(p, "demo", 3).steps_verified == 1
+
+
+def test_an_audit_keeps_no_presentation_alive():
+    """The presentation holds the auditor as its callback, so an auditor
+    that held it back would keep both, unread words and all, until the
+    cyclic collector ran."""
+    gc.disable()
+    try:
+        auditor = AbelianStepAuditor(checkpoint_every=150)
+        presentation = SCRIPTS["simplify-sg-n3"](3, callback=auditor)
+        auditor.finish(presentation, "simplify-sg-n3", 3)
+        alive = weakref.ref(presentation)
+        del auditor, presentation
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("every", [0, -1])
+def test_a_checkpoint_interval_below_one_is_refused(every):
+    with pytest.raises(ValueError, match="checkpoint_every must be at least 1"):
+        AbelianStepAuditor(checkpoint_every=every)
+    with pytest.raises(ValueError, match="checkpoint_every must be at least 1"):
+        audit_script(SCRIPTS["simplify-sg-n3"], "simplify-sg-n3", 3, checkpoint_every=every)

@@ -145,27 +145,44 @@ def _fingerprint(p, kinds):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _assert_pruned_replays_like(pruned, name, window):
+def _observer(kinds, start):
+    """An observer that appends the kind of each event to ``kinds`` and
+    copies the relators the presentation holds at ``start`` into ``start``."""
+    def see(step):
+        kinds.append(step["kind"])
+        if step["kind"] == "start":
+            start.update(step["presentation"].relators)
+    return see
+
+
+def _assert_pruned_replays_like(pruned, start, name, window):
     """A start pruned to the relators the moves read replays exactly like
     the full start of the eager route, ``start`` line included, while
-    holding fewer relators.  It reports every relator of the full route,
-    id for id, and so the same interior relators and relation matrix."""
-    full = run_on_full_start(SCRIPTS[name], window)
+    holding fewer relators.  Its unread start words and the relators it
+    held at ``start`` are the eager start's relators, id for id.  It
+    reports every relator of the full route, id for id, and so the same
+    interior relators and relation matrix."""
+    eager_start = {}
+    full = run_on_full_start(SCRIPTS[name], window, callback=_observer([], eager_start))
+    unread = pruned.unread_relators()
+    assert list(unread) == sorted(unread) and not unread.keys() & start.keys()
+    assert {**start, **unread} == eager_start
     assert pruned.transcript == full.transcript
     assert pruned.gens == full.gens
     assert pruned.interior() == full.interior()
     assert len(pruned.relators) < len(full.relators)
     assert pruned.all_relators() == full.relators
+    assert pruned.closure(unread) == pruned.all_relators()
     assert pruned.interior_relator_set() == full.interior_relator_set()
     assert relation_matrix(pruned) == relation_matrix(full)
 
 
 @pytest.mark.parametrize("name,window", sorted(GOLDEN))
 def test_replay_matches_golden_hash(name, window):
-    kinds = []
-    p = SCRIPTS[name](window, callback=lambda step: kinds.append(step["kind"]))
+    kinds, start = [], {}
+    p = SCRIPTS[name](window, callback=_observer(kinds, start))
     assert _fingerprint(p, kinds) == GOLDEN[(name, window)]
-    _assert_pruned_replays_like(p, name, window)
+    _assert_pruned_replays_like(p, start, name, window)
 
 
 def test_golden_covers_every_script():
@@ -177,7 +194,9 @@ def test_the_pruned_start_replays_like_the_full_one_past_the_golden_windows():
     # simplify-gvb-n6 leaves the largest share of its start unkept
     for name, window in (("fingen-sg-n6", 8), ("simplify-sg-n6", 7), ("simplify-gvb-n6", 7),
                          ("gvb3-free-quotient", 8)):
-        _assert_pruned_replays_like(SCRIPTS[name](window), name, window)
+        start = {}
+        p = SCRIPTS[name](window, callback=_observer([], start))
+        _assert_pruned_replays_like(p, start, name, window)
 
 
 def test_every_move_writes_its_origins_as_origin_of_builds_them(monkeypatch):
