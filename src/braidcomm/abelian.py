@@ -386,8 +386,7 @@ def subgroup_rank(rows: list[dict[int, int]], ncols: int, cols: list[int]) -> in
     """Rank of the subgroup the given generator columns span in the
     quotient Z^ncols / rowspace: rank([E; R]) - rank(R) with E unit rows."""
     base = matrix_rank(rows, ncols)
-    stacked = [dict(row) for row in rows] + [{c: 1} for c in cols]
-    return matrix_rank(stacked, ncols) - base
+    return matrix_rank(rows + [{c: 1} for c in cols], ncols) - base
 
 
 @dataclass

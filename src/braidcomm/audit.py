@@ -33,26 +33,29 @@ any other column, then reduces the rows as they are.
 A replay starts pruned: the presentation holds only the relators its moves
 read.  At ``start`` the auditor keeps ``unread``, the start words of the
 relators the presentation left out (``unread_relators()``), and reads every
-relator of the full start as ``closure(unread)``.  A held row keeps its
-word; an unheld row keeps only its exponent vector, and ``unheld[c]``
-lists the unheld rows nonzero in column ``c``.  A move changes an unheld
-relator by a free-group endomorphism, which abelianizes to a column
-operation, so the auditor applies it itself: ``eliminate`` subtracts (row
-target coefficient) times (sign times defining row) from every unheld row
-that holds the target, and ``rename`` relabels a column.  No word of an
-unheld relator is rewritten during the run, so a bad substitution into one
-is caught at ``finish``.  ``finish`` closes the words read at ``start``,
-``closure(unread)`` on the presentation the ``start`` event named, with no
-enumeration of its schema, and requires every nonzero shadow row to equal
-the recount, id for id; the full route drops a relator whose word empties,
-so a zero row may be absent there.  A generator the shadow never saw gets a
-fresh column there, so such a relator cannot match.
+relator of the full start as ``closure(unread)``.  A row is held when the
+presentation holds it, that is when its id is in ``words``; an unheld row
+keeps only its exponent vector.  A move changes an unheld relator by a
+free-group endomorphism, which abelianizes to a column operation, so the
+auditor applies it itself, to held and unheld rows alike: ``eliminate``
+subtracts (row target coefficient) times (sign times defining row) from
+every row that holds the target, and ``rename`` relabels a column.  A held
+row must then equal the word the step reports for it.  No word of an
+unheld relator is rewritten during the run, so a bad substitution into
+one is caught at ``finish``.  ``finish`` closes the words read at
+``start``, ``closure(unread)`` on the presentation the ``start`` event
+named, with no enumeration of its schema, and requires every nonzero
+shadow row to equal the recount, id for id; the full route drops a
+relator whose word empties, so a zero row may be absent there.  A
+generator the shadow never saw gets a fresh column there, so such a
+relator cannot match.
 
-``count[c]`` is the number of rows nonzero in column ``c``.  A verified
-rewrite changes a row only at the defining row's columns, so ``eliminate``
-updates the counts there alone.  Verified rewrites vanish at the target, so
-no unrewritten row touches it iff ``count[target column] == 1``; rows are
-scanned only to name an offender, and ``finish`` recounts them.
+``support[c]`` is the set of ids of the rows nonzero in column ``c``, held
+or not.  The column operation of ``eliminate`` visits exactly
+``support[target column]`` and changes a row only at the defining row's
+columns, so it updates ``support`` there alone.  A held row in that set
+that the step did not rewrite still references the target; ``finish``
+checks ``support`` against the rows.
 
 ``words`` holds exactly the rows the presentation holds.  ``words[rid]`` is
 the immutable word that row ``rid`` was last computed from, so
@@ -65,7 +68,6 @@ of every held row in that column to None.
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .abelian import abelian_invariants_of_matrix
@@ -97,8 +99,7 @@ class AbelianStepAuditor:
         self.gen_of: list[Gen] = []
         self.rows: dict[int, dict[int, int]] = {}
         self.words: dict[int, Word | None] = {}
-        self.count: list[int] = []
-        self.unheld: dict[int, set[int]] = {}
+        self.support: dict[int, set[int]] = {}
         self.gens: set[Gen] = set()
         # the presentation the start event named, by a weak reference, since
         # it holds the auditor as its callback; before a start, none
@@ -116,7 +117,7 @@ class AbelianStepAuditor:
     def _column(self, g: Gen) -> int:
         c = self.col[g] = len(self.gen_of)
         self.gen_of.append(g)
-        self.count.append(0)
+        self.support[c] = set()
         return c
 
     def _vector(self, w: Word) -> dict[int, int]:
@@ -135,26 +136,20 @@ class AbelianStepAuditor:
                 out.pop(c, None)
         return out
 
-    def _set_row(self, rid: int, w: Word) -> None:
-        vec = self._vector(w)
-        old = self.rows.get(rid, {})
-        for c in old.keys() - vec.keys():
-            self.count[c] -= 1
-        for c in vec.keys() - old.keys():
-            self.count[c] += 1
-        self.rows[rid] = vec
-        self.words[rid] = w
-
-    def _set_unheld_row(self, rid: int, w: Word) -> None:
-        count, unheld = self.count, self.unheld
-        vec = self.rows[rid] = self._vector(w)
-        for c in vec:
-            count[c] += 1
-            unheld.setdefault(c, set()).add(rid)
+    def _add_row(self, rid: int, w: Word, held: bool = True) -> None:
+        """A new row ``rid``, the exponent vector of ``w``; a held one keeps
+        ``w`` in ``words``."""
+        support = self.support
+        row = self.rows[rid] = self._vector(w)
+        for c in row:
+            support[c].add(rid)
+        if held:
+            self.words[rid] = w
 
     def _del_row(self, rid: int) -> None:
+        support = self.support
         for c in self.rows.pop(rid):
-            self.count[c] -= 1
+            support[c].discard(rid)
         self.words.pop(rid, None)
 
     def _synced_row(self, rid: int, w: Word) -> dict[int, int] | None:
@@ -169,8 +164,8 @@ class AbelianStepAuditor:
 
     def _invariants(self) -> tuple:
         col, gen_of, gens = self.col, self.gen_of, self.gens
-        stray = [gen_of[c] for c, n in enumerate(self.count)
-                 if n and (gen_of[c] not in gens or col.get(gen_of[c]) != c)]
+        stray = [gen_of[c] for c, ids in self.support.items()
+                 if ids and (gen_of[c] not in gens or col.get(gen_of[c]) != c)]
         if stray:
             raise AuditError(f"rows hold {fmt_gen(min(stray))}, which is not a generator")
         free_rank, torsion = abelian_invariants_of_matrix(list(self.rows.values()),
@@ -197,21 +192,17 @@ class AbelianStepAuditor:
         kind = step["kind"]
         if kind == "start":
             p = step["presentation"]
-            self.col, self.gen_of, self.count = {}, [], []
-            self.rows, self.words, self.unheld = {}, {}, {}
+            self.col, self.gen_of, self.rows, self.support, self.words = {}, [], {}, {}, {}
             held = p.relators
-            self._started, self.unread = weakref.ref(p), p.unread_relators()
-            for rid, w in p.closure(self.unread).items():
-                if rid in held:
-                    self._set_row(rid, w)
-                else:
-                    self._set_unheld_row(rid, w)
+            self._started, self.unread = weakref.ref(p), dict(p.unread_relators())
+            for rid, w in p.closure(self.unread.items()).items():
+                self._add_row(rid, w, rid in held)
             self.gens = set(p.gens)
             self._epoch_dirty = True
             return
         if kind == "adjoin":
             w = step["word"]
-            self._set_row(step["rid"], w)
+            self._add_row(step["rid"], w)
             self.gens.update(w.generators())
             self._epoch_dirty = True
             return
@@ -236,14 +227,15 @@ class AbelianStepAuditor:
         # presentation; the full route drops a relator whose word empties
         rows, words = self.rows, self.words
         actual = {rid: rows[rid] if words.get(rid) is w else self._vector(w)
-                  for rid, w in presentation.closure(self.unread).items()}
+                  for rid, w in presentation.closure(self.unread.items()).items()}
         if actual != {rid: row for rid, row in rows.items() if row or rid in actual}:
             raise AuditError("shadow matrix diverged from the presentation")
         if set(presentation.gens) != self.gens:
             raise AuditError("shadow generator set diverged from the presentation")
-        recount = Counter(c for row in rows.values() for c in row)
-        if dict(recount) != {c: n for c, n in enumerate(self.count) if n}:
-            raise AuditError("shadow row counts diverged from the rows")
+        support = self.support
+        if (any(rid not in support[c] for rid, row in rows.items() for c in row)
+                or sum(map(len, support.values())) != sum(map(len, rows.values()))):
+            raise AuditError("shadow column support diverged from the rows")
         return AuditReport(script, window, self.steps, self.epochs)
 
     # -- certificates ------------------------------------------------------------
@@ -260,54 +252,38 @@ class AbelianStepAuditor:
             raise AuditError(
                 f"defining row has coefficient {defining.get(t, 0)} at "
                 f"{fmt_gen(target)}, expected {sign}")
-        rows, count = self.rows, self.count
-        for rid2, old, new in step["touched"]:
-            oldv = self._synced_row(rid2, old)
-            if oldv is None:
+        touched = step["touched"]
+        for rid2, old, _ in touched:
+            if self._synced_row(rid2, old) is None:
                 raise AuditError(f"row {rid2} out of sync before substitution")
-            coeff = oldv.get(t, 0)
-            predicted = dict(oldv)
-            for c, v in defining.items():
-                predicted[c] = predicted.get(c, 0) - coeff * sign * v
-                if predicted[c] == 0:
-                    del predicted[c]
-            newv = self._vector(new)
-            if predicted != newv:
-                raise AuditError(
-                    f"substitution into row {rid2} is not the predicted row operation")
-            if new:
-                # a relator may abelianize to zero yet survive as a word
-                for c in defining:
-                    if (c in oldv) != (c in newv):
-                        count[c] += 1 if c in newv else -1
-                rows[rid2] = newv
-                self.words[rid2] = new
-            else:
-                self._del_row(rid2)
-        # the same column operation on the rows the presentation does not hold
-        unheld = self.unheld
-        for rid2 in sorted(unheld.get(t, ())):
+        rows, words, support = self.rows, self.words, self.support
+        rewritten = {rid2 for rid2, _, _ in touched}
+        skipped = [rid2 for rid2 in support[t]
+                   if rid2 in words and rid2 not in rewritten and rid2 != rid]
+        if skipped:
+            raise AuditError(
+                f"row {min(skipped)} still references {fmt_gen(target)} but was not rewritten")
+        # one column operation on every row that holds the target, held or not
+        for rid2 in support[t] - {rid}:
             row = rows[rid2]
             coeff = row[t] * sign
             for c, v in defining.items():
                 x = row.get(c, 0) - coeff * v
                 if x:
                     if c not in row:
-                        count[c] += 1
-                        unheld.setdefault(c, set()).add(rid2)
+                        support[c].add(rid2)
                     row[c] = x
                 elif c in row:
                     del row[c]
-                    count[c] -= 1
-                    unheld[c].discard(rid2)
-        unheld.pop(t, None)
-        # applied rows vanish at the target: only the defining row may hold it
-        if count[t] != 1:
-            for rid2, row in rows.items():
-                if rid2 != rid and t in row:
-                    raise AuditError(
-                        f"row {rid2} still references {fmt_gen(target)} but was not rewritten")
-            raise AuditError("shadow row counts diverged from the rows")
+                    support[c].discard(rid2)
+        for rid2, _, new in touched:
+            if rows[rid2] != self._vector(new):
+                raise AuditError(
+                    f"substitution into row {rid2} is not the predicted row operation")
+            if new:  # a relator may abelianize to zero yet survive as a word
+                words[rid2] = new
+            else:
+                self._del_row(rid2)
         self._del_row(rid)
         self.gens.discard(target)
 
@@ -327,7 +303,7 @@ class AbelianStepAuditor:
         predicted = {c: v for c, v in source.items() if c not in deleted}
         if predicted != self._vector(step["word"]):
             raise AuditError("derived row is not the source row with letters deleted")
-        self._set_row(step["rid"], step["word"])
+        self._add_row(step["rid"], step["word"])
 
     def _verify_rename(self, step: dict) -> None:
         old, new = step["old"], step["new"]
@@ -341,9 +317,9 @@ class AbelianStepAuditor:
         # the column now stands for new; a column new had before goes stale
         c = col[new] = col.pop(old)
         self.gen_of[c] = new
-        rows, words = self.rows, self.words
-        for rid in words:
-            if c in rows[rid]:
+        words = self.words
+        for rid in self.support[c]:
+            if rid in words:
                 words[rid] = None
         self.gens.discard(old)
         self.gens.add(new)

@@ -45,11 +45,12 @@ commutes with endomorphisms, so the full route's relators on a pruned
 start are ``all_relators() = closure(unread_relators())``:
 ``unread_relators()`` enumerates the start again for the words of the
 unkept instances, and ``closure`` applies the composite of the moves once
-to each of them.  A relator some substitution empties is dropped there, as
-``eliminate`` drops it; an untouched one stays as it was.  The presentation
-keeps nothing between calls; an observer that closes the same start words
-more than once (the audit, at ``start`` and at ``finish``) holds them
-itself, for as long as it needs them.
+to each of them; ``all_relators()`` streams them, so each start word is
+dropped once substituted.  A relator some substitution empties is dropped
+there, as ``eliminate`` drops it; an untouched one stays as it was.  The
+presentation keeps nothing between calls; an observer that closes the
+same start words more than once (the audit, at ``start`` and at
+``finish``) holds them itself, for as long as it needs them.
 
 Every move appends one transcript record holding the words it built;
 ``transcript`` and ``transcript_text()`` render the records as lines when
@@ -72,6 +73,7 @@ and drops the target's entry.  Every reader filters against the words:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from operator import itemgetter
 
 # enumerate_bindings is unused here; perfbench/tracing.py patches this name
@@ -273,33 +275,32 @@ class TruncatedPresentation:
         these are the held relators."""
         return self.closure(self.unread_relators())
 
-    def unread_relators(self) -> dict[int, Word]:
-        """The start word of each instance a pruned start left out, by
-        ascending id, from one enumeration of its instances; ``{}`` on a
-        full start."""
+    def unread_relators(self) -> Iterator[tuple[int, Word]]:
+        """Yield (id, start word) for each instance a pruned start left
+        out, by ascending id, from one enumeration of its instances;
+        nothing on a full start."""
         if self._pruned is None:
-            return {}
+            return
         schema, mask = self._pruned
-        out: dict[int, Word] = {}
         rid = 0
         shared = SharedValues()
         for rel in schema.relators:
             for _, w in instances(schema, rel, self.window, shared):
                 if not mask[rid]:
-                    out[rid] = w
+                    yield rid, w
                 rid += 1
-        return out
 
-    def closure(self, unread: dict[int, Word]) -> dict[int, Word]:
-        """The held relators and the image of each ``unread`` start word
-        under the composite of the moves, by ascending id, unless a move
-        emptied it; see the module docstring.  With no unread word these
-        are the held relators."""
-        if not unread:
+    def closure(self, unread: Iterable[tuple[int, Word]]) -> dict[int, Word]:
+        """The held relators and the image of each ``unread`` (id, start
+        word) under the composite of the moves, by ascending id, unless a
+        move emptied it; see the module docstring.  It keeps no start word
+        past its substitution.  On a full start these are the held
+        relators."""
+        if self._pruned is None:
             return self.relators
         out = dict(self.relators)
         images = self._composite()
-        for rid, w in unread.items():
+        for rid, w in unread:
             image = substitute_all(w, images) if images else w
             if image is w or image:  # the full route drops an emptied relator
                 out[rid] = image

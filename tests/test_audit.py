@@ -1,7 +1,5 @@
 import gc
 import weakref
-from collections import Counter
-from itertools import chain
 
 import pytest
 
@@ -174,14 +172,36 @@ def test_a_rename_that_skips_a_relator_fails_the_next_elimination_through_it(mon
         p.eliminate(*ELIMINATE)
 
 
+def test_a_step_that_rewrites_a_row_the_presentation_does_not_hold_is_refused():
+    # one column operation moves every row, held or not; a step still may
+    # rewrite only the relators the presentation holds
+    auditor = AbelianStepAuditor(checkpoint_every=10**9)
+    forged = []
+
+    def forge(step):
+        if step["kind"] == "eliminate" and not forged:
+            unheld = sorted(rid for rid in auditor.support[auditor.col[step["target"]]]
+                            if rid not in auditor.words
+                            and auditor.rows[rid] == auditor._vector(auditor.unread[rid]))
+            if unheld:
+                forged.append(unheld[0])
+                old = auditor.unread[unheld[0]]
+                step["touched"].append((unheld[0], old, old))
+        auditor(step)
+
+    with pytest.raises(AuditError, match=r"row (\d+) out of sync before substitution") as err:
+        SCRIPTS["simplify-sg-n3"](3, callback=forge)
+    assert err.match(f"row {forged[0]} ")
+
+
 # a generator that held rows of the presentation above hold, and a fresh name for it
 RENAMED = (("a", (-2, 1, 2)), ("a", (9, 1, 2)))
 
 
 class _RenameCheckingAuditor(AbelianStepAuditor):
-    """Checks that every rename leaves each row and count as it was, moves
-    only the column map, and forgets the words of the held rows in the
-    renamed column."""
+    """Checks that every rename leaves each row and the column support as
+    they were, moves only the column map, and forgets the words of the held
+    rows in the renamed column."""
 
     renamed_held = renamed_unheld = 0
 
@@ -190,13 +210,13 @@ class _RenameCheckingAuditor(AbelianStepAuditor):
         c = self.col[old]
         rows = {rid: dict(row) for rid, row in self.rows.items()}
         row_objects = dict(self.rows)
-        count, unheld = list(self.count), {c2: set(ids) for c2, ids in self.unheld.items()}
+        support = {c2: set(ids) for c2, ids in self.support.items()}
         col, gen_of = dict(self.col), list(self.gen_of)
         words = dict(self.words)
         super()._verify_rename(step)
         assert self.rows == rows
         assert all(self.rows[rid] is row for rid, row in row_objects.items())
-        assert self.count == count and self.unheld == unheld
+        assert self.support == support
         del col[old]
         col[new] = c
         gen_of[c] = new
@@ -307,24 +327,20 @@ def test_audit_script_smoke():
 
 
 class _RecountingAuditor(AbelianStepAuditor):
-    """Checks the per-column row counts, and the index of the rows the
-    presentation does not hold, against a recount after every step, and
-    that every column a row holds stands for a generator that maps back
-    to it."""
+    """Checks the column support, the ids of the rows nonzero in each
+    column, against a recount after every step, and that every column a
+    row holds stands for a generator that maps back to it."""
 
     def __call__(self, step):
         super().__call__(step)
-        recount = Counter(chain.from_iterable(self.rows.values()))
-        assert {c: n for c, n in enumerate(self.count) if n} == dict(recount), step["kind"]
-        for c in recount:
+        support = {}
+        for rid, row in self.rows.items():
+            for c in row:
+                support.setdefault(c, set()).add(rid)
+        assert {c: ids for c, ids in self.support.items() if ids} == support, step["kind"]
+        for c in support:
             g = self.gen_of[c]
             assert g in self.gens and self.col[g] == c, step["kind"]
-        unheld = {}
-        for rid, row in self.rows.items():
-            if rid not in self.words:
-                for g in row:
-                    unheld.setdefault(g, set()).add(rid)
-        assert {g: ids for g, ids in self.unheld.items() if ids} == unheld, step["kind"]
 
 
 @pytest.mark.parametrize("name", sorted(SCRIPTS))

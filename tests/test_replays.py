@@ -164,7 +164,7 @@ def _assert_pruned_replays_like(pruned, start, name, window):
     interior relators and relation matrix."""
     eager_start = {}
     full = run_on_full_start(SCRIPTS[name], window, callback=_observer([], eager_start))
-    unread = pruned.unread_relators()
+    unread = dict(pruned.unread_relators())
     assert list(unread) == sorted(unread) and not unread.keys() & start.keys()
     assert {**start, **unread} == eager_start
     assert pruned.transcript == full.transcript
@@ -172,7 +172,7 @@ def _assert_pruned_replays_like(pruned, start, name, window):
     assert pruned.interior() == full.interior()
     assert len(pruned.relators) < len(full.relators)
     assert pruned.all_relators() == full.relators
-    assert pruned.closure(unread) == pruned.all_relators()
+    assert pruned.closure(unread.items()) == pruned.all_relators()
     assert pruned.interior_relator_set() == full.interior_relator_set()
     assert relation_matrix(pruned) == relation_matrix(full)
 
