@@ -242,18 +242,30 @@ def sg3_as_quotient_of_sg4(window: int, keep: set[Gen] = frozenset()) -> Relator
     """Kill a[3] and every b[m,3] inside the SG'_4 list and compare with
     the SG'_3 list.  ``keep`` exempts generators from the substitution,
     which is how the mutation test drives a detected mismatch."""
+    return sg3_quotient_matches(window, (frozenset(keep),))[0]
+
+
+def sg3_quotient_matches(window: int, keeps: tuple[frozenset[Gen], ...]) -> list[RelatorMatch]:
+    """``sg3_as_quotient_of_sg4(window, keep)`` for each keep set, in order,
+    from one enumeration of SG'_4's instances and one SG'_3 instance set."""
     if window < 3:
         raise ValueError("window must be >= 3")
     sg4 = simplified_derived("SG", 4)
     sg3 = simplified_derived("SG", 3)
     doomed = lambda g: (g[0] == "a" and len(g[1]) == 1) or (g[0] == "b" and len(g[1]) == 2)
     # deleting generators commutes with conjugation and inversion, so the
-    # raw instances are trimmed and canonicalized once
-    quotiented: set[Word] = set()
+    # raw instances are trimmed and canonicalized once; a keep set that
+    # spares none of an instance's doomed letters trims it as the one
+    # before did, and reuses that canonical form
+    quotiented: list[set[Word]] = [set() for _ in keeps]
     for rel in sg4.relators:
         for w in enumerate_instances(sg4, rel, window):
-            trimmed = normalize([(g, e) for g, e in w.letters
-                                 if not doomed(g) or g in keep])
-            if trimmed:
-                quotiented.add(canonical_cyclic(trimmed))
-    return match_relators(instance_set(sg3, sg3.relators, window), quotiented)
+            last = None
+            for keep, out in zip(keeps, quotiented):
+                trimmed = [(g, e) for g, e in w.letters if not doomed(g) or g in keep]
+                if trimmed != last:
+                    last, canon = trimmed, canonical_cyclic(normalize(trimmed))
+                if canon:
+                    out.add(canon)
+    expected = instance_set(sg3, sg3.relators, window)
+    return [match_relators(expected, q) for q in quotiented]

@@ -148,8 +148,7 @@ def _run_edge(edge: str, n: int, window: int):
 
 def _run_sg3_quotient(window: int):
     M = max(window, 4)
-    main = quotients.sg3_as_quotient_of_sg4(M)
-    mutated = quotients.sg3_as_quotient_of_sg4(M, keep={("b", (0, 3))})
+    main, mutated = quotients.sg3_quotient_matches(M, (frozenset(), frozenset({("b", (0, 3))})))
     ok = main.ok and not mutated.ok
     return _verdict(ok), ("substitution matches and the mutation is detected" if ok
                           else f"substitution: {main}; mutation: {mutated}"), M

@@ -21,18 +21,19 @@ this happens exactly for ``s1`` at ``k = 0`` and for ``r1`` at any key.
 
 One walk, ``_walk``, reads ambient letters from a start key, rewrites a
 positive letter at the key before it and a negative one at the key after
-it, and drops trivial pairs.  ``rewrite`` walks a word's concrete keys
-from ``(0, 0)``; ``symbolic_rewrite`` walks a relator schema's affine keys
-from the formal key ``(m, k)``.  Dropping trivial letters makes the output
-match the reduced relator lists used everywhere downstream; dropped
-letters expand to the empty word, so expansion identities are unaffected.
+it, and drops trivial pairs; a run of one letter is trivial as a whole or
+not at all.  ``rewrite`` walks a word's concrete keys from ``(0, 0)``;
+``symbolic_rewrite`` walks a relator schema's affine keys from the formal
+key ``(m, k)``.  Dropping trivial letters makes the output match the
+reduced relator lists used everywhere downstream; dropped letters expand
+to the empty word, so expansion identities are unaffected.
 """
 
 from __future__ import annotations
 
 from .catalog import catalog
 from .schemas import Affine, RelatorSchema, aff, enumerate_instances, schema
-from .words import (Gen, Word, WordError, _join, conjugate, fmt_gen, freely_equal, invert,
+from .words import (Gen, Word, WordError, _join, concat, fmt_gen, freely_equal, invert,
                     normalize)
 
 
@@ -68,22 +69,24 @@ def _trivial(dm, k, strand, zero, one) -> bool:
 
 
 def _walk(letters, key, zero, one):
-    """Rewrite ``(family, (strand,), exponent)`` letters read from ``key``.
+    """Rewrite ``((family, (strand,)), exponent)`` letters read from ``key``.
 
-    Returns the subgroup letters ``(family, (m, k, strand), +-1)`` with
+    Returns the subgroup letters ``((family, (m, k, strand)), +-1)`` with
     trivial pairs dropped, and the key reached.  Keys and strands are ints
     for a word and affine forms for a schema; ``zero`` and ``one`` are the
     constants of the same type.
     """
     m, k = key
     out = []
-    for family, (strand,), e in letters:
+    for (family, (strand,)), e in letters:
         sub, dm, dk = _step(family)
-        sign = 1 if e > 0 else -1
-        # the j-th unit letter of the run is rewritten at (m + j*dm, k + j*dk)
-        for j in range(e) if e > 0 else range(-1, e - 1, -1):
-            if not _trivial(dm, k + j * dk, strand, zero, one):
-                out.append((sub, (m + j * dm, k + j * dk, strand), sign))
+        # a run is trivial as a whole: r1 at any key, s1 only at k = 0,
+        # and k stays fixed along an s run
+        if not _trivial(dm, k, strand, zero, one):
+            sign = 1 if e > 0 else -1
+            # the j-th unit letter of the run is rewritten at (m + j*dm, k + j*dk)
+            for j in range(e) if e > 0 else range(-1, e - 1, -1):
+                out.append(((sub, (m + j * dm, k + j * dk, strand)), sign))
         m, k = m + e * dm, k + e * dk
     return out, (m, k)
 
@@ -134,27 +137,29 @@ def expand(w: Word, n: int, pieces: dict | None = None) -> Word:
 def rewrite(w: Word, n: int) -> Word:
     """Translate a kernel word into a word over the a/b alphabet by walking
     its letters from the key (0, 0).  Only defined on bidegree-(0,0) words."""
-    letters, end = _walk(((f, idx, e) for (f, idx), e in w.letters), (0, 0), 0, 1)
+    letters, end = _walk(w.letters, (0, 0), 0, 1)
     for (_, (i,)), _ in w.letters:
         _check_index(i, n)
     if end != (0, 0):
         raise WordError(f"not a kernel element: bidegree {end} != (0, 0)")
-    return normalize(((f, idx), e) for f, idx, e in letters)
+    return normalize(letters)
 
 
 def expansion_identity_holds(group: str, n: int, bound: int) -> tuple[bool, int]:
     """Check expand(rewrite(c r c^-1)) == c r c^-1 for every defining
     relator r and every representative c with both exponents in
     [-bound, bound].  Returns (all passed, number of pairs checked)."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     pres = catalog(group, n)
     window = range(-bound, bound + 1)
-    reps = [representative(m, k) for m in window for k in window]
+    reps = [(c, invert(c)) for c in (representative(m, k) for m in window for k in window)]
     pieces: dict = {}
     checked = 0
     for rel in pres.relators:
         for w in enumerate_instances(pres, rel, 0):
-            for c in reps:
-                conj = conjugate(w, c)
+            for c, c_inv in reps:
+                conj = concat(concat(c, w), c_inv)
                 if not freely_equal(expand(rewrite(conj, n), n, pieces), conj):
                     return False, checked
                 checked += 1
@@ -183,7 +188,9 @@ def symbolic_rewrite(rel: RelatorSchema, label: str) -> RelatorSchema:
         if p in rel.params:
             raise ValueError(f"ambient schema {rel.label} already uses parameter {p!r}")
     start = (aff("m"), aff("k"))
-    letters, end = _walk(rel.template, start, Affine.of(0), Affine.of(1))
+    letters, end = _walk((((f, idx), e) for f, idx, e in rel.template),
+                         start, Affine.of(0), Affine.of(1))
     if end != start:
         raise WordError(f"relator {rel.label} is not bidegree-balanced")
-    return schema(label, ("m", "k") + rel.params, letters, rel.guards)
+    return schema(label, ("m", "k") + rel.params,
+                  [(f, idx, e) for (f, idx), e in letters], rel.guards)

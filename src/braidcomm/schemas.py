@@ -57,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .words import Alphabet, Word, canonical_cyclic, normalize
 
@@ -577,11 +578,11 @@ def instance_set(pres: PresentationSchema, relators, window: int,
                  interior: int | None = None) -> set[Word]:
     """Canonical forms of all instances; optionally keep only words whose
     window coordinates all lie within [-interior, interior]."""
-    within = pres.alphabet().within_window
+    inside = None if interior is None else pres.alphabet().window_test(interior)
     out: set[Word] = set()
     for rel in relators:
         for w in enumerate_instances(pres, rel, window):
-            if interior is not None and not all(within(g, interior) for g, _ in w.letters):
+            if inside is not None and not all(map(inside, map(itemgetter(0), w.letters))):
                 continue
             c = canonical_cyclic(w)
             if c:

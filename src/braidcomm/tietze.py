@@ -267,7 +267,7 @@ class TruncatedPresentation:
         bound = self.window - MARGIN
         if bound < 0:
             return set()
-        return {g for g in self.gens if self.alphabet.within_window(g, bound)}
+        return set(filter(self.alphabet.window_test(bound), self.gens))
 
     def all_relators(self) -> dict[int, Word]:
         """Every relator of the presentation, by ascending id, as the full
@@ -326,11 +326,10 @@ class TruncatedPresentation:
         return images
 
     def interior_relator_set(self) -> set[Word]:
-        bound = self.window - MARGIN
-        within = self.alphabet.within_window
+        inside = self.alphabet.window_test(self.window - MARGIN)
         # many relators repeat a word; each distinct one is canonized once
         words = {w for w in self.all_relators().values()
-                 if w and all(within(g, bound) for g, _ in w.letters)}
+                 if w and all(map(inside, map(itemgetter(0), w.letters)))}
         return set(map(canonical_cyclic, words))
 
     # -- moves ---------------------------------------------------------------

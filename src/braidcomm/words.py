@@ -64,21 +64,25 @@ def normalize(letters) -> "Word":
 
     Adjacent runs with the same generator are merged and zero exponents
     are dropped; merging cascades, so the result is the unique reduced
-    form.  Idempotent.
+    form.  Idempotent.  Any int exponent is accepted, ``bool`` and other
+    subclasses included; the exact ``type`` test comes first only to skip
+    the ``isinstance`` call for a plain int.
     """
-    stack: list[list] = []
+    stack: list[tuple[Gen, int]] = []
     for g, e in letters:
-        if not isinstance(e, int):
+        if type(e) is not int and not isinstance(e, int):
             raise WordError(f"exponent of {fmt_gen(g)} must be an integer, got {e!r}")
         if e == 0:
             continue
         if stack and stack[-1][0] == g:
-            stack[-1][1] += e
-            if stack[-1][1] == 0:
+            e = stack[-1][1] + e
+            if e:
+                stack[-1] = (g, e)
+            else:
                 stack.pop()
         else:
-            stack.append([g, e])
-    return Word._make(tuple((g, e) for g, e in stack))
+            stack.append((g, e))
+    return Word._make(tuple(stack))
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,6 +344,19 @@ def canonical_cyclic(w: Word) -> Word:
     return normalize(best)
 
 
+class _WindowTest(dict):
+    """Generator -> whether it lies within the window, filled on lookup."""
+
+    __slots__ = ("alphabet", "bound")
+
+    def __init__(self, alphabet: "Alphabet", bound: int):
+        self.alphabet, self.bound = alphabet, bound
+
+    def __missing__(self, g: Gen) -> bool:
+        inside = self[g] = self.alphabet.within_window(g, self.bound)
+        return inside
+
+
 def _undeclared(family: str, arity: int) -> WordError:
     return WordError(f"undeclared family {family!r} of arity {arity}")
 
@@ -391,6 +408,12 @@ class Alphabet:
         """Whether every window coordinate of ``g`` lies in [-bound, bound]."""
         family, idx = g
         return all(abs(idx[p]) <= bound for p in self.window_positions(family, len(idx)))
+
+    def window_test(self, bound: int):
+        """``within_window(g, bound)`` as a one-argument predicate that
+        tests each distinct generator once.  Its answers live as long as
+        the predicate: a caller makes one per call and drops it."""
+        return _WindowTest(self, bound).__getitem__
 
     def make_word(self, letters) -> Word:
         """Validating word constructor; names the offending letter on error."""

@@ -11,7 +11,9 @@ normal form, a fresh ``schreier_generator`` per letter instead of a table
 of expansions, a rename of every unit letter and a normalize instead of
 a rename of each run, a start built from ``instances_by_bindings``
 instead of from the compiled instances with one shared table, a replay
-on the full start instead of on one pruned to the relators its moves read.
+on the full start instead of on one pruned to the relators its moves read,
+a walk that rewrites and tests each unit letter on its own instead of one
+triviality test per run.
 The last
 helpers (``every_schema``, ``unrename``, ``schema_sets_equal``,
 ``cyclically_reduce``, ``rewrite_conjugated_relator``, and the matrix
@@ -305,6 +307,32 @@ def cyclically_reduce(w):
     while len(units) >= 2 and units[0] == (units[-1][0], -units[-1][1]):
         units = units[1:-1]
     return normalize(units)
+
+
+def walk_by_units(letters, key, zero, one):
+    """The Reidemeister-Schreier walk one unit letter at a time.
+
+    ``letters`` are ``((family, (strand,)), exponent)`` pairs over s/r.  A
+    unit s[i]^+-1 or r[i]^+-1 moves the key (m, k) by +-1 in m or k; it is
+    rewritten at the key before it when positive and after it when
+    negative, as a[m,k,i] or b[m,k,i], and dropped when that pair is
+    trivial: strand 1 of r at any key, strand 1 of s at k = 0.  Returns
+    the letters kept and the key reached."""
+    m, k = key
+    out = []
+    for (family, (strand,)), e in letters:
+        sign = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            before = (m, k)
+            if family == "s":
+                m += sign
+            else:
+                k += sign
+            at = before if sign > 0 else (m, k)
+            if strand == one and (family == "r" or at[1] == zero):
+                continue
+            out.append((("a" if family == "s" else "b", (at[0], at[1], strand)), sign))
+    return out, (m, k)
 
 
 def rewrite_conjugated_relator(key, relator, n):

@@ -224,7 +224,7 @@ def test_refuted_prerequisite_refutes_its_heirs(monkeypatch, runner):
 
 
 CHECKS = ("sg3_abelianization_certificate", "free_quotient_certificate_gvb3",
-          "sg3_as_quotient_of_sg4", "verify_diagram_edge")
+          "sg3_as_quotient_of_sg4", "sg3_quotient_matches", "verify_diagram_edge")
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +257,12 @@ def test_a_batch_checks_each_claim_once(counted_batch):
     report, runner_calls, check_calls = counted_batch
     assert len(report.results) == len(registry.REGISTRY)
     assert max(runner_calls.values()) == 1
-    assert len(check_calls) == 26 and len(set(check_calls)) == 24
+    assert len(check_calls) == 25 and len(set(check_calls)) == 23
+    # the quotient check and its mutation come from one shared call
+    quotient_calls = [c for c in check_calls
+                      if c[0] in ("sg3_as_quotient_of_sg4", "sg3_quotient_matches")]
+    assert quotient_calls == [
+        ("sg3_quotient_matches", (4, (frozenset(), frozenset({("b", (0, 3))}))), "[]")]
 
 
 def test_single_claim_matches_the_batch(counted_batch):

@@ -15,6 +15,7 @@ from braidcomm.quotients import (
     rewrite_step,
     sg3_abelianization_certificate,
     sg3_as_quotient_of_sg4,
+    sg3_quotient_matches,
     verify_diagram_edge,
 )
 from braidcomm.schemas import aff, instance_set, schema
@@ -175,16 +176,26 @@ def test_sg3_as_quotient_of_sg4_and_mutation():
     assert not mutated.ok and mutated.extra
 
 
+@pytest.mark.parametrize("window", [3, 4, 5, 6])
+def test_shared_quotient_matches_equal_separate_calls(window):
+    keep = frozenset({("b", (0, 3))})
+    main, mutated = sg3_as_quotient_of_sg4(window), sg3_as_quotient_of_sg4(window, keep=set(keep))
+    assert sg3_quotient_matches(window, (frozenset(), keep)) == [main, mutated]
+    # the keep set first: the plain trim then follows a spared one
+    assert sg3_quotient_matches(window, (keep, frozenset())) == [mutated, main]
+    assert main.ok and mutated.extra
+
+
 def test_an_undetected_mutation_refutes_the_sg4_quotient(monkeypatch):
     from braidcomm import quotients, registry
 
     mutated = sg3_as_quotient_of_sg4(4, keep={("b", (0, 3))})
     assert mutated.extra and not mutated.missing
     assert str(mutated) == f"0 missing / {len(mutated.extra)} extra relators"
-    # a substitution that ignores ``keep`` cannot detect the mutation
-    original = quotients.sg3_as_quotient_of_sg4
-    monkeypatch.setattr(quotients, "sg3_as_quotient_of_sg4",
-                        lambda window, keep=frozenset(): original(window))
+    # a substitution that ignores its keep sets cannot detect the mutation
+    original = quotients.sg3_quotient_matches
+    monkeypatch.setattr(quotients, "sg3_quotient_matches",
+                        lambda window, keeps: original(window, (frozenset(),) * len(keeps)))
     [result] = registry.run(claim_filter="sg3-quotient-of-sg4", groups="sg",
                             ns=(4,), window=4).results
     assert result.verdict == "refuted"

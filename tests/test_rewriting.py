@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from braidcomm.catalog import catalog
 from braidcomm.rewriting import (
+    _walk,
     expand,
     expansion_identity_holds,
     is_trivial_pair,
@@ -12,7 +13,7 @@ from braidcomm.rewriting import (
     schreier_generator,
     symbolic_rewrite,
 )
-from braidcomm.schemas import enumerate_bindings
+from braidcomm.schemas import Affine, aff, enumerate_bindings, schema
 from braidcomm.words import (
     EMPTY,
     WordError,
@@ -25,7 +26,7 @@ from braidcomm.words import (
     normalize,
     word,
 )
-from oracles import expand_by_generators, rewrite_conjugated_relator
+from oracles import expand_by_generators, rewrite_conjugated_relator, walk_by_units
 
 s1, r1 = gen("s", 1), gen("r", 1)
 
@@ -108,6 +109,13 @@ def test_expansion_identity_on_sampled_relators():
     assert ok and checked == 14 * 25
     ok, _ = expansion_identity_holds("SG", 3, 2)
     assert ok
+    assert expansion_identity_holds("SG", 3, 0) == (True, 5)
+
+
+def test_expansion_identity_refuses_a_negative_bound():
+    # a negative bound leaves no representative, so no pair would be checked
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        expansion_identity_holds("SG", 3, -1)
 
 
 def test_rewrite_vs_instantiated_symbolic_schema_through_expansion():
@@ -159,6 +167,41 @@ def test_rewrite_is_multiplicative_on_kernel_words(raw_u, raw_v):
 def test_rewrite_then_expand_recovers_kernel_words(raw):
     u = _kernel_word(raw)
     assert freely_equal(expand(rewrite(u, 4), 4), u)
+
+
+WALK_LETTERS = st.lists(
+    st.tuples(st.sampled_from([gen(f, i) for f in "sr" for i in (1, 2, 3)]),
+              st.integers(-3, 3)),
+    max_size=10,
+)
+
+
+@given(WALK_LETTERS, st.integers(-3, 3), st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_walk_matches_the_per_unit_walk(raw, m, k):
+    letters = normalize(raw).letters
+    assert _walk(letters, (m, k), 0, 1) == walk_by_units(letters, (m, k), 0, 1)
+    u = _kernel_word(raw)
+    units, end = walk_by_units(u.letters, (0, 0), 0, 1)
+    assert end == (0, 0)
+    assert rewrite(u, 4) == normalize(units)
+
+
+def test_symbolic_rewrite_matches_the_per_unit_walk():
+    start, zero, one = (aff("m"), aff("k")), Affine.of(0), Affine.of(1)
+    checked = 0
+    for group in ("GVB", "SG"):
+        for n in (3, 4, 5, 6):
+            for rel in catalog(group, n).relators:
+                pairs = [((f, idx), e) for f, idx, e in rel.template]
+                units, end = walk_by_units(pairs, start, zero, one)
+                assert _walk(pairs, start, zero, one) == (units, end)
+                assert end == start
+                want = schema("t", ("m", "k") + rel.params,
+                              [(f, idx, e) for (f, idx), e in units], rel.guards)
+                assert symbolic_rewrite(rel, "t") == want, (group, n, rel.label)
+                checked += 1
+    assert checked == 56
 
 
 AB_WORDS = st.lists(

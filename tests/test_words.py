@@ -2,7 +2,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from braidcomm.replays import SCRIPTS
 from braidcomm.rewriting import expand
+from braidcomm.tietze import MARGIN
 from braidcomm.words import (
     Alphabet,
     EMPTY,
@@ -54,8 +56,20 @@ def test_reduction_merges_through_cancellation():
 
 
 def test_normalize_rejects_bad_exponent():
-    with pytest.raises(WordError):
-        normalize([(s1, "x")])
+    for bad in ("x", 1.0, 2.5, None, (1,)):
+        for raw in ([(s1, bad)], [(s1, 1), (s1, bad)]):
+            with pytest.raises(WordError, match="must be an integer"):
+                normalize(raw)
+
+
+class Exponent(int):
+    """An int subclass, accepted like any int."""
+
+
+def test_normalize_accepts_every_int_exponent():
+    assert normalize([(s1, True), (s1, True)]) == word((s1, 2))
+    assert normalize([(s1, Exponent(2)), (r1, False), (s1, -2)]) == EMPTY
+    assert normalize([(s1, Exponent(3))]).letters == ((s1, 3),)
 
 
 def test_concat_invert_conjugate_power():
@@ -119,8 +133,40 @@ def test_alphabet_validation_names_offender():
         alpha.make_word([(r1, 1)])
 
 
+@pytest.mark.parametrize("window", [3, 4, 5])
+def test_window_test_agrees_with_within_window_on_every_start(window):
+    starts = []
+
+    def observer(step):
+        if step["kind"] == "start":
+            p = step["presentation"]
+            starts.append((p.alphabet, sorted(p.gens)))
+
+    for script in SCRIPTS.values():
+        script(window, callback=observer)
+    assert len(starts) == len(SCRIPTS)
+    answers = set()
+    for alphabet, gens in starts:
+        for bound in sorted({0, window - MARGIN, window}):
+            inside = alphabet.window_test(bound)
+            want = [alphabet.within_window(g, bound) for g in gens]
+            assert [inside(g) for g in gens] == want
+            assert [inside(g) for g in gens] == want  # the second time from its table
+            answers.update(want)
+    assert answers == {True, False}
+
+
 GENS = st.sampled_from([s1, s2, s3, r1, r2, r3])
 LETTERS = st.lists(st.tuples(GENS, st.integers(-3, 3)), max_size=14)
+
+
+@given(st.lists(st.tuples(st.sampled_from([s1, r1]), st.integers(-2, 2)), max_size=16))
+@example([(s1, 1), (r1, 0), (s1, -1)])
+@example([(s1, 0), (s1, 0)])
+def test_normalize_agrees_with_reduce_units_with_zero_exponents(raw):
+    # two generators and a fifth of the exponents zero: runs merge and
+    # cancel across dropped letters
+    assert normalize(raw).letters == reduce_units(raw)
 
 
 @given(LETTERS)
