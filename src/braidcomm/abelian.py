@@ -14,9 +14,10 @@ Two engines:
   operations never change the row space, so tracking ``V`` alone supports
   membership tests ``v in rowspace(A)`` (forced-trivial generators) and
   rank questions on matrices with thousands of rows.  Unit pivots are
-  eaten first, from the shortest row that holds a +-1, kept in a heap of
-  row lengths that queues a row again only when it shrinks.  Whatever
-  dense core remains is finished by the dense engine.
+  eaten first, from the shortest row that holds a +-1: each row length
+  keeps a heap of row ids, a changed row is pushed at its new length, and
+  an entry whose row has gone or changed length since is skipped when
+  popped.  Whatever dense core remains is finished by the dense engine.
 
 :func:`perfectness_window_check` asks one tracked reduction which interior
 generators of a truncated presentation are forced trivial.
@@ -24,9 +25,8 @@ generators of a truncated presentation are forced trivial.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .derived import simplified_derived
 from .tietze import TruncatedPresentation
@@ -169,10 +169,6 @@ def smith_normal_form(a: IntegerMatrix) -> SNFResult:
 # sparse engine
 
 
-# a length no row reaches: the queued length of a row that is not queued
-_UNQUEUED = sys.maxsize
-
-
 class LatticeReduction:
     """Row-space reduction of an integer matrix, column transform tracked.
 
@@ -184,28 +180,31 @@ class LatticeReduction:
 
     Unit pivots: the shortest live row that holds a +-1, ties to the lower
     row index, pivots on its unit of least column support, ties to the
-    lower column.  A heap of ``(length, row)`` keeps the rule, and
-    ``_queued[i]`` is the length at which row ``i`` is queued, never above
-    its length (``_UNQUEUED`` when it is not queued).  A row operation
-    pushes a row only if it shrank below that length, or if it is not
-    queued; a popped entry older than the row's last push is skipped, and
-    one whose row has grown since is pushed again at its length.  A row
-    without a unit is dropped from the queue until a change re-queues it.
-    Clearing the pivot column by row operations leaves the pivot row alone
-    in it, so the column operations that clear the pivot row only drop it
-    from its columns' supports (and update ``v``).
+    lower column.  ``_queues`` keeps the rule: it maps a row length to a
+    heap of the ids of rows queued at that length, and ``_cursor`` is the
+    shortest length it holds.  A row operation pushes the changed row at
+    its new length, whether it shrank or grew; a popped id whose row is
+    gone or now has another length is a stale entry and is skipped, and an
+    emptied length is dropped, moving the cursor to the next one.  A row
+    without a unit leaves the queue when popped, until a change pushes it
+    again.  Clearing the pivot column by row operations leaves the pivot
+    row alone in it, so the column operations that clear the pivot row
+    only drop it from its columns' supports (and update ``v``).
 
-    Without ``track_v`` a column index need not be below ``ncols``.
+    The input rows are copied, never changed.  Without ``track_v`` a
+    column index need not be below ``ncols``.
     """
 
     def __init__(self, rows: list[dict[int, int]], ncols: int, track_v: bool = True):
         self.ncols = ncols
         live: dict[int, dict[int, int]] = {}
         col_support: dict[int, set[int]] = {}
-        queued = [_UNQUEUED] * len(rows)
-        heap = []
+        queues: dict[int, list[int]] = {}
         for i, row in enumerate(rows):
-            row = {j: val for j, val in row.items() if val}
+            if 0 in row.values():
+                row = {j: val for j, val in row.items() if val}
+            else:
+                row = dict(row)
             if row:
                 live[i] = row
                 for j in row:
@@ -214,10 +213,14 @@ class LatticeReduction:
                         col_support[j] = {i}
                     else:
                         support.add(i)
-                queued[i] = len(row)
-                heap.append((len(row), i))
-        heapify(heap)
-        self.rows, self.col_support, self._queued, self._heap = live, col_support, queued, heap
+                # ids arrive in order, so each list is already a heap
+                queue = queues.get(len(row))
+                if queue is None:
+                    queues[len(row)] = [i]
+                else:
+                    queue.append(i)
+        self.rows, self.col_support, self._queues = live, col_support, queues
+        self._cursor = min(queues, default=0)
         self.track_v = track_v
         self.v = IntegerMatrix.identity(ncols) if track_v else None
         self.pivots: dict[int, int] = {}
@@ -225,25 +228,28 @@ class LatticeReduction:
 
     def _pick_unit_pivot(self):
         """The next pivot ``(row, col)`` by the unit rule, or None."""
-        rows, heap, queued = self.rows, self._heap, self._queued
-        while heap:
-            length, i = heappop(heap)
-            if queued[i] != length:  # an older entry, or the row is not queued
+        rows, queues = self.rows, self._queues
+        while queues:
+            length = self._cursor
+            queue = queues[length]
+            i = heappop(queue)
+            if not queue:
+                del queues[length]
+                if queues:
+                    self._cursor = min(queues)
+            row = rows.get(i)
+            if row is None or len(row) != length:  # a stale entry
                 continue
-            row = rows[i]
-            if len(row) != length:  # grown since it was queued
-                queued[i] = len(row)
-                heappush(heap, (len(row), i))
-                continue
-            queued[i] = _UNQUEUED
             units = [j for j, val in row.items() if val == 1 or val == -1]
+            if len(units) == 1:
+                return i, units[0]
             if units:
                 col_support = self.col_support
                 return i, min(units, key=lambda j: (len(col_support[j]), j))
         return None
 
     def run(self) -> "LatticeReduction":
-        rows, col_support, heap, queued = self.rows, self.col_support, self._heap, self._queued
+        rows, col_support, queues = self.rows, self.col_support, self._queues
         while True:
             where = self._pick_unit_pivot()
             if where is None:
@@ -253,34 +259,41 @@ class LatticeReduction:
             val = pivot.pop(j)
             support = col_support.pop(j)
             support.discard(i)
-            # row_other -= (row_other[j] * val) * pivot; val in {1,-1}
+            scaled = [(col, x * val) for col, x in pivot.items()]
+            # row_other -= row_other[j] * val * pivot; val in {1,-1}
             for other in support:
                 trow = rows[other]
-                q = trow.pop(j) * val
-                for col, x in pivot.items():
-                    new = trow.get(col, 0) - q * x
-                    if new:
-                        if col not in trow:
-                            col_support[col].add(other)
-                        trow[col] = new
-                    elif col in trow:
-                        del trow[col]
-                        col_support[col].discard(other)
+                q = trow.pop(j)
+                for col, x in scaled:
+                    old = trow.get(col)
+                    if old is None:
+                        trow[col] = -q * x
+                        col_support[col].add(other)
+                    else:
+                        new = old - q * x
+                        if new:
+                            trow[col] = new
+                        else:
+                            del trow[col]
+                            col_support[col].discard(other)
                 if trow:
-                    if len(trow) < queued[other]:
-                        queued[other] = len(trow)
-                        heappush(heap, (len(trow), other))
+                    length = len(trow)
+                    queue = queues.get(length)
+                    if queue is None:
+                        if not queues or length < self._cursor:
+                            self._cursor = length
+                        queues[length] = [other]
+                    else:
+                        heappush(queue, other)
                 else:
                     del rows[other]
-                    queued[other] = _UNQUEUED
             for col in pivot:
                 col_support[col].discard(i)
-            if self.track_v and pivot:
-                # col_col -= (pivot[col] * val) * col_j, in v only
+            if self.track_v and scaled:
+                # col_col -= pivot[col] * val * col_j, in v only
                 ventries = self.v.entries
                 vcol = [(vrow, x) for vrow in ventries if (x := vrow[j])]
-                for col, x in pivot.items():
-                    q = x * val
+                for col, q in scaled:
                     for vrow, y in vcol:
                         vrow[col] -= q * y
             self.pivots[j] = 1

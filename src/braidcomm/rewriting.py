@@ -101,12 +101,6 @@ def schreier_generator(key: tuple[int, int], letter: Gen, n: int) -> tuple[Gen, 
     return (sub, (m, k, i)), expansion
 
 
-def is_trivial_pair(key: tuple[int, int], letter: Gen) -> bool:
-    """True iff the pair's generator expands to the empty word."""
-    family, (i,) = letter
-    return _trivial(_step(family)[1], key[1], i, 0, 1)
-
-
 def expand(w: Word, n: int, pieces: dict | None = None) -> Word:
     """Substitute every a/b letter by its expansion over s/r and reduce.
 

@@ -4,9 +4,10 @@ Each oracle deliberately uses a different algorithm from the code under
 test: single-letter stack reduction instead of run-length merging at the
 seams, whole-word normalization instead of seam joins, minor
 gcds instead of elimination for invariant factors, dict counters instead
-of walking reductions for exponent sums, a full rescan instead of a heap
-of row lengths for the unit pivot, a scan of every word instead of the generator
-index, every rotation instead of those at the least letter for the cyclic
+of walking reductions for exponent sums, a full rescan instead of
+per-length queues of row ids for the unit pivot, a scan of every word
+instead of the generator index, every rotation instead of those at the
+least letter for the cyclic
 normal form, a fresh ``schreier_generator`` per letter instead of a table
 of expansions, a rename of every unit letter and a normalize instead of
 a rename of each run, a start built from ``instances_by_bindings``
@@ -16,9 +17,10 @@ a walk that rewrites and tests each unit letter on its own instead of one
 triviality test per run.
 The last
 helpers (``every_schema``, ``unrename``, ``schema_sets_equal``,
-``cyclically_reduce``, ``rewrite_conjugated_relator``, and the matrix
-helpers ``zero_matrix``, ``matmul``, ``determinant`` and ``dense``) are
-spelled-out lists, comparisons and compositions that only tests need.
+``cyclically_reduce``, ``is_trivial_pair``, ``rewrite_conjugated_relator``,
+and the matrix helpers ``zero_matrix``, ``matmul``, ``determinant`` and
+``dense``) are spelled-out lists, comparisons and compositions that only
+tests need.
 """
 
 from itertools import combinations
@@ -333,6 +335,15 @@ def walk_by_units(letters, key, zero, one):
                 continue
             out.append((("a" if family == "s" else "b", (at[0], at[1], strand)), sign))
     return out, (m, k)
+
+
+def is_trivial_pair(key, letter):
+    """True iff the (representative key, s/r letter) pair's generator
+    expands to the empty word, by the rewriting module's trivial-pair rule."""
+    from braidcomm.rewriting import _step, _trivial
+
+    family, (i,) = letter
+    return _trivial(_step(family)[1], key[1], i, 0, 1)
 
 
 def rewrite_conjugated_relator(key, relator, n):

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -97,8 +98,8 @@ def _sparse_rows(m):
 
 
 class RescanCheckedReduction(LatticeReduction):
-    """Asserts at every step that the heap of row lengths picks the pivot a
-    full rescan of the live matrix picks."""
+    """Asserts at every step that the per-length queues of row ids pick the
+    pivot a full rescan of the live matrix picks."""
 
     def _pick_unit_pivot(self):
         where = super()._pick_unit_pivot()
@@ -110,9 +111,54 @@ class RescanCheckedReduction(LatticeReduction):
 # row 0 holds no unit and leaves the queue; clearing column 0 with row 1
 # leaves it {1: 1}, so it must be queued again
 @example(IntegerMatrix([[2, 3], [1, 1]]), True)
+# row 1 grows from 4 to 5 entries by fill before its turn, so its length-4
+# entry is stale
+@example(IntegerMatrix([[1, 2, 2, 0, 0, 0], [1, 0, 0, 1, 2, 2]]), False)
+@example(IntegerMatrix([[1, 2, 2, 0, 0, 0], [1, 0, 0, 1, 2, 2]]), True)
+# row 1 shrinks to length 1, below the cursor, and its length-3 entry is
+# popped after the row is gone
+@example(IntegerMatrix([[1, 1, 0], [1, 1, 1]]), False)
+@example(IntegerMatrix([[1, 1, 0], [1, 1, 1]]), True)
+# as the first pair, with a row 2 of length 4 that must win over row 1's
+# stale length-4 entry
+@example(IntegerMatrix([[1, 2, 2, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 1, 2, 2, 0, 0, 0, 0],
+                        [0, 0, 0, 0, 0, 0, 1, 1, 1, 1]]), False)
+# row 0 leaves the queue without a unit and the queue empties; pivoting on
+# row 1 pushes row 0 again at length 5, above the last cursor
+@example(IntegerMatrix([[2, 3, 3, 0, 0, 0], [1, 0, 0, 2, 2, 2]]), False)
 @settings(max_examples=150, deadline=None)
 def test_unit_pivots_follow_the_rescan_rule(m, track_v):
     RescanCheckedReduction(_sparse_rows(m), m.cols, track_v=track_v).run()
+
+
+@given(sparse_matrices(), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_a_reduction_leaves_its_input_rows_unchanged(m, track_v):
+    with_zeros = [dict(enumerate(row)) for row in m.entries]
+    for rows in (_sparse_rows(m), with_zeros):
+        before = copy.deepcopy(rows)
+        red = LatticeReduction(rows, m.cols, track_v=track_v).run()
+        assert rows == before
+        assert red.invariant_factors() == smith_normal_form(m).invariant_factors
+
+
+@pytest.mark.parametrize("track_v", [False, True])
+def test_empty_and_zero_rows_have_rank_zero(track_v):
+    for rows in ([], [{}], [{0: 0}, {}, {1: 0, 2: 0}]):
+        red = LatticeReduction(rows, 3, track_v=track_v).run()
+        assert red.rank() == 0 and red.invariant_factors() == []
+        if track_v:
+            assert red.contains({}) and not red.contains({1: 1})
+
+
+def test_an_audit_checkpoint_leaves_the_auditors_rows_unchanged():
+    # the auditor hands its live shadow rows to every checkpoint
+    auditor = audit.AbelianStepAuditor(checkpoint_every=1)
+    TruncatedPresentation.from_schema(simplified_derived("GVB", 4), 4, callback=auditor)
+    before = copy.deepcopy(auditor.rows)
+    free_rank, _ = auditor._invariants()
+    assert auditor.rows == before
+    assert free_rank < len(auditor.gens)
 
 
 def _audit_matrices(monkeypatch, name="simplify-gvb-n4"):

@@ -7,7 +7,6 @@ from braidcomm.rewriting import (
     _walk,
     expand,
     expansion_identity_holds,
-    is_trivial_pair,
     representative,
     rewrite,
     schreier_generator,
@@ -26,7 +25,12 @@ from braidcomm.words import (
     normalize,
     word,
 )
-from oracles import expand_by_generators, rewrite_conjugated_relator, walk_by_units
+from oracles import (
+    expand_by_generators,
+    is_trivial_pair,
+    rewrite_conjugated_relator,
+    walk_by_units,
+)
 
 s1, r1 = gen("s", 1), gen("r", 1)
 
