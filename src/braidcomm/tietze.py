@@ -55,12 +55,13 @@ same start words more than once (the audit, at ``start`` and at
 Every move appends one transcript record holding the words it built;
 ``transcript`` and ``transcript_text()`` render the records as lines when
 read, so a caller that never reads them formats nothing.  A render formats
-each distinct generator and letter once, through a table it drops when it
-returns.  Replays are deterministic, so transcripts are reproducible byte
-for byte.  An observer ``callback``, fixed when the presentation is built,
-sees one event per move before it applies, naming only the relators the
-presentation holds; on a pruned start, the ``start`` event's
-``unread_relators()`` give it the other relators of the full start.
+each distinct generator once, through a table it drops when it returns,
+and each letter from its generator's text.  Replays are deterministic, so
+transcripts are reproducible byte for byte.  An observer ``callback``,
+fixed when the presentation is built, sees one event per move before it
+applies, naming only the relators the presentation holds; on a pruned
+start, the ``start`` event's ``unread_relators()`` give it the other
+relators of the full start.
 
 The generator index is a superset: ``_gen_index[g]`` lists every live
 relator in which ``g`` occurs, and may also list removed ids and ids whose
@@ -81,6 +82,7 @@ from .schemas import PresentationSchema, SharedValues, enumerate_bindings, insta
 from .words import (
     Gen,
     Word,
+    _join,
     canonical_cyclic,
     delete_generators,
     fmt_gen,
@@ -100,24 +102,21 @@ class ReplayError(RuntimeError):
 
 
 class _Texts(dict):
-    """Maps each generator and each ``(generator, exponent)`` letter looked
-    up to its text, formatted once.  One table serves one render of a
-    transcript and is dropped with it."""
+    """Maps each generator looked up to its text, formatted once; a letter
+    is formatted from its generator's text and exponent.  One table serves
+    one render of a transcript and is dropped with it."""
 
     __slots__ = ()
 
-    def __missing__(self, key):
-        head, tail = key
-        if type(head) is str:  # a generator (family, indices)
-            text = fmt_gen(key)
-        else:  # a letter
-            text = self[head] if tail == 1 else f"{self[head]}^{tail}"
-        self[key] = text
+    def __missing__(self, g: Gen) -> str:
+        text = self[g] = fmt_gen(g)
         return text
 
     def word(self, w: Word) -> str:
         """``str(w)``, from the table."""
-        return " ".join(map(self.__getitem__, w.letters)) if w.letters else "1"
+        if not w.letters:
+            return "1"
+        return " ".join([self[g] if e == 1 else f"{self[g]}^{e}" for g, e in w.letters])
 
 
 # how each kind of transcript record renders as a line, given the _Texts
@@ -350,10 +349,11 @@ class TruncatedPresentation:
                 f"{step}: occurrence of {fmt_gen(target)} in {w} is not isolating"
             )
         sign = w.letters[pos][1]
-        before = Word._make(w.letters[:pos])
-        after = Word._make(w.letters[pos + 1:])
-        forward = after * before
-        backward = invert(forward)
+        # the letters after the target, then those before it, joined at the seam
+        solved = list(w.letters[pos + 1:])
+        _join(solved, w.letters[:pos])
+        forward = Word._make(tuple(solved))
+        backward = Word._make(tuple((g, -e) for g, e in reversed(solved)))
         expression, inverse = (backward, forward) if sign == 1 else (forward, backward)
         relators = self.relators
         touched = []
@@ -381,8 +381,9 @@ class TruncatedPresentation:
                 kept.append(rid2)
             else:
                 self._remove(rid2)
-        for g in expression.generators():
-            self._gen_index[g].update(kept)
+        if kept:
+            for g, _ in expression.letters:
+                self._gen_index[g].update(kept)
         self._gen_index.pop(target, None)
         self._remove(rid)
         self.gens.discard(target)
@@ -452,9 +453,8 @@ class TruncatedPresentation:
 
     @property
     def transcript(self) -> list[str]:
-        """One line per move, rendered from its record.  Each generator and
-        letter is formatted once per render, through one :class:`_Texts`
-        table."""
+        """One line per move, rendered from its record.  Each generator is
+        formatted once per render, through one :class:`_Texts` table."""
         texts = _Texts()
         return [_LINES[kind](texts, *values) for kind, *values in self._records]
 

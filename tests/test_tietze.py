@@ -3,11 +3,14 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from braidcomm import tietze
 from braidcomm.derived import raw_derived, simplified_derived
 from braidcomm.replays import SCRIPTS, simplify
-from braidcomm.tietze import MARGIN, ReplayError, TruncatedPresentation, origin_of
-from braidcomm.words import EMPTY, fmt_gen, gen, word
+from braidcomm.tietze import MARGIN, ReplayError, TruncatedPresentation, _Texts, origin_of
+from braidcomm.words import EMPTY, Word, fmt_gen, gen, normalize, word
 from oracles import every_schema, from_schema_by_insert, relators_containing, rename_by_letters
 
 
@@ -137,6 +140,86 @@ def test_eliminate_solves_the_left_mixed_relation():
     p = _gvb3()
     expr = p.eliminate(("b", (2, 0, 2)), origin_of("mixed_l_1", {"m": 0, "k": 0}))
     assert str(expr) == "a[1,0,1]^-1 a[0,0,2]^-1 a[0,1,2] a[1,1,1]"
+
+
+_X, _T, _Y = gen("x", 0), gen("t", 0), gen("y", 0)
+
+
+@pytest.mark.parametrize("last, sign, expected", [
+    (1, 1, "x0^-2 y0^-1"), (1, -1, "y0 x0^2"),  # after, before: y x . x merge
+    (-1, 1, "y0^-1"), (-1, -1, "y0"),  # y x^-1 . x cancel
+])
+def test_eliminate_joins_the_letters_after_and_before_the_target(last, sign, expected):
+    p = _gvb3()
+    p.add_relators([(word(_X, (_T, sign), _Y, (_X, last)), ("seam",)),
+                    (word(_T, _X), ("other",))])
+    rid, _ = p.current(("other",))
+    expr = p.eliminate(_T, ("seam",))
+    assert str(expr) == expected
+    assert p.current(("other",))[1] == normalize(expr.letters + ((_X, 1),))
+    assert all(rid in p._gen_index[g] for g in expr.generators())
+    assert p.transcript[-1].endswith(f" := {expected}")
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_eliminate_solves_its_defining_relator(name):
+    # oracle: the letters after the target, then those before it, reduced
+    # by normalize; the inverse of that when the target has exponent +1
+    seen = []
+
+    def observer(step):
+        if step["kind"] != "eliminate":
+            return
+        letters, target, sign = step["defining"].letters, step["target"], step["sign"]
+        column = [g for g, _ in letters]
+        assert column.count(target) == 1
+        pos = column.index(target)
+        assert letters[pos][1] == sign
+        solved = normalize(letters[pos + 1:] + letters[:pos])
+        if sign == 1:
+            solved = normalize([(g, -e) for g, e in reversed(solved.letters)])
+        assert step["expression"] == solved, (name, fmt_gen(target))
+        seen.append(target)
+
+    SCRIPTS[name](3, callback=observer)
+    assert seen
+
+
+_GENS = st.sampled_from([_X, _Y, ("a", (0, 0, 1)), ("b", (-2, 1, 2))])
+
+
+@given(st.lists(st.lists(st.tuples(_GENS, st.integers(-4, 4)), max_size=10), max_size=6))
+@example([[]])
+@example([[(_X, 2), (_Y, -1), (_X, 1), (("a", (0, 0, 1)), -3), (_X, -2)], [(_X, 1)]])
+def test_a_render_table_formats_words_as_str(raw):
+    texts = _Texts()  # one table for every word, as in one render
+    for letters in raw:
+        w = normalize(letters)
+        assert texts.word(w) == str(w)
+
+
+def test_a_render_formats_each_generator_once(monkeypatch):
+    p = SCRIPTS["simplify-gvb-n4"](3)
+    expected = p.transcript
+    gens = set()
+    for _, *values in p._records:
+        for v in values:
+            if isinstance(v, Word):
+                gens.update(v.generators())
+            elif isinstance(v, list):
+                gens.update(v)
+            elif isinstance(v, tuple):
+                gens.add(v)
+    calls = Counter()
+
+    def counting_fmt_gen(g):
+        calls[g] += 1
+        return fmt_gen(g)
+
+    monkeypatch.setattr(tietze, "fmt_gen", counting_fmt_gen)
+    assert p.transcript == expected
+    assert gens and calls.keys() == gens
+    assert set(calls.values()) == {1}
 
 
 def test_eliminate_rejects_non_isolating_occurrences():
