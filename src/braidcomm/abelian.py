@@ -49,9 +49,6 @@ class IntegerMatrix:
     def identity(n: int) -> "IntegerMatrix":
         return IntegerMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntegerMatrix) and self.entries == other.entries
-
 
 @dataclass
 class SNFResult:

@@ -19,7 +19,6 @@ import sys
 from . import registry, replays
 from .catalog import FAMILIES, catalog
 from .derived import raw_derived, simplified_derived
-from .grammar import emit_presentation
 from .tietze import MARGIN
 from .words import fmt_gen
 
@@ -99,7 +98,7 @@ def cmd_export(args) -> int:
         pres = simplified_derived(name.split("-")[0].upper(), args.n)
     else:
         pres = catalog(name.upper(), args.n)
-    sys.stdout.write(emit_presentation(pres))
+    print(pres)
     return 0
 
 

@@ -23,8 +23,9 @@ pair of indices that a band guard keeps apart is never compared.  The
 generated source is spliced together from ``int`` literals (checked with
 ``type(x) is int``) and the ``repr`` of family and parameter strings, so
 no text of a parsed schema is ever read as code.
-:func:`enumerate_bindings` and :meth:`RelatorSchema.instantiate` stay as
-the one-binding API, and the tests compare the two routes.
+:func:`enumerate_bindings`, the one-binding-at-a-time route, stays
+because ``perfbench/tracing.py`` patches it; the tests compare the two
+routes.
 
 The generated function looks up every letter, generator and binding pair
 it yields in a :class:`SharedValues` table that the caller passes, so
@@ -50,6 +51,23 @@ reduction shortened yields all of its generators.
 :func:`match_relators` is the one comparison of a replayed relator set
 with an expected :func:`instance_set`; every identification check
 reports its :class:`RelatorMatch`.
+
+``str(pres)`` spells a :class:`PresentationSchema` in the presentation
+text format, line-oriented and ASCII only::
+
+    presentation GVB'
+    n 5
+    gen a arity 3 range int,int,1..2
+    gen a arity 1 range 3..4
+    rel comm_ss_2j forall m,k,j where j>=4 : a[m,k,2] a[j] a[m+1,k,2]^-1 a[j]^-1
+
+``int`` marks an unbounded window coordinate; ``lo..hi`` is an inclusive
+range.  A relator line carries its label, a ``forall`` clause listing its
+parameters, an optional ``where`` clause with guards joined by ``and``
+(comparisons, or ``|i-j|>1`` bands), then the template letters.  Each
+line is spelled by ``Affine``, ``Guard`` and ``RelatorSchema.__str__``,
+with ``n`` resolved to its value.  Concrete words use the compact
+spelling ``s1^2 r3^-1 a[0,1,2]`` of ``Word.__str__``.
 """
 
 from __future__ import annotations
@@ -220,22 +238,6 @@ class RelatorSchema:
             used |= g.params()
         return used
 
-    def instantiate(self, bindings: dict[str, int], alphabet: Alphabet | None = None) -> Word:
-        """Evaluate every index; reject guard violations by name."""
-        missing = [p for p in self.params if p not in bindings]
-        if missing:
-            raise GuardError(f"unbound parameter(s) {missing} for {self.label}")
-        for g in self.guards:
-            if not g.holds(bindings):
-                raise GuardError(f"guard {g} fails for {self.label} at {bindings}")
-        letters = []
-        for fam, idx, exp in self.template:
-            concrete = ((fam, tuple(e.evaluate(bindings) for e in idx)), exp)
-            letters.append(concrete)
-        if alphabet is not None:
-            return alphabet.make_word(letters)
-        return normalize(letters)
-
     def reduced(self) -> "RelatorSchema":
         """Merge adjacent template letters that are identical affine forms."""
         stack: list[list] = []
@@ -274,6 +276,14 @@ class PresentationSchema:
             if rel.label in seen:
                 raise ValueError(f"relator label {rel.label!r} occurs twice in {self.name}")
             seen.add(rel.label)
+
+    def __str__(self) -> str:
+        lines = [f"presentation {self.name}", f"n {self.n}"]
+        for fam, domains in self.families:
+            parts = ["int" if d is None else f"{d[0]}..{d[1]}" for d in domains]
+            lines.append(f"gen {fam} arity {len(domains)} range {','.join(parts)}")
+        lines += [f"rel {rel.label} {rel}" for rel in self.relators]
+        return "\n".join(lines)
 
     def alphabet(self) -> Alphabet:
         return alphabet_of(self.families)

@@ -415,14 +415,6 @@ class Alphabet:
         the predicate: a caller makes one per call and drops it."""
         return _WindowTest(self, bound).__getitem__
 
-    def make_word(self, letters) -> Word:
-        """Validating word constructor; names the offending letter on error."""
-        for g, _ in letters:
-            if not self.in_domain(g):
-                raise WordError(f"{fmt_gen(g)} lies outside the declared index ranges "
-                                f"{self.domains(g[0], len(g[1]))}")
-        return normalize(letters)
-
     def gens_in_window(self, bound: int) -> list[Gen]:
         """All declared generators with window coordinates in [-bound, bound]."""
         out: list[Gen] = []

@@ -15,6 +15,13 @@ instead of from the compiled instances with one shared table, a replay
 on the full start instead of on one pruned to the relators its moves read,
 a walk that rewrites and tests each unit letter on its own instead of one
 triviality test per run.
+``instantiate`` evaluates one relator schema at one binding, the route
+``instances_by_bindings`` takes instead of the compiled enumerator.
+The presentation parser (``parse_presentation``, ``parse_word``,
+``ParseError`` and the ``_parse_*`` helpers) reads back what
+``str(PresentationSchema)`` and ``str(Word)`` print; no command reads a
+presentation file, so it lives here as the reference the printed text is
+checked against.
 The last
 helpers (``every_schema``, ``unrename``, ``schema_sets_equal``,
 ``cyclically_reduce``, ``is_trivial_pair``, ``rewrite_conjugated_relator``,
@@ -23,6 +30,7 @@ and the matrix helpers ``zero_matrix``, ``matmul``, ``determinant`` and
 tests need.
 """
 
+import re
 from itertools import combinations
 from math import gcd
 
@@ -213,6 +221,23 @@ def multiply_permutations(perms):
     return out
 
 
+def instantiate(rel, bindings):
+    """The word of one relator schema at one binding: every index
+    evaluated, then ``normalize``.  A missing parameter or a failing guard
+    raises ``GuardError`` naming the schema."""
+    from braidcomm.schemas import GuardError
+    from braidcomm.words import normalize
+
+    missing = [p for p in rel.params if p not in bindings]
+    if missing:
+        raise GuardError(f"unbound parameter(s) {missing} for {rel.label}")
+    for g in rel.guards:
+        if not g.holds(bindings):
+            raise GuardError(f"guard {g} fails for {rel.label} at {bindings}")
+    return normalize([((fam, tuple(e.evaluate(bindings) for e in idx)), exp)
+                      for fam, idx, exp in rel.template])
+
+
 def instances_by_bindings(pres, rel, window):
     """The one-binding-at-a-time route to ``schemas.instances``: every
     guard-satisfying binding, instantiated, kept when all letters of the
@@ -223,7 +248,7 @@ def instances_by_bindings(pres, rel, window):
     in_domain = pres.alphabet().in_domain
     out = []
     for bindings in enumerate_bindings(pres, rel, window):
-        w = rel.instantiate(bindings)
+        w = instantiate(rel, bindings)
         if all(in_domain(g) for g, _ in w.letters):
             out.append((origin_of(rel.label, bindings)[1], w))
     return out
@@ -400,3 +425,221 @@ def dense(mat):
     from braidcomm.abelian import IntegerMatrix
 
     return IntegerMatrix([[row.get(j, 0) for j in range(len(mat.gens))] for row in mat.rows])
+
+
+class ParseError(ValueError):
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(f"line {line}: {message}" if line else message)
+
+
+_IDENT = r"[A-Za-z_][A-Za-z_0-9']*"
+_LETTER_RE = re.compile(
+    rf"(?P<fam>[a-z])(?:\[(?P<idx>[^\]]*)\]|(?P<bare>-?\d+))(?:\^(?P<exp>-?\d+))?$"
+)
+
+
+def _parse_affine(text: str, line: int | None = None, n: int | None = None):
+    from braidcomm.schemas import Affine
+
+    text = text.replace(" ", "")
+    if not text:
+        raise ParseError("empty index expression", line)
+    items = re.findall(r"[+-]|[A-Za-z_0-9*]+", text)
+    if "".join(items) != text:
+        raise ParseError(f"cannot read expression {text!r}", line)
+    out = Affine(0, ())
+    sign = 1
+    expect_term = True
+    for item in items:
+        if item in "+-":
+            if expect_term:
+                if item == "-":
+                    sign = -sign
+            else:
+                sign = 1 if item == "+" else -1
+                expect_term = True
+            continue
+        coeff, name = 1, None
+        if "*" in item:
+            lhs, rhs = item.split("*", 1)
+            if not lhs.isdigit():
+                raise ParseError(f"bad coefficient in {item!r}", line)
+            coeff, name = int(lhs), rhs
+        elif item.isdigit():
+            coeff = int(item)
+        else:
+            name = item
+        if name == "n":
+            if n is None:
+                raise ParseError("symbol n used before the n header line", line)
+            out = out + Affine(sign * coeff * n, ())
+        elif name is None:
+            out = out + Affine(sign * coeff, ())
+        else:
+            out = out + Affine(0, ((name, sign * coeff),))
+        sign = 1
+        expect_term = False
+    if expect_term:
+        raise ParseError(f"dangling sign in {text!r}", line)
+    return out
+
+
+def _parse_guard(text: str, line: int, n: int | None):
+    from braidcomm.schemas import band, cmp
+
+    text = text.strip()
+    m = re.match(rf"^\|({_IDENT})-({_IDENT})\|>(\d+)$", text.replace(" ", ""))
+    if m:
+        return band(m.group(1), m.group(2), int(m.group(3)))
+    for op in ("!=", "<=", ">=", "<", ">", "="):
+        if op in text:
+            lhs, rhs = text.split(op, 1)
+            return cmp(_parse_affine(lhs, line, n), op, _parse_affine(rhs, line, n))
+    raise ParseError(f"cannot read guard {text!r}", line)
+
+
+def _parse_template_letter(token: str, line: int, n: int | None):
+    from braidcomm.schemas import Affine
+
+    m = _LETTER_RE.match(token)
+    if not m:
+        raise ParseError(f"cannot read letter {token!r}", line)
+    fam = m.group("fam")
+    exp = int(m.group("exp")) if m.group("exp") else 1
+    if exp == 0:
+        raise ParseError(f"zero exponent on {token!r}", line)
+    if m.group("idx") is not None:
+        idx = tuple(_parse_affine(part, line, n) for part in m.group("idx").split(","))
+    else:
+        idx = (Affine(int(m.group("bare")), ()),)
+    return fam, idx, exp
+
+
+def parse_presentation(text: str):
+    """Read the presentation text format that ``str(PresentationSchema)``
+    prints.  It also takes what the printer never writes: ``#`` comments,
+    blank lines, relator lines without a label (numbered ``rel1``,
+    ``rel2``, ... by position), and ``n`` in index expressions after the
+    ``n`` header line.  Every refusal is a ``ParseError`` that names its
+    line."""
+    from braidcomm.schemas import PresentationSchema, RelatorSchema
+
+    name = "unnamed"
+    n: int | None = None
+    families: list[tuple[str, tuple]] = []
+    relators: list = []
+    counter = 0
+    declared: dict[tuple[str, int], tuple] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        tokens = stripped.split()
+        head = tokens[0]
+        if head == "presentation":
+            if len(tokens) != 2:
+                raise ParseError("expected: presentation <name>", lineno)
+            name = tokens[1]
+        elif head == "n":
+            if len(tokens) != 2 or not tokens[1].isdigit():
+                raise ParseError("expected: n <integer>", lineno)
+            n = int(tokens[1])
+        elif head == "gen":
+            if (len(tokens) != 6 or tokens[2] != "arity" or tokens[4] != "range"
+                    or not tokens[3].isdigit()):
+                raise ParseError("expected: gen <fam> arity <k> range <domains>", lineno)
+            fam = tokens[1]
+            arity = int(tokens[3])
+            if (fam, arity) in declared:
+                raise ParseError(f"family {fam!r} of arity {arity} declared twice", lineno)
+            domains = []
+            for part in tokens[5].split(","):
+                if part == "int":
+                    domains.append(None)
+                elif ".." in part:
+                    lo, hi = part.split("..", 1)
+                    lo_a = _parse_affine(lo, lineno, n)
+                    hi_a = _parse_affine(hi, lineno, n)
+                    if not (lo_a.is_constant() and hi_a.is_constant()):
+                        raise ParseError(f"range bounds must be concrete: {part!r}", lineno)
+                    domains.append((lo_a.const, hi_a.const))
+                else:
+                    raise ParseError(f"cannot read domain {part!r}", lineno)
+            if len(domains) != arity:
+                raise ParseError(f"arity {arity} but {len(domains)} domains", lineno)
+            families.append((fam, tuple(domains)))
+            declared[(fam, arity)] = tuple(domains)
+        elif head == "rel":
+            if ":" not in stripped:
+                raise ParseError("relator line needs ':' before the letters", lineno)
+            header, body = stripped.split(":", 1)
+            body = body.strip()
+            if not body:
+                raise ParseError("empty relator", lineno)
+            htokens = header.split()[1:]
+            label = None
+            if htokens and htokens[0] not in ("forall", "where"):
+                label = htokens.pop(0)
+            params: tuple[str, ...] = ()
+            guards: list = []
+            while htokens:
+                key = htokens.pop(0)
+                if key == "forall":
+                    if not htokens:
+                        raise ParseError("forall needs parameters", lineno)
+                    params = tuple(p.strip() for p in htokens.pop(0).split(","))
+                    for k, p in enumerate(params):
+                        if p in params[:k]:
+                            raise ParseError(f"parameter {p!r} listed twice", lineno)
+                elif key == "where":
+                    guard_text = " ".join(htokens)
+                    htokens = []
+                    guards = [_parse_guard(part, lineno, n)
+                              for part in guard_text.split(" and ")]
+                else:
+                    raise ParseError(f"unexpected token {key!r} in relator header", lineno)
+            letters = []
+            for token in body.split():
+                fam, idx, exp = _parse_template_letter(token, lineno, n)
+                if (fam, len(idx)) not in declared:
+                    raise ParseError(f"undeclared family {fam!r} of arity {len(idx)}", lineno)
+                letters.append((fam, idx, exp))
+            counter += 1
+            label = label or f"rel{counter}"
+            if any(r.label == label for r in relators):
+                raise ParseError(f"relator label {label!r} used twice", lineno)
+            rel = RelatorSchema(label, params, tuple(letters), tuple(guards)).reduced()
+            unknown = rel.free_params() - set(params)
+            if unknown:
+                raise ParseError(f"unbound parameter(s) {sorted(unknown)}", lineno)
+            relators.append(rel)
+        else:
+            raise ParseError(f"unknown directive {head!r}", lineno)
+    if n is None:
+        raise ParseError("missing n header line")
+    return PresentationSchema(name, n, tuple(families), tuple(relators))
+
+
+def parse_word(text: str):
+    """Read the compact concrete spelling, e.g. ``s1^2 r3^-1 a[0,1,2]``."""
+    from braidcomm.words import normalize
+
+    text = text.strip()
+    if text in ("", "1"):
+        return normalize([])
+    letters = []
+    for token in text.split():
+        m = _LETTER_RE.match(token)
+        if not m:
+            raise ParseError(f"cannot read letter {token!r}")
+        exp = int(m.group("exp")) if m.group("exp") else 1
+        if m.group("idx") is not None:
+            try:
+                idx = tuple(int(part) for part in m.group("idx").split(","))
+            except ValueError:
+                raise ParseError(f"non-integer index in {token!r}") from None
+        else:
+            idx = (int(m.group("bare")),)
+        letters.append(((m.group("fam"), idx), exp))
+    return normalize(letters)

@@ -6,10 +6,9 @@ from collections import Counter
 import pytest
 
 from braidcomm import cli, quotients, registry
-from braidcomm.grammar import parse_presentation
 from braidcomm.registry import ClaimResult, VerificationReport, emit_table
 from braidcomm.words import fmt_gen
-from oracles import run_on_full_start
+from oracles import parse_presentation, run_on_full_start
 
 
 def run_cli(capsys, *argv):
@@ -328,6 +327,8 @@ def test_export_matches_golden_hash(capsys, group, n):
     status, out = run_cli(capsys, "export-presentation", "--group", group, "--n", str(n))
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_GOLDEN[(group, n)]
+    # the printed text reads back to a presentation that prints it again
+    assert str(parse_presentation(out)) + "\n" == out
 
 
 def test_export_golden_covers_every_group():

@@ -27,6 +27,7 @@ from braidcomm.words import (
 )
 from oracles import (
     expand_by_generators,
+    instantiate,
     is_trivial_pair,
     rewrite_conjugated_relator,
     walk_by_units,
@@ -132,11 +133,11 @@ def test_rewrite_vs_instantiated_symbolic_schema_through_expansion():
         for rel in pres.relators:
             sym = symbolic_rewrite(rel, "t")
             for bindings in enumerate_bindings(pres, rel, 0):
-                inst = rel.instantiate(bindings)
+                inst = instantiate(rel, bindings)
                 for m, k in keys:
                     conj = conjugate(inst, representative(m, k))
                     direct = rewrite_conjugated_relator((m, k), inst, n)
-                    image = sym.instantiate(dict(bindings, m=m, k=k))
+                    image = instantiate(sym, dict(bindings, m=m, k=k))
                     trivial = {g for g in image.generators() if is_trivial_pair(
                         g[1][:2], ("s" if g[0] == "a" else "r", g[1][2:]))}
                     assert delete_generators(image, trivial) == direct, (rel.label, bindings, m, k)

@@ -22,7 +22,7 @@ from braidcomm.schemas import (
     schema,
 )
 from braidcomm.words import gen, word
-from oracles import every_schema, instances_by_bindings, schema_sets_equal
+from oracles import every_schema, instances_by_bindings, instantiate, schema_sets_equal
 
 
 def test_affine_arithmetic():
@@ -44,7 +44,7 @@ def test_guard_evaluation():
 def test_instantiate_crossing_braid_family():
     gvb = simplified_derived("GVB", 5)
     rel = gvb.relator("braid_ss_1")
-    w = rel.instantiate({"m": 0, "k": 0})
+    w = instantiate(rel, {"m": 0, "k": 0})
     assert w == word(gen("a", 0, 0, 1), gen("a", 1, 0, 2), gen("a", 2, 0, 1),
                      (gen("a", 2, 0, 2), -1), (gen("a", 1, 0, 1), -1),
                      (gen("a", 0, 0, 2), -1))
@@ -52,12 +52,12 @@ def test_instantiate_crossing_braid_family():
 
 def test_instantiate_trivial_family_and_guard_rejection():
     gvb = simplified_derived("GVB", 5)
-    assert gvb.relator("triv_a").instantiate({"m": 5}) == word(gen("a", 5, 0, 1))
+    assert instantiate(gvb.relator("triv_a"), {"m": 5}) == word(gen("a", 5, 0, 1))
     comm = catalog("GVB", 5).relator("comm_ss")
     with pytest.raises(GuardError, match=r"\|i-j\|>1"):
-        comm.instantiate({"i": 2, "j": 3})
+        instantiate(comm, {"i": 2, "j": 3})
     with pytest.raises(GuardError, match="unbound"):
-        comm.instantiate({"i": 2})
+        instantiate(comm, {"i": 2})
 
 
 def test_enumerate_trivial_family_window_one():
