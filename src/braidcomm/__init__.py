@@ -1,18 +1,1 @@
 """Symbolic verification of commutator subgroups of braid-like groups."""
-
-from .words import Word, bidegree, canonical_cyclic, concat, conjugate, freely_equal, invert, normalize, power, word
-from .catalog import catalog
-
-__all__ = [
-    "Word",
-    "bidegree",
-    "canonical_cyclic",
-    "catalog",
-    "concat",
-    "conjugate",
-    "freely_equal",
-    "invert",
-    "normalize",
-    "power",
-    "word",
-]

@@ -8,8 +8,9 @@ Two engines:
 
 * :func:`smith_normal_form` -- dense, returns the diagonal together with
   unimodular transforms ``U`` and ``V`` with ``U A V = D``.  Its pivot is
-  the smallest absolute value, ties broken by lowest (row, column).  Used
-  on small matrices and wherever a certificate is wanted.
+  the smallest absolute value, ties broken by lowest (row, column).  It
+  only finishes the dense core that a sparse reduction leaves; no matrix
+  that a command builds has been seen to leave one.
 * :class:`LatticeReduction` -- sparse, column transform only.  Row
   operations never change the row space, so tracking ``V`` alone supports
   membership tests ``v in rowspace(A)`` (forced-trivial generators) and

@@ -60,12 +60,23 @@ def _strand_count(text: str) -> int:
 
 
 def _transcript_path(text: str) -> str:
-    """A file path whose directory exists, checked before the replay runs."""
+    """A file path that opens for writing, checked before the replay runs.
+    The check appends nothing to a file that exists and leaves no file
+    that did not."""
     directory = os.path.dirname(text) or "."
     if not os.path.isdir(directory):
         raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text!r} is a directory, not a file")
+    target = os.path.realpath(text)
+    created = not os.path.exists(target)
+    try:
+        open(target, "a").close()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot open {text!r} for writing: {exc.strerror}") from None
+    if created:
+        os.remove(target)
     return text
 
 
@@ -142,7 +153,7 @@ def make_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser("replay", help="run a named elimination script")
     replay.add_argument("--script", choices=sorted(replays.SCRIPTS), required=True)
     replay.add_argument("--window", type=_window, required=True, help=">= 3")
-    replay.add_argument("--transcript", type=_transcript_path, default="")
+    replay.add_argument("--transcript", type=_transcript_path)
     replay.set_defaults(func=cmd_replay)
     return parser
 

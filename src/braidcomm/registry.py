@@ -29,8 +29,6 @@ from .derived import verify_simplification
 from .rewriting import expansion_identity_holds
 from .tietze import ReplayError, TruncatedPresentation
 
-VERDICTS = ("verified", "refuted", "externally-cited", "out-of-scope")
-
 
 @dataclass
 class ClaimResult:

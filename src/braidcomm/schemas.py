@@ -22,7 +22,11 @@ called only when two adjacent letters of one family come out equal; a
 pair of indices that a band guard keeps apart is never compared.  The
 generated source is spliced together from ``int`` literals (checked with
 ``type(x) is int``) and the ``repr`` of family and parameter strings, so
-no text of a parsed schema is ever read as code.
+no text of a parsed schema is ever read as code.  A schema is checked
+once, when it is built: :class:`RelatorSchema` refuses a parameter that
+its letters or guards use but its ``params`` do not list, and
+:class:`Guard` an unknown kind, so the generated loops bind every
+parameter they read.
 :func:`enumerate_bindings`, the one-binding-at-a-time route, stays
 because ``perfbench/tracing.py`` patches it; the tests compare the two
 routes.
@@ -176,6 +180,10 @@ class Guard:
     rhs: Affine
     bound: int = 0
 
+    def __post_init__(self):
+        if self.kind != "band" and self.kind not in _CMP:
+            raise ValueError(f"unknown guard kind {self.kind!r}")
+
     def holds(self, bindings: dict[str, int]) -> bool:
         a = self.lhs.evaluate(bindings)
         b = self.rhs.evaluate(bindings)
@@ -197,8 +205,6 @@ def band(x, y, bound: int = 1) -> Guard:
 
 
 def cmp(x, op: str, y) -> Guard:
-    if op not in _CMP:
-        raise ValueError(f"unknown comparison {op!r}")
     return Guard(op, Affine.of(x), Affine.of(y))
 
 
@@ -219,6 +225,10 @@ class RelatorSchema:
         for k, p in enumerate(self.params):
             if p in self.params[:k]:
                 raise ValueError(f"parameter {p!r} listed twice in {self.label}")
+        # so the compiled enumerator binds every parameter it reads
+        unlisted = self.free_params().difference(self.params)
+        if unlisted:
+            raise ValueError(f"parameter {min(unlisted)!r} of {self.label} is not listed")
 
     def __str__(self) -> str:
         letters = " ".join(
@@ -230,13 +240,10 @@ class RelatorSchema:
         return f"{head}{where} : {letters}".strip()
 
     def free_params(self) -> set[str]:
-        used: set[str] = set()
-        for _, idx, _ in self.template:
-            for e in idx:
-                used |= e.params()
-        for g in self.guards:
-            used |= g.params()
-        return used
+        """The parameters that a template letter or a guard uses."""
+        exprs = [e for _, idx, _ in self.template for e in idx]
+        exprs += [e for g in self.guards for e in (g.lhs, g.rhs)]
+        return {p for e in exprs for p, _ in e.terms}
 
     def reduced(self) -> "RelatorSchema":
         """Merge adjacent template letters that are identical affine forms."""
@@ -366,13 +373,6 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
     depth = {p: k + 1 for k, p in enumerate(rel.params)}
     innermost = len(rel.params)
 
-    def unbound(exprs):
-        for e in exprs:
-            for p, _ in e.terms:
-                if p not in var:
-                    return f"unbound parameter {p!r}"
-        return None
-
     def code(e: Affine) -> str:
         out = ""
         for p, c in e.terms:
@@ -393,25 +393,14 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
             lo, hi = lo + min(a, b), hi + max(a, b)
         return lo, hi
 
-    # each guard is tested in the shallowest loop that binds all its
-    # parameters; one that names an unbound parameter raises, innermost,
-    # as Guard.holds would at the first binding that passes the guards
-    # before it, so the guards after it are never reached
+    # each guard is tested in the shallowest loop that binds all its parameters
     tests: list[list[str]] = [[] for _ in range(innermost + 1)]
-    failure = None
     for g in rel.guards:
-        failure = unbound((g.lhs, g.rhs))
-        if failure is not None:
-            break
         if g.kind == "band":
             test = f"not {_int(-g.bound)} <= {code(g.lhs - g.rhs)} <= {_int(g.bound)}"
-        elif g.kind in _PY_OPS:
-            test = f"{code(g.lhs)} {_PY_OPS[g.kind]} {code(g.rhs)}"
         else:
-            raise ValueError(f"unknown guard kind {g.kind!r} in {rel.label}")
+            test = f"{code(g.lhs)} {_PY_OPS[g.kind]} {code(g.rhs)}"
         tests[max((depth[p] for p in g.params()), default=0)].append(test)
-    if failure is None:
-        failure = unbound(e for _, idx, _ in rel.template for e in idx)
 
     letters, plain, checks, coincide = [], [], [], []
     far, outside = [], []  # what an unkept instance yields, and when
@@ -426,7 +415,7 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
 
     previous = None
     for fam, idx, exp in rel.template:
-        if failure is not None or _int(exp) == "0":
+        if _int(exp) == "0":
             continue
         doms = alphabet.domains(fam, len(idx))
         for e, dom in zip(idx, doms):
@@ -501,19 +490,15 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
             return out
         return [] if never else reduced
 
-    if failure is not None:
-        body = [f"raise GuardError({failure!r})"]
-    elif kept := leaf(True):
-        body = ([f"if _keep is None or {values} in _keep:"] + ["    " + x for x in kept]
-                + ["else:"] + ["    " + x for x in leaf(False)])
-    else:
-        body = []
     lines = ["def _instances(window, _shared, _keep, _make=_make, _normalize=_normalize,"
              " _in_domain=_in_domain):",
              "    yield from ()",
              "    window_range = range(-window, window + 1)"]
-    if not body:
+    kept = leaf(True)
+    if not kept:
         return "\n".join(lines) + "\n"
+    body = ([f"if _keep is None or {values} in _keep:"] + ["    " + x for x in kept]
+            + ["else:"] + ["    " + x for x in leaf(False)])
     if tests[0]:
         lines.append(f"    if not ({' and '.join(tests[0])}): return")
     pad = "    "
@@ -532,7 +517,7 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
 def _compiled(families, rel: RelatorSchema):
     alphabet = alphabet_of(families)
     namespace = {"__builtins__": {"all": all, "range": range},
-                 "GuardError": GuardError, "_make": Word._make,
+                 "_make": Word._make,
                  "_normalize": normalize, "_in_domain": alphabet.in_domain}
     exec(compile(_instances_source(alphabet, rel), "<schema instances>", "exec"), namespace)
     return namespace["_instances"]

@@ -12,16 +12,18 @@ workers.
 
 Reduction happens in two places only.  :func:`normalize` is the one
 validating entry for raw ``(generator, exponent)`` sequences.  Operations
-on words (``concat``, ``power``, ``conjugate``, ``substitute``) join
-reduced pieces with ``_join``: every factor of a reduced word is reduced,
-so the only letters that can merge or cancel are those at a seam where two
+on words (``concat``, ``substitute``, ``substitute_all``) join reduced
+pieces with ``_join``: every factor of a reduced word is reduced, so the
+only letters that can merge or cancel are those at a seam where two
 pieces meet, and free reduction has one normal form, so the result equals
-what ``normalize`` would give on the concatenated letters.
+what ``normalize`` would give on the concatenated letters.  ``invert``
+reverses a reduced word, which stays reduced.
 
-The map :func:`bidegree` sends a word over the ``s``/``r`` families to the
-pair (total s-exponent, total r-exponent).  It is a homomorphism onto
-Z x Z, and its kernel is the commutator subgroup of every ambient group in
-the catalog; almost everything downstream keys cosets by this pair.
+The commutator subgroup of every ambient group in the catalog is the
+kernel of the bidegree map onto Z x Z, which sends a word over the
+``s``/``r`` families to its (total s-exponent, total r-exponent).
+:mod:`.rewriting` keys cosets by this pair and reads a word's bidegree
+off the key its walk ends at; nothing here computes it.
 
 Display syntax, used in logs, transcripts and presentation files:
 ``s1^2 r3^-1 a[0,1,2]`` -- family letter, bare index for arity one,
@@ -101,24 +103,8 @@ class Word:
     def __init__(self, letters=()):
         object.__setattr__(self, "letters", normalize(letters).letters)
 
-    def __len__(self) -> int:
-        # letter length, counting multiplicity
-        return sum(abs(e) for _, e in self.letters)
-
     def __bool__(self) -> bool:
         return bool(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return concat(self, other)
-
-    def __pow__(self, e: int) -> "Word":
-        return power(self, e)
-
-    def __invert__(self) -> "Word":
-        return invert(self)
 
     def __str__(self) -> str:
         if not self.letters:
@@ -194,25 +180,6 @@ def invert(w: Word) -> Word:
     return Word._make(tuple((g, -e) for g, e in reversed(w.letters)))
 
 
-def power(w: Word, e: int) -> Word:
-    if e == 0:
-        return EMPTY
-    base = (w if e > 0 else invert(w)).letters
-    out: list[tuple[Gen, int]] = []
-    for _ in range(abs(e)):
-        _join(out, base)
-    return Word._make(tuple(out))
-
-
-def conjugate(w: Word, by: Word) -> Word:
-    """by * w * by^-1, freely reduced."""
-    return concat(concat(by, w), invert(by))
-
-
-def freely_equal(a: Word, b: Word) -> bool:
-    return a.letters == b.letters
-
-
 def substitute(w: Word, target: Gen, replacement: Word, inverse: Word | None = None) -> Word:
     """Replace every occurrence of target^e by replacement^e and reduce.
 
@@ -285,25 +252,6 @@ def substitute_all(w: Word, images: dict[Gen, tuple[Word, Word]]) -> Word:
 def delete_generators(w: Word, doomed) -> Word:
     """Drop every letter whose generator lies in ``doomed`` and reduce."""
     return normalize([(g, e) for g, e in w.letters if g not in doomed])
-
-
-def bidegree(w: Word) -> tuple[int, int]:
-    """Total (s, r) exponent sums; a homomorphism onto Z x Z.
-
-    Only defined on words over the two ambient families; a foreign letter
-    is an error because the map does not extend to rewritten alphabets.
-    """
-    m = k = 0
-    for (family, _), e in w.letters:
-        if family == "s":
-            m += e
-        elif family == "r":
-            k += e
-        else:
-            raise WordError(
-                f"bidegree undefined on family {family!r} (letter {fmt_gen((family, _))})"
-            )
-    return (m, k)
 
 
 def _cyclic_units(w: Word) -> list[tuple[Gen, int]]:

@@ -22,12 +22,13 @@ The presentation parser (``parse_presentation``, ``parse_word``,
 ``str(PresentationSchema)`` and ``str(Word)`` print; no command reads a
 presentation file, so it lives here as the reference the printed text is
 checked against.
-The last
-helpers (``every_schema``, ``unrename``, ``schema_sets_equal``,
-``cyclically_reduce``, ``is_trivial_pair``, ``rewrite_conjugated_relator``,
-and the matrix helpers ``zero_matrix``, ``matmul``, ``determinant`` and
-``dense``) are spelled-out lists, comparisons and compositions that only
-tests need.
+``bidegree`` sums the s and r exponents of a word's letters, an
+independent check of the key the rewriting walk ends at.
+The last helpers (``conjugate``, ``every_schema``, ``unrename``,
+``schema_sets_equal``, ``cyclically_reduce``, ``is_trivial_pair``,
+``rewrite_conjugated_relator``, and the matrix helpers ``zero_matrix``,
+``matmul``, ``determinant`` and ``dense``) are spelled-out lists,
+comparisons and compositions that only tests need.
 """
 
 import re
@@ -149,6 +150,33 @@ def exponent_sums(units):
     for g, e in units:
         out[g] = out.get(g, 0) + e
     return {g: v for g, v in out.items() if v}
+
+
+def bidegree(w):
+    """Total (s, r) exponent sums; a homomorphism onto Z x Z, read off the
+    letters instead of from the key the rewriting walk ends at.
+
+    Only defined on words over the two ambient families; a foreign letter
+    is an error because the map does not extend to rewritten alphabets.
+    """
+    from braidcomm.words import WordError, fmt_gen
+
+    m = k = 0
+    for g, e in w.letters:
+        if g[0] == "s":
+            m += e
+        elif g[0] == "r":
+            k += e
+        else:
+            raise WordError(f"bidegree undefined on family {g[0]!r} (letter {fmt_gen(g)})")
+    return (m, k)
+
+
+def conjugate(w, by):
+    """by * w * by^-1, freely reduced."""
+    from braidcomm.words import concat, invert
+
+    return concat(concat(by, w), invert(by))
 
 
 def det_laplace(matrix):
@@ -374,7 +402,6 @@ def is_trivial_pair(key, letter):
 def rewrite_conjugated_relator(key, relator, n):
     """Rewrite of representative * relator * representative^-1."""
     from braidcomm.rewriting import representative, rewrite
-    from braidcomm.words import conjugate
 
     return rewrite(conjugate(relator, representative(*key)), n)
 
@@ -609,11 +636,12 @@ def parse_presentation(text: str):
             label = label or f"rel{counter}"
             if any(r.label == label for r in relators):
                 raise ParseError(f"relator label {label!r} used twice", lineno)
-            rel = RelatorSchema(label, params, tuple(letters), tuple(guards)).reduced()
-            unknown = rel.free_params() - set(params)
+            exprs = [e for _, idx, _ in letters for e in idx]
+            exprs += [e for g in guards for e in (g.lhs, g.rhs)]
+            unknown = {p for e in exprs for p, _ in e.terms} - set(params)
             if unknown:
                 raise ParseError(f"unbound parameter(s) {sorted(unknown)}", lineno)
-            relators.append(rel)
+            relators.append(RelatorSchema(label, params, tuple(letters), tuple(guards)).reduced())
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if n is None:

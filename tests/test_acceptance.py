@@ -199,6 +199,9 @@ def test_registry_ends_green():
     report = run_claims(window=4)
     refuted = [r.claim for r in report.refuted]
     assert report.exit_status == 0 and not refuted, refuted
+    # the four verdicts that the registry docstring lists
+    assert {r.verdict for r in report.results} <= {
+        "verified", "refuted", "externally-cited", "out-of-scope"}
     # the exact output of `braidcomm verify --window 4 --format json-lines`,
     # so a speed change that moves any verdict, window or detail fails here
     output = "".join(r.json_line() + "\n" for r in report.results)

@@ -2,7 +2,8 @@ import pytest
 
 from braidcomm.catalog import catalog
 from braidcomm.schemas import enumerate_instances, instance_set
-from braidcomm.words import bidegree, gen, word
+from braidcomm.words import gen, word
+from oracles import bidegree
 
 
 def _all_instances(pres, window=0):

@@ -108,6 +108,9 @@ def test_replay_writes_transcript(tmp_path, capsys):
     text = path.read_text()
     assert text.startswith("start gvb3-free-quotient")
     assert "interior survivors (2):" in text
+    # without --transcript the same text goes to stdout
+    status, out = run_cli(capsys, "replay", "--script", "gvb3-free-quotient", "--window", "3")
+    assert status == 0 and out == text
 
 
 @pytest.mark.parametrize("script", sorted(cli.replays.SCRIPTS))
@@ -133,6 +136,28 @@ def test_replay_checks_the_transcript_directory_first(tmp_path, capsys, monkeypa
     error = one_error_line(capsys, ["replay", "--script", "gvb3-free-quotient",
                                     "--window", "3", "--transcript", str(path)])
     assert "argument --transcript:" in error and str(path.parent) in error
+
+
+def test_replay_checks_that_the_transcript_opens_first(tmp_path, capsys, monkeypatch):
+    def never(window):
+        raise AssertionError("the replay ran")
+
+    monkeypatch.setitem(cli.replays.SCRIPTS, "gvb3-free-quotient", never)
+    argv = ["replay", "--script", "gvb3-free-quotient", "--window", "3", "--transcript"]
+    # a symlink into a missing directory passes the directory test but opens for nothing
+    dangling = tmp_path / "t.txt"
+    dangling.symlink_to(tmp_path / "missing" / "t.txt")
+    error = one_error_line(capsys, argv + [str(dangling)])
+    assert "argument --transcript:" in error and "cannot open" in error
+    assert not (tmp_path / "missing").exists()
+    # a check that passes neither truncates an existing file nor leaves a new one
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_text("earlier transcript\n")
+    for path in (kept, fresh):
+        with pytest.raises(AssertionError, match="the replay ran"):
+            cli.main(argv + [str(path)])
+    assert kept.read_text() == "earlier transcript\n"
+    assert not fresh.exists()
 
 
 def test_replay_refuses_a_directory_as_transcript_first(tmp_path, capsys, monkeypatch):

@@ -5,8 +5,8 @@ from braidcomm.catalog import catalog
 from braidcomm.derived import raw_derived, simplified_derived, verify_simplification
 from braidcomm.rewriting import expand
 from braidcomm.schemas import enumerate_instances, instance_set
-from braidcomm.words import bidegree, normalize
-from oracles import instantiate, parse_presentation, unrename
+from braidcomm.words import normalize
+from oracles import bidegree, conjugate, instantiate, parse_presentation, unrename
 
 # transcription of the raw relator families, one line per schema
 RAW_GVB = {
@@ -114,7 +114,6 @@ def test_raw_instances_expand_to_conjugated_ambient_relators():
     # bindings where dropped trivial letters make the words differ
     from braidcomm.rewriting import representative
     from braidcomm.schemas import enumerate_bindings
-    from braidcomm.words import conjugate, freely_equal
 
     for group, n in (("GVB", 4), ("SG", 4)):
         ambient = catalog(group, n)
@@ -125,22 +124,20 @@ def test_raw_instances_expand_to_conjugated_ambient_relators():
                 inst = instantiate(amb_rel, bindings)
                 for m, k in ((0, 0), (2, -1), (-3, 3)):
                     image = instantiate(raw_rel, dict(bindings, m=m, k=k))
-                    assert freely_equal(expand(image, n),
-                                        conjugate(inst, representative(m, k)))
+                    assert expand(image, n) == conjugate(inst, representative(m, k))
 
 
 def test_rewriting_matches_the_generic_schema_letterwise_away_from_trivia():
     # at bindings where no trivial pair occurs the two routes agree letter
     # for letter, not merely after expansion
     from braidcomm.rewriting import representative, rewrite
-    from braidcomm.words import conjugate, freely_equal
 
     ambient = catalog("GVB", 4)
     raw = raw_derived("GVB", 4)
     inst = instantiate(ambient.relator("mixed_l"), {"i": 2})
     direct = rewrite(conjugate(inst, representative(1, 2)), 4)
     via_schema = instantiate(raw.relator("rw_mixed_l"), {"m": 1, "k": 2, "i": 2})
-    assert freely_equal(direct, via_schema)
+    assert direct == via_schema
     assert str(via_schema) == \
         "b[1,2,2] a[1,3,3] a[2,3,2] b[3,2,3]^-1 a[2,2,2]^-1 a[1,2,3]^-1"
 
