@@ -191,32 +191,47 @@ class LatticeReduction:
 
     The input rows are copied, never changed.  Without ``track_v`` a
     column index need not be below ``ncols``.
+
+    ``rows`` is a list, each row's id its position, unless ``support`` is
+    given.  Then ``rows`` maps ids to rows and ``support`` maps each column
+    to the set of ids of the rows nonzero in it, and both are copied
+    instead of the column index being counted entry by entry.  That
+    requires no row to hold a zero entry, ``support`` to be exact (an
+    empty set for a column is allowed) and the ids to ascend in the
+    order ``rows`` yields them, so that ties fall to the lower id as they
+    fall to the lower position of the same rows passed as a list.
     """
 
-    def __init__(self, rows: list[dict[int, int]], ncols: int, track_v: bool = True):
+    def __init__(self, rows: list[dict[int, int]] | dict[int, dict[int, int]], ncols: int,
+                 track_v: bool = True, support: dict[int, set[int]] | None = None):
         self.ncols = ncols
-        live: dict[int, dict[int, int]] = {}
-        col_support: dict[int, set[int]] = {}
-        queues: dict[int, list[int]] = {}
-        for i, row in enumerate(rows):
-            if 0 in row.values():
-                row = {j: val for j, val in row.items() if val}
-            else:
-                row = dict(row)
-            if row:
-                live[i] = row
-                for j in row:
-                    support = col_support.get(j)
-                    if support is None:
-                        col_support[j] = {i}
-                    else:
-                        support.add(i)
-                # ids arrive in order, so each list is already a heap
-                queue = queues.get(len(row))
-                if queue is None:
-                    queues[len(row)] = [i]
+        if support is None:
+            live: dict[int, dict[int, int]] = {}
+            col_support: dict[int, set[int]] = {}
+            for i, row in enumerate(rows):
+                if 0 in row.values():
+                    row = {j: val for j, val in row.items() if val}
                 else:
-                    queue.append(i)
+                    row = dict(row)
+                if row:
+                    live[i] = row
+                    for j in row:
+                        ids = col_support.get(j)
+                        if ids is None:
+                            col_support[j] = {i}
+                        else:
+                            ids.add(i)
+        else:
+            live = {i: row.copy() for i, row in rows.items() if row}
+            col_support = {j: ids.copy() for j, ids in support.items() if ids}
+        queues: dict[int, list[int]] = {}
+        for i, row in live.items():
+            # ids arrive in order, so each list is already a heap
+            queue = queues.get(len(row))
+            if queue is None:
+                queues[len(row)] = [i]
+            else:
+                queue.append(i)
         self.rows, self.col_support, self._queues = live, col_support, queues
         self._cursor = min(queues, default=0)
         self.track_v = track_v
@@ -337,7 +352,10 @@ class LatticeReduction:
 
     def contains(self, vec: dict[int, int]) -> bool:
         """Is the vector in the integer row space of the input matrix?"""
-        assert self.track_v and self.done
+        if not self.track_v:
+            raise ValueError("contains needs a reduction that tracks v")
+        if not self.done:
+            raise RuntimeError("contains was asked before run")
         ventries = self.v.entries
         image = [0] * self.ncols
         for r, val in vec.items():
@@ -377,8 +395,12 @@ def relation_matrix(p: TruncatedPresentation) -> RelationMatrix:
     return RelationMatrix(gens, index, rows)
 
 
-def abelian_invariants_of_matrix(rows: list[dict[int, int]], ncols: int) -> tuple[int, list[int]]:
-    red = LatticeReduction(rows, ncols, track_v=False).run()
+def abelian_invariants_of_matrix(rows: list[dict[int, int]] | dict[int, dict[int, int]],
+                                 ncols: int, support: dict[int, set[int]] | None = None
+                                 ) -> tuple[int, list[int]]:
+    """(free rank, torsion coefficients) of Z^ncols / rowspace; ``rows``
+    and ``support`` as for :class:`LatticeReduction`."""
+    red = LatticeReduction(rows, ncols, track_v=False, support=support).run()
     torsion = [d for d in red.invariant_factors() if d > 1]
     return ncols - red.rank(), torsion
 

@@ -19,7 +19,15 @@ provably preserves the cokernel:
 On top of the certificates the auditor recomputes the full invariants
 (free rank and torsion) at epoch starts, every ``checkpoint_every``
 verified moves, and at the end, and insists they never move inside an
-epoch.
+epoch.  A checkpoint reduces the shadow rows by id and hands the
+reduction ``support`` (below) as its column index, which the reduction
+copies instead of counting; the rows hold no zero entry and are made in
+ascending id order, as it requires.  It reduces only when a row changed
+since the last reduction: ``start``, ``adjoin``, ``eliminate`` and
+``derive`` change rows, while a ``rename`` relabels a column and keeps the
+number of generators, so a checkpoint after renames alone reuses the
+invariants last computed.  The check for columns that are not live runs at
+every checkpoint.
 
 Rows are keyed by column number.  ``col[g]`` is the column of generator
 ``g``, given on first sight: the start's relators in id order, then
@@ -111,6 +119,9 @@ class AbelianStepAuditor:
         self.steps = 0
         self.epochs: list[EpochRecord] = []
         self._epoch_dirty = True
+        # the invariants of the rows as they were last reduced; None once a
+        # row has changed since
+        self._reduced: tuple | None = None
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -168,9 +179,11 @@ class AbelianStepAuditor:
                  if ids and (gen_of[c] not in gens or col.get(gen_of[c]) != c)]
         if stray:
             raise AuditError(f"rows hold {fmt_gen(min(stray))}, which is not a generator")
-        free_rank, torsion = abelian_invariants_of_matrix(list(self.rows.values()),
-                                                          len(gens))
-        return (free_rank, tuple(torsion))
+        if self._reduced is None:
+            free_rank, torsion = abelian_invariants_of_matrix(self.rows, len(gens),
+                                                              self.support)
+            self._reduced = (free_rank, tuple(torsion))
+        return self._reduced
 
     def _open_epoch_if_needed(self) -> None:
         if self._epoch_dirty:
@@ -199,20 +212,24 @@ class AbelianStepAuditor:
                 self._add_row(rid, w, rid in held)
             self.gens = set(p.gens)
             self._epoch_dirty = True
+            self._reduced = None
             return
         if kind == "adjoin":
             w = step["word"]
             self._add_row(step["rid"], w)
             self.gens.update(w.generators())
             self._epoch_dirty = True
+            self._reduced = None
             return
         self._open_epoch_if_needed()
         if kind == "eliminate":
             self._verify_eliminate(step)
+            self._reduced = None
         elif kind == "derive":
             self._verify_derive(step)
+            self._reduced = None
         elif kind == "rename":
-            self._verify_rename(step)
+            self._verify_rename(step)  # no row changes
         else:
             raise AuditError(f"unknown step kind {kind!r}")
         self.steps += 1

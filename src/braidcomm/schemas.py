@@ -205,6 +205,8 @@ def band(x, y, bound: int = 1) -> Guard:
 
 
 def cmp(x, op: str, y) -> Guard:
+    if op not in _CMP:  # "band" is a guard kind, but not a comparison
+        raise ValueError(f"unknown comparison {op!r}")
     return Guard(op, Affine.of(x), Affine.of(y))
 
 

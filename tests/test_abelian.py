@@ -97,13 +97,26 @@ def _sparse_rows(m):
     return [{j: v for j, v in enumerate(row) if v} for row in m.entries]
 
 
+def _keyed(rows, ncols):
+    """The rows keyed by ascending ids that are not their positions, and
+    their column index, with an empty set for a column no row holds."""
+    keyed = {3 * pos + 1: row for pos, row in enumerate(rows)}
+    return keyed, {j: {i for i, row in keyed.items() if j in row} for j in range(ncols)}
+
+
 class RescanCheckedReduction(LatticeReduction):
     """Asserts at every step that the per-length queues of row ids pick the
-    pivot a full rescan of the live matrix picks."""
+    pivot a full rescan of the live matrix picks, and keeps the picks."""
+
+    def run(self):
+        self.picked = []
+        return super().run()
 
     def _pick_unit_pivot(self):
         where = super()._pick_unit_pivot()
         assert where == unit_pivot_by_rescan(self.rows, self.col_support)
+        if where is not None:
+            self.picked.append(where)
         return where
 
 
@@ -128,7 +141,14 @@ class RescanCheckedReduction(LatticeReduction):
 @example(IntegerMatrix([[2, 3, 3, 0, 0, 0], [1, 0, 0, 2, 2, 2]]), False)
 @settings(max_examples=150, deadline=None)
 def test_unit_pivots_follow_the_rescan_rule(m, track_v):
-    RescanCheckedReduction(_sparse_rows(m), m.cols, track_v=track_v).run()
+    rows = _sparse_rows(m)
+    red = RescanCheckedReduction(rows, m.cols, track_v=track_v).run()
+    if not track_v:
+        # fed a column index, the reduction picks the same pivots by id
+        keyed, support = _keyed(rows, m.cols)
+        by_id = RescanCheckedReduction(keyed, m.cols, track_v=False, support=support).run()
+        assert [((i - 1) // 3, j) for i, j in by_id.picked] == red.picked
+        assert by_id.pivots == red.pivots
 
 
 @given(sparse_matrices(), st.booleans())
@@ -140,6 +160,10 @@ def test_a_reduction_leaves_its_input_rows_unchanged(m, track_v):
         red = LatticeReduction(rows, m.cols, track_v=track_v).run()
         assert rows == before
         assert red.invariant_factors() == smith_normal_form(m).invariant_factors
+    keyed, support = _keyed(_sparse_rows(m), m.cols)
+    before = copy.deepcopy((keyed, support))
+    LatticeReduction(keyed, m.cols, track_v=track_v, support=support).run()
+    assert (keyed, support) == before
 
 
 @pytest.mark.parametrize("track_v", [False, True])
@@ -152,12 +176,12 @@ def test_empty_and_zero_rows_have_rank_zero(track_v):
 
 
 def test_an_audit_checkpoint_leaves_the_auditors_rows_unchanged():
-    # the auditor hands its live shadow rows to every checkpoint
+    # the auditor hands its live shadow rows and column support to every checkpoint
     auditor = audit.AbelianStepAuditor(checkpoint_every=1)
     TruncatedPresentation.from_schema(simplified_derived("GVB", 4), 4, callback=auditor)
-    before = copy.deepcopy(auditor.rows)
+    before = copy.deepcopy((auditor.rows, auditor.support))
     free_rank, _ = auditor._invariants()
-    assert auditor.rows == before
+    assert (auditor.rows, auditor.support) == before
     assert free_rank < len(auditor.gens)
 
 
@@ -166,8 +190,9 @@ def _audit_matrices(monkeypatch, name="simplify-gvb-n4"):
     starting with the start presentation's."""
     matrices = []
 
-    def record(rows, ncols):
-        matrices.append((rows, ncols))
+    def record(rows, ncols, support):
+        # the auditor passes its live shadow, keyed by row id
+        matrices.append(([dict(row) for row in rows.values()], ncols))
         return (0, [])
 
     monkeypatch.setattr(audit, "abelian_invariants_of_matrix", record)
@@ -216,6 +241,9 @@ def test_sparse_reduction_agrees_with_dense_on_sparse_matrices(m, track_v, data)
     if m.rows <= 4 and m.cols <= 4:
         assert dense.invariant_factors == invariant_factors_by_minors(m.entries)
     if not track_v:
+        keyed, support = _keyed(_sparse_rows(m), m.cols)
+        by_id = LatticeReduction(keyed, m.cols, track_v=False, support=support).run()
+        assert by_id.invariant_factors() == dense.invariant_factors
         return
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
     combo = {j: sum(c * row[j] for c, row in zip(coeffs, m.entries)) for j in range(m.cols)}
@@ -235,6 +263,14 @@ def test_sparse_membership():
     assert red.contains({0: 4, 1: 3, 2: 3})
     assert not red.contains({0: 1})
     assert not red.contains({1: 1})
+
+
+def test_membership_needs_a_tracked_reduction_that_has_run():
+    # an explicit check, which python -O keeps
+    with pytest.raises(ValueError, match="tracks v"):
+        LatticeReduction([{0: 2}], 1, track_v=False).run().contains({0: 2})
+    with pytest.raises(RuntimeError, match="before run"):
+        LatticeReduction([{0: 2}], 1).contains({0: 2})
 
 
 def test_subgroup_rank():

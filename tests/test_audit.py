@@ -3,7 +3,8 @@ import weakref
 
 import pytest
 
-from braidcomm import tietze
+from braidcomm import audit, tietze
+from braidcomm.abelian import LatticeReduction
 from braidcomm.audit import AbelianStepAuditor, AuditError, audit_script
 from braidcomm.derived import raw_derived, simplified_derived
 from braidcomm.replays import SCRIPTS
@@ -329,10 +330,14 @@ def test_audit_script_smoke():
 class _RecountingAuditor(AbelianStepAuditor):
     """Checks the column support, the ids of the rows nonzero in each
     column, against a recount after every step, and that every column a
-    row holds stands for a generator that maps back to it."""
+    row holds stands for a generator that maps back to it.  It also checks
+    what a checkpoint's reduction requires of the rows it is handed with
+    ``support``: no zero entry, and ids ascending in the rows' order."""
 
     def __call__(self, step):
         super().__call__(step)
+        assert all(all(row.values()) for row in self.rows.values()), step["kind"]
+        assert list(self.rows) == sorted(self.rows), step["kind"]
         support = {}
         for rid, row in self.rows.items():
             for c in row:
@@ -459,3 +464,104 @@ def test_a_checkpoint_interval_below_one_is_refused(every):
         AbelianStepAuditor(checkpoint_every=every)
     with pytest.raises(ValueError, match="checkpoint_every must be at least 1"):
         audit_script(SCRIPTS["simplify-sg-n3"], "simplify-sg-n3", 3, checkpoint_every=every)
+
+
+class _PivotRecording(LatticeReduction):
+    def run(self):
+        self.picked = []
+        return super().run()
+
+    def _pick_unit_pivot(self):
+        where = super()._pick_unit_pivot()
+        if where is not None:
+            self.picked.append(where)
+        return where
+
+
+@pytest.mark.parametrize("window,checkpoints", [(3, 44), (4, 55), (5, 68)])
+def test_a_checkpoint_fed_the_column_support_reduces_as_the_rows_alone(
+        window, checkpoints, monkeypatch):
+    """On every checkpoint matrix of the 15 scripts, the reduction handed
+    the auditor's rows by id with its ``support`` picks the pivots of the
+    reduction of the same rows as a list, ids read as positions, and gives
+    the same invariants."""
+    invariants = audit.abelian_invariants_of_matrix
+    pivots = []
+
+    def compare(rows, ncols, support):
+        position = {rid: pos for pos, rid in enumerate(rows)}
+        by_position = _PivotRecording(list(rows.values()), ncols, track_v=False).run()
+        by_id = _PivotRecording(rows, ncols, track_v=False, support=support).run()
+        assert [(position[i], j) for i, j in by_id.picked] == by_position.picked
+        assert by_id.pivots == by_position.pivots
+        result = invariants(rows, ncols, support)
+        assert result == (ncols - by_position.rank(),
+                          [d for d in by_position.invariant_factors() if d > 1])
+        pivots.append(len(by_id.picked))
+        return result
+
+    monkeypatch.setattr(audit, "abelian_invariants_of_matrix", compare)
+    for name, script in sorted(SCRIPTS.items()):
+        audit_script(script, name, window, checkpoint_every=150)
+    assert len(pivots) == checkpoints and all(pivots)
+
+
+def _counted_reductions(monkeypatch):
+    """One entry per checkpoint reduction from now on."""
+    counted = []
+    invariants = audit.abelian_invariants_of_matrix
+
+    def counting(rows, ncols, support):
+        counted.append(len(rows))
+        return invariants(rows, ncols, support)
+
+    monkeypatch.setattr(audit, "abelian_invariants_of_matrix", counting)
+    return counted
+
+
+def test_a_checkpoint_reduces_again_only_after_a_move_that_changes_a_row(monkeypatch):
+    counted = _counted_reductions(monkeypatch)
+    auditor, p = _audited_presentation()  # checkpoint_every=1
+    p.eliminate(*ELIMINATE)  # the epoch's start, then the checkpoint after the move
+    assert len(counted) == 2
+    p.rename(*RENAMED)
+    assert len(counted) == 2
+    auditor.finish(p, "demo", 3)
+    assert len(counted) == 2
+    counted.clear()
+    auditor = AbelianStepAuditor(checkpoint_every=1)
+    gvb = TruncatedPresentation.from_schema(simplified_derived("GVB", 3), 3, callback=auditor)
+    gvb.derive_collapsed(origin_of("braid_ss_1", {"m": 0, "k": 0}),
+                         {("a", (m, 0, 1)): origin_of("triv_a", {"m": m})
+                          for m in range(-3, 4)},
+                         ("edge", 0))
+    assert len(counted) == 2
+    old, new = RENAMED
+    gvb.rename(old, new)
+    assert len(counted) == 2
+    # the adjoined row opens an epoch, which the next move starts
+    gvb.add_relators([(word(new), ("quotient", 0))])
+    gvb.rename(new, ("a", (10, 1, 2)))
+    assert len(counted) == 3
+    report = auditor.finish(gvb, "demo", 3)
+    assert len(counted) == 3
+    assert [e.invariants for e in report.epochs] == [(28, ()), (27, ())]
+
+
+class _AlwaysReducingAuditor(AbelianStepAuditor):
+    def _invariants(self):
+        self._reduced = None
+        return super()._invariants()
+
+
+def test_a_rename_only_tail_reuses_the_last_reduction(monkeypatch):
+    """simplify-gvb-n5 ends in renames, so its final checkpoint reuses the
+    invariants of the one before, and reports as if it had reduced."""
+    name = "simplify-gvb-n5"
+    counted = _counted_reductions(monkeypatch)
+    reports = []
+    for auditor in (AbelianStepAuditor(150), _AlwaysReducingAuditor(150)):
+        presentation = SCRIPTS[name](4, callback=auditor)
+        reports.append(auditor.finish(presentation, name, 4))
+    assert len(counted) == 4 + 5
+    assert reports[0] == reports[1]

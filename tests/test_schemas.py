@@ -139,9 +139,16 @@ def test_a_relator_refuses_a_parameter_it_does_not_list(where):
 
 def test_a_guard_refuses_an_unknown_kind():
     with pytest.raises(ValueError, match="unknown guard kind '=='"):
-        cmp("i", "==", "j")
+        Guard("==", aff("i"), aff("j"))
     with pytest.raises(ValueError, match="unknown guard kind 'bond'"):
         Guard("bond", aff("i"), aff("j"), 1)
+
+
+@pytest.mark.parametrize("op", ["band", "=="])
+def test_cmp_refuses_what_is_not_a_comparison(op):
+    # a band guard is built by band(), with its bound; cmp would give it bound 0
+    with pytest.raises(ValueError, match=f"unknown comparison '{op}'"):
+        cmp("i", op, "j")
 
 
 def test_reduced_cancels_and_merges_equal_adjacent_letters():
