@@ -59,7 +59,8 @@ generator the shadow never saw gets a fresh column there, so such a
 relator cannot match.
 
 ``support[c]`` is the set of ids of the rows nonzero in column ``c``, held
-or not.  The column operation of ``eliminate`` visits exactly
+or not; a column that no row holds has no set, so a checkpoint walks no
+empty one.  The column operation of ``eliminate`` visits exactly
 ``support[target column]`` and changes a row only at the defining row's
 columns, so it updates ``support`` there alone.  A held row in that set
 that the step did not rewrite still references the target; ``finish``
@@ -128,7 +129,6 @@ class AbelianStepAuditor:
     def _column(self, g: Gen) -> int:
         c = self.col[g] = len(self.gen_of)
         self.gen_of.append(g)
-        self.support[c] = set()
         return c
 
     def _vector(self, w: Word) -> dict[int, int]:
@@ -153,14 +153,21 @@ class AbelianStepAuditor:
         support = self.support
         row = self.rows[rid] = self._vector(w)
         for c in row:
-            support[c].add(rid)
+            ids = support.get(c)
+            if ids is None:
+                support[c] = {rid}
+            else:
+                ids.add(rid)
         if held:
             self.words[rid] = w
 
     def _del_row(self, rid: int) -> None:
         support = self.support
         for c in self.rows.pop(rid):
-            support[c].discard(rid)
+            ids = support[c]
+            ids.discard(rid)
+            if not ids:
+                del support[c]
         self.words.pop(rid, None)
 
     def _synced_row(self, rid: int, w: Word) -> dict[int, int] | None:
@@ -335,7 +342,7 @@ class AbelianStepAuditor:
         c = col[new] = col.pop(old)
         self.gen_of[c] = new
         words = self.words
-        for rid in self.support[c]:
+        for rid in self.support.get(c, ()):
             if rid in words:
                 words[rid] = None
         self.gens.discard(old)

@@ -71,7 +71,7 @@ def _without_level1(rel: RelatorSchema) -> RelatorSchema:
     parameters dropped."""
     level1 = (Affine.of(1),)
     template = tuple(x for x in rel.template if x[0] != "a" or x[1][2:] != level1)
-    out = replace(rel, template=template).reduced()
+    out = replace(rel, template=template)
     used = out.free_params()
     return replace(out, params=tuple(p for p in rel.params if p in used))
 

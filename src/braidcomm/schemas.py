@@ -16,17 +16,18 @@ index range of the positions where they appear bare.
 (generator families, schema) pair it generates and compiles one small
 Python function, kept for the life of the process: one ``for`` loop per
 parameter, each guard tested in the shallowest loop that binds all of its
-parameters, index expressions evaluated inline, a range check only where
-the bound cannot be proved from the parameter domains, and ``normalize``
-called only when two adjacent letters of one family come out equal; a
-pair of indices that a band guard keeps apart is never compared.  The
+parameters, index expressions evaluated inline, and a range check only
+where the bound cannot be proved from the parameter domains.  The
 generated source is spliced together from ``int`` literals (checked with
 ``type(x) is int``) and the ``repr`` of family and parameter strings, so
 no text of a parsed schema is ever read as code.  A schema is checked
 once, when it is built: :class:`RelatorSchema` refuses a parameter that
 its letters or guards use but its ``params`` do not list, and
 :class:`Guard` an unknown kind, so the generated loops bind every
-parameter they read.
+parameter they read.  It also reduces its template freely and refuses two
+adjacent letters of one family and arity unless some index pair differs by
+a nonzero constant or by ``+-(lhs - rhs)`` of a band guard with bound at
+least 0, so every instance is yielded as written, already reduced.
 :func:`enumerate_bindings`, the one-binding-at-a-time route, stays
 because ``perfbench/tracing.py`` patches it; the tests compare the two
 routes.
@@ -36,21 +37,17 @@ it yields in a :class:`SharedValues` table that the caller passes, so
 equal values come out as one object.  A table lives for one build and no
 longer: ``TruncatedPresentation.from_schema`` passes one table to every
 schema of a presentation and drops it afterwards, and any other call gets
-a fresh table of its own.  A word that free reduction shortens keeps the
-shared generators but gets letter pairs of its own from ``normalize``; no
-schema in the catalog or in ``derived`` has one.  Equality and hashing
-stay value-based, so the sharing changes no result, only the number of
-objects.  Given the binding values to keep, the function takes that route
-only for a kept instance.  For any other it yields, after the same
-reduction and range checks, no word, no binding pairs and no table
-lookup, only the generators a caller cannot get from
+a fresh table of its own.  Equality and hashing stay value-based, so the
+sharing changes no result, only the number of objects.  Given the binding
+values to keep, the function takes that route only for a kept instance.
+For any other it yields, after the same range checks, no word, no binding
+pairs and no table lookup, only the generators a caller cannot get from
 ``Alphabet.gens_in_window``: those that may lie outside the window.  This
 is decided per template letter when the source is generated.  A window
 coordinate that is a bare window parameter, ``p`` or ``-p``, never leaves
 the window; any other is tested as the instance is enumerated, and the
 letters that have one are yielded if one of the tests fails.  An instance
-with no such letter outside the window yields ``()``.  A word that free
-reduction shortened yields all of its generators.
+with no such letter outside the window yields ``()``.
 
 :func:`match_relators` is the one comparison of a replayed relator set
 with an expected :func:`instance_set`; every identification check
@@ -231,12 +228,20 @@ class RelatorSchema:
         unlisted = self.free_params().difference(self.params)
         if unlisted:
             raise ValueError(f"parameter {min(unlisted)!r} of {self.label} is not listed")
+        # freely reduced: zero exponents dropped, equal adjacent letters merged
+        reduced = normalize(((fam, idx), exp) for fam, idx, exp in self.template)
+        template = tuple((fam, idx, exp) for (fam, idx), exp in reduced.letters)
+        object.__setattr__(self, "template", template)
+        # so every instance is reduced as written
+        apart = {g.lhs - g.rhs for g in self.guards if g.kind == "band" and g.bound >= 0}
+        for first, second in zip(template, template[1:]):
+            if (first[0] == second[0] and len(first[1]) == len(second[1])
+                    and not _kept_apart(first[1], second[1], apart)):
+                raise ValueError(f"adjacent letters {_spell(*first)} and {_spell(*second)} "
+                                 f"of {self.label} may coincide")
 
     def __str__(self) -> str:
-        letters = " ".join(
-            f"{fam}[{','.join(str(e) for e in idx)}]" + (f"^{exp}" if exp != 1 else "")
-            for fam, idx, exp in self.template
-        )
+        letters = " ".join(_spell(*letter) for letter in self.template)
         head = f"forall {','.join(self.params)}" if self.params else ""
         where = " where " + " and ".join(str(g) for g in self.guards) if self.guards else ""
         return f"{head}{where} : {letters}".strip()
@@ -247,18 +252,24 @@ class RelatorSchema:
         exprs += [e for g in self.guards for e in (g.lhs, g.rhs)]
         return {p for e in exprs for p, _ in e.terms}
 
-    def reduced(self) -> "RelatorSchema":
-        """Merge adjacent template letters that are identical affine forms."""
-        stack: list[list] = []
-        for fam, idx, exp in self.template:
-            if stack and stack[-1][0] == fam and stack[-1][1] == idx:
-                stack[-1][2] += exp
-                if stack[-1][2] == 0:
-                    stack.pop()
-            else:
-                stack.append([fam, idx, exp])
-        tpl = tuple((fam, idx, exp) for fam, idx, exp in stack)
-        return RelatorSchema(self.label, self.params, tpl, self.guards)
+
+def _spell(fam: str, idx: tuple[Affine, ...], exp: int) -> str:
+    """A template letter as the presentation text format spells it."""
+    return f"{fam}[{','.join(str(e) for e in idx)}]" + (f"^{exp}" if exp != 1 else "")
+
+
+def _kept_apart(idx1: tuple[Affine, ...], idx2: tuple[Affine, ...], apart: set[Affine]) -> bool:
+    """Whether some index pair differs under every binding: by a nonzero
+    constant, or by +-(lhs - rhs) of a band guard |lhs-rhs|>b with b >= 0."""
+    for e1, e2 in zip(idx1, idx2):
+        if e1.terms == e2.terms:
+            if e1.const != e2.const:
+                return True
+        else:
+            d = e1 - e2
+            if d.const if d.is_constant() else d in apart or -d in apart:
+                return True
+    return False
 
 
 def schema(label: str, params, letters, guards=()) -> RelatorSchema:
@@ -266,7 +277,7 @@ def schema(label: str, params, letters, guards=()) -> RelatorSchema:
     tpl = tuple(
         (fam, tuple(Affine.of(e) for e in idx), exp) for fam, idx, exp in letters
     )
-    return RelatorSchema(label, tuple(params), tpl, tuple(guards)).reduced()
+    return RelatorSchema(label, tuple(params), tpl, tuple(guards))
 
 
 @dataclass(frozen=True)
@@ -296,12 +307,6 @@ class PresentationSchema:
 
     def alphabet(self) -> Alphabet:
         return alphabet_of(self.families)
-
-    def relator(self, label: str) -> RelatorSchema:
-        for r in self.relators:
-            if r.label == label:
-                return r
-        raise KeyError(f"no relator schema labelled {label!r} in {self.name}")
 
 
 def alphabet_of(families) -> Alphabet:
@@ -404,21 +409,16 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
             test = f"{code(g.lhs)} {_PY_OPS[g.kind]} {code(g.rhs)}"
         tests[max((depth[p] for p in g.params()), default=0)].append(test)
 
-    letters, plain, checks, coincide = [], [], [], []
+    letters, checks = [], []
     far, outside = [], []  # what an unkept instance yields, and when
     never = False  # some constant index lies outside its range
-    # a band guard |x-y|>b with b >= 0 keeps x and y apart
-    apart = {g.lhs - g.rhs for g in rel.guards if g.kind == "band" and g.bound >= 0}
 
     def bare_window(e: Affine) -> bool:
         """Whether ``e`` is +-p for a window parameter p: always in the window."""
         return (not e.const and len(e.terms) == 1 and e.terms[0][1] in (1, -1)
                 and domains[e.terms[0][0]] is None)
 
-    previous = None
     for fam, idx, exp in rel.template:
-        if _int(exp) == "0":
-            continue
         doms = alphabet.domains(fam, len(idx))
         for e, dom in zip(idx, doms):
             span = interval(e)
@@ -430,26 +430,8 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
                 check = f"{_int(dom[0])} <= {code(e)} <= {_int(dom[1])}"
                 if check not in checks:
                     checks.append(check)
-        # free reduction can only act where two adjacent letters coincide
-        if previous is not None and previous[0] == fam and len(previous[1]) == len(idx):
-            same = []
-            for e1, e2 in zip(previous[1], idx):
-                d = e1 - e2
-                if d.is_constant():
-                    if d.const:
-                        break
-                elif d in apart or -d in apart:
-                    break
-                else:
-                    same.append(" == ".join(sorted((code(e1), code(e2)))))
-            else:
-                test = " and ".join(same) or "True"
-                if test not in coincide:
-                    coincide.append(test)
-        previous = (fam, idx)
         generator = f"({_str(fam)}, ({''.join(code(e) + ', ' for e in idx)}))"
         letters.append(f"_shared[(_shared[{generator}], {_int(exp)})]")
-        plain.append(f"({generator}, {_int(exp)})")
         # a window coordinate other than a bare window parameter may leave
         # the window, so an unkept instance yields its generator if it does
         tests_out = [f"not -window <= {code(e)} <= window"
@@ -461,46 +443,23 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
     items = "(" + "".join(f"_shared[({_str(p)}, {var[p]})], " for p in sorted(var)) + ")"
     values = "(" + "".join(f"{var[p]}, " for p in sorted(var)) + ")"
 
-    def leaf(kept: bool) -> list[str]:
-        """The body of a kept instance, which yields its binding items and
-        word, or of an unkept one, which yields ``None`` and generators of
-        its word, after the same free reduction and range checks: all of
-        them if the word was reduced, else those that may lie outside the
-        window if one of them does, else ``()``."""
-        word = "(" + "".join(x + ", " for x in (letters if kept else plain)) + ")"
-        found = f"{items}, w" if kept else "None, [g for g, _ in w.letters]"
-        normalized = [f"w = _normalize({word})", f"yield {found}"]
-        if never or checks:  # the letters left after reduction are checked instead
-            normalized[1:] = ["if all([_in_domain(g) for g, _ in w.letters]):",
-                              "    " + normalized[1]]
-        if kept:
-            reduced = [f"yield {items}, _make({word})"]
-        elif far:
-            reduced = [f"yield None, ({''.join(g + ', ' for g in far)}) "
-                       f"if {' or '.join(outside)} else ()"]
-        else:
-            reduced = ["yield None, ()"]
-        if checks:
-            reduced = [f"if {' and '.join(checks)}:", "    " + reduced[0]]
-        if "True" in coincide:
-            return normalized
-        if coincide:
-            out = [f"if {' or '.join(f'({c})' for c in coincide)}:"]
-            out += ["    " + line for line in normalized]
-            if not never:
-                out += ["else:"] + ["    " + line for line in reduced]
-            return out
-        return [] if never else reduced
+    # a kept instance yields its binding items and word; an unkept one yields
+    # None and the generators of its word that may lie outside the window if
+    # one of them does, else (); both behind the same range checks
+    kept = f"yield {items}, _make(({''.join(x + ', ' for x in letters)}))"
+    unkept = (f"yield None, ({''.join(g + ', ' for g in far)}) if {' or '.join(outside)} else ()"
+              if far else "yield None, ()")
 
-    lines = ["def _instances(window, _shared, _keep, _make=_make, _normalize=_normalize,"
-             " _in_domain=_in_domain):",
+    def checked(line: str) -> list[str]:
+        return [f"if {' and '.join(checks)}:", "    " + line] if checks else [line]
+
+    lines = ["def _instances(window, _shared, _keep, _make=_make):",
              "    yield from ()",
              "    window_range = range(-window, window + 1)"]
-    kept = leaf(True)
-    if not kept:
+    if never:
         return "\n".join(lines) + "\n"
-    body = ([f"if _keep is None or {values} in _keep:"] + ["    " + x for x in kept]
-            + ["else:"] + ["    " + x for x in leaf(False)])
+    body = ([f"if _keep is None or {values} in _keep:"] + ["    " + x for x in checked(kept)]
+            + ["else:"] + ["    " + x for x in checked(unkept)])
     if tests[0]:
         lines.append(f"    if not ({' and '.join(tests[0])}): return")
     pad = "    "
@@ -517,11 +476,9 @@ def _instances_source(alphabet: Alphabet, rel: RelatorSchema) -> str:
 
 @lru_cache(maxsize=None)
 def _compiled(families, rel: RelatorSchema):
-    alphabet = alphabet_of(families)
-    namespace = {"__builtins__": {"all": all, "range": range},
-                 "_make": Word._make,
-                 "_normalize": normalize, "_in_domain": alphabet.in_domain}
-    exec(compile(_instances_source(alphabet, rel), "<schema instances>", "exec"), namespace)
+    namespace = {"__builtins__": {"range": range}, "_make": Word._make}
+    source = _instances_source(alphabet_of(families), rel)
+    exec(compile(source, "<schema instances>", "exec"), namespace)
     return namespace["_instances"]
 
 
@@ -553,8 +510,8 @@ def instances(pres: PresentationSchema, rel: RelatorSchema, window: int,
 
     ``keep``, if given, holds the binding values to keep, each a tuple
     ordered like ``binding_items``.  An instance whose values are not in it
-    yields ``(None, generators)`` instead, in the same place, after free
-    reduction and the range checks, with no word, no binding items and no
+    yields ``(None, generators)`` instead, in the same place, after the
+    range checks, with no word, no binding items and no
     ``shared`` lookup.  ``generators`` are some of its word's generators,
     among them every one outside ``[-window, window]``, often none: with
     ``Alphabet.gens_in_window(window)`` they cover the word's generators.

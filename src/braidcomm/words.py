@@ -44,10 +44,6 @@ class WordError(ValueError):
     """Raised for malformed letters or out-of-domain generators."""
 
 
-def gen(family: str, *indices: int) -> Gen:
-    return (family, tuple(indices))
-
-
 def fmt_gen(g: Gen) -> str:
     family, idx = g
     if len(idx) == 1:
@@ -87,10 +83,11 @@ def normalize(letters) -> "Word":
     return Word._make(tuple(stack))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Word:
     """A freely reduced word; the empty tuple is the identity.  Slotted, so
-    an instance holds ``letters`` and no ``__dict__``."""
+    an instance holds ``letters`` and no ``__dict__``.  No ``__init__``:
+    ``normalize`` builds a word from raw letters, ``_make`` from reduced ones."""
 
     letters: tuple[tuple[Gen, int], ...]
 
@@ -99,9 +96,6 @@ class Word:
         w = _new(Word)
         _set_letters(w, letters)
         return w
-
-    def __init__(self, letters=()):
-        object.__setattr__(self, "letters", normalize(letters).letters)
 
     def __bool__(self) -> bool:
         return bool(self.letters)
@@ -343,14 +337,6 @@ class Alphabet:
             return self._windows[(family, arity)]
         except KeyError:
             raise _undeclared(family, arity) from None
-
-    def in_domain(self, g: Gen) -> bool:
-        """Whether every ranged index of ``g`` lies in its declared range."""
-        family, idx = g
-        for value, dom in zip(idx, self.domains(family, len(idx))):
-            if dom is not None and not dom[0] <= value <= dom[1]:
-                return False
-        return True
 
     def within_window(self, g: Gen, bound: int) -> bool:
         """Whether every window coordinate of ``g`` lies in [-bound, bound]."""

@@ -16,7 +16,9 @@ on the full start instead of on one pruned to the relators its moves read,
 a walk that rewrites and tests each unit letter on its own instead of one
 triviality test per run.
 ``instantiate`` evaluates one relator schema at one binding, the route
-``instances_by_bindings`` takes instead of the compiled enumerator.
+``instances_by_bindings`` takes instead of the compiled enumerator, and
+``in_domain`` is that route's own test of a generator's ranged indices,
+where the compiled enumerator proves or tests each index expression.
 The presentation parser (``parse_presentation``, ``parse_word``,
 ``ParseError`` and the ``_parse_*`` helpers) reads back what
 ``str(PresentationSchema)`` and ``str(Word)`` print; no command reads a
@@ -24,6 +26,8 @@ presentation file, so it lives here as the reference the printed text is
 checked against.
 ``bidegree`` sums the s and r exponents of a word's letters, an
 independent check of the key the rewriting walk ends at.
+``gen`` spells a generator and ``relator`` finds a relator schema by its
+label, two builders that only tests use.
 The last helpers (``conjugate``, ``every_schema``, ``unrename``,
 ``schema_sets_equal``, ``cyclically_reduce``, ``is_trivial_pair``,
 ``rewrite_conjugated_relator``, and the matrix helpers ``zero_matrix``,
@@ -34,6 +38,19 @@ comparisons and compositions that only tests need.
 import re
 from itertools import combinations
 from math import gcd
+
+
+def gen(family, *indices):
+    """The generator ``(family, indices)``."""
+    return (family, tuple(indices))
+
+
+def relator(pres, label):
+    """The relator schema of ``pres`` labelled ``label``."""
+    for rel in pres.relators:
+        if rel.label == label:
+            return rel
+    raise KeyError(f"no relator schema labelled {label!r} in {pres.name}")
 
 
 def naive_reduce(units):
@@ -266,6 +283,16 @@ def instantiate(rel, bindings):
                       for fam, idx, exp in rel.template])
 
 
+def in_domain(alphabet, g):
+    """Whether every ranged index of ``g`` lies in the range ``alphabet``
+    declares for it."""
+    family, idx = g
+    for value, dom in zip(idx, alphabet.domains(family, len(idx))):
+        if dom is not None and not dom[0] <= value <= dom[1]:
+            return False
+    return True
+
+
 def instances_by_bindings(pres, rel, window):
     """The one-binding-at-a-time route to ``schemas.instances``: every
     guard-satisfying binding, instantiated, kept when all letters of the
@@ -273,11 +300,11 @@ def instances_by_bindings(pres, rel, window):
     from braidcomm.schemas import enumerate_bindings
     from braidcomm.tietze import origin_of
 
-    in_domain = pres.alphabet().in_domain
+    alphabet = pres.alphabet()
     out = []
     for bindings in enumerate_bindings(pres, rel, window):
         w = instantiate(rel, bindings)
-        if all(in_domain(g) for g, _ in w.letters):
+        if all(in_domain(alphabet, g) for g, _ in w.letters):
             out.append((origin_of(rel.label, bindings)[1], w))
     return out
 
@@ -641,7 +668,10 @@ def parse_presentation(text: str):
             unknown = {p for e in exprs for p, _ in e.terms} - set(params)
             if unknown:
                 raise ParseError(f"unbound parameter(s) {sorted(unknown)}", lineno)
-            relators.append(RelatorSchema(label, params, tuple(letters), tuple(guards)).reduced())
+            try:
+                relators.append(RelatorSchema(label, params, tuple(letters), tuple(guards)))
+            except ValueError as exc:  # letters that may coincide
+                raise ParseError(str(exc), lineno) from None
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if n is None:

@@ -6,7 +6,7 @@ from braidcomm.derived import raw_derived, simplified_derived, verify_simplifica
 from braidcomm.rewriting import expand
 from braidcomm.schemas import enumerate_instances, instance_set
 from braidcomm.words import normalize
-from oracles import bidegree, conjugate, instantiate, parse_presentation, unrename
+from oracles import bidegree, conjugate, instantiate, parse_presentation, relator, unrename
 
 # transcription of the raw relator families, one line per schema
 RAW_GVB = {
@@ -80,9 +80,9 @@ def test_simplified_gvb4_vacuous_guards():
     for label in ("comm_ss_2j", "comm_rr_2j", "comm_sr_2j", "comm_sr_j2",
                   "comm_ss_jj", "comm_rr_jj", "comm_sr_jj",
                   "braid_ss_j", "braid_rr_j", "mixed_l_j", "mixed_r_j"):
-        assert enumerate_instances(gvb4, gvb4.relator(label), 2) == []
+        assert enumerate_instances(gvb4, relator(gvb4, label), 2) == []
     live = {r.label for r in gvb4.relators
-            if enumerate_instances(gvb4, gvb4.relator(r.label), 1)}
+            if enumerate_instances(gvb4, relator(gvb4, r.label), 1)}
     assert live == {"triv_a", "comm_ss_1j", "comm_sr_1j", "braid_ss_1", "braid_ss_2",
                     "braid_rr_1", "braid_rr_2", "mixed_l_1", "mixed_l_2",
                     "mixed_r_1", "mixed_r_2"}
@@ -91,11 +91,11 @@ def test_simplified_gvb4_vacuous_guards():
 def test_gvb3_and_sg3_surviving_families():
     gvb3 = simplified_derived("GVB", 3)
     live = {r.label for r in gvb3.relators
-            if enumerate_instances(gvb3, gvb3.relator(r.label), 1)}
+            if enumerate_instances(gvb3, relator(gvb3, r.label), 1)}
     assert live == {"triv_a", "braid_ss_1", "braid_rr_1", "mixed_l_1", "mixed_r_1"}
     sg3 = simplified_derived("SG", 3)
     live = {r.label for r in sg3.relators
-            if enumerate_instances(sg3, sg3.relator(r.label), 1)}
+            if enumerate_instances(sg3, relator(sg3, r.label), 1)}
     assert live == {"braid_ss_1", "mixed_l_1", "mixed_r_1", "mixed_eq_2"}
 
 
@@ -119,7 +119,7 @@ def test_raw_instances_expand_to_conjugated_ambient_relators():
         ambient = catalog(group, n)
         raw = raw_derived(group, n)
         for amb_rel in ambient.relators:
-            raw_rel = raw.relator(f"rw_{amb_rel.label}")
+            raw_rel = relator(raw, f"rw_{amb_rel.label}")
             for bindings in enumerate_bindings(ambient, amb_rel, 0):
                 inst = instantiate(amb_rel, bindings)
                 for m, k in ((0, 0), (2, -1), (-3, 3)):
@@ -134,9 +134,9 @@ def test_rewriting_matches_the_generic_schema_letterwise_away_from_trivia():
 
     ambient = catalog("GVB", 4)
     raw = raw_derived("GVB", 4)
-    inst = instantiate(ambient.relator("mixed_l"), {"i": 2})
+    inst = instantiate(relator(ambient, "mixed_l"), {"i": 2})
     direct = rewrite(conjugate(inst, representative(1, 2)), 4)
-    via_schema = instantiate(raw.relator("rw_mixed_l"), {"m": 1, "k": 2, "i": 2})
+    via_schema = instantiate(relator(raw, "rw_mixed_l"), {"m": 1, "k": 2, "i": 2})
     assert direct == via_schema
     assert str(via_schema) == \
         "b[1,2,2] a[1,3,3] a[2,3,2] b[3,2,3]^-1 a[2,2,2]^-1 a[1,2,3]^-1"

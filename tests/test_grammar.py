@@ -3,8 +3,8 @@ import pytest
 from braidcomm.catalog import FAMILIES, catalog
 from braidcomm.derived import raw_derived, simplified_derived
 from braidcomm.schemas import band
-from braidcomm.words import word, gen
-from oracles import ParseError, instantiate, parse_presentation, parse_word
+from braidcomm.words import word
+from oracles import ParseError, gen, instantiate, parse_presentation, parse_word
 
 
 def test_round_trip_whole_catalog():
@@ -104,6 +104,16 @@ def test_a_parameter_listed_twice_is_a_positioned_error():
     # one name in two relators is two parameters
     pres = parse_presentation(base + "rel s forall m : c[m]\nrel t forall m : c[m+1]\n")
     assert [rel.params for rel in pres.relators] == [("m",), ("m",)]
+
+
+def test_a_relator_whose_letters_may_coincide_is_a_positioned_error():
+    base = "presentation x\nn 4\ngen c arity 1 range int\n"
+    with pytest.raises(ParseError, match=r"c\[m\] and c\[k\]\^-1 of t may coincide") as err:
+        parse_presentation(base + "rel t forall m,k : c[m] c[k]^-1\n")
+    assert err.value.line == 4
+    # a band guard keeps them apart
+    pres = parse_presentation(base + "rel t forall m,k where |m-k|>0 : c[m] c[k]^-1\n")
+    assert str(pres.relators[0]) == "forall m,k where |m-k|>0 : c[m] c[k]^-1"
 
 
 def test_comments_and_blank_lines_are_ignored():

@@ -9,8 +9,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "braidcomm"
 KEPT = {
     "audit.audit_script": "the audit's entry point for criterion 10, CI and the benchmark",
     "quotients.sg3_as_quotient_of_sg4": "perfbench/tracing.py patches it",
-    "words.gen": "the small generator constructor that tests build with",
-    "schemas.PresentationSchema.relator": "the accessor by label that tests build with",
 }
 
 

@@ -20,8 +20,8 @@ from braidcomm.quotients import (
 )
 from braidcomm.schemas import aff, instance_set, schema
 from braidcomm.tietze import TruncatedPresentation
-from braidcomm.words import canonical_cyclic, fmt_gen, gen, word
-from oracles import multiply_permutations
+from braidcomm.words import canonical_cyclic, fmt_gen, word
+from oracles import gen, multiply_permutations
 
 
 def test_quotient_by_appends_nothing_for_empty_extras():

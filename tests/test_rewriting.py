@@ -18,7 +18,6 @@ from braidcomm.words import (
     WordError,
     concat,
     delete_generators,
-    gen,
     normalize,
     word,
 )
@@ -26,6 +25,7 @@ from oracles import (
     bidegree,
     conjugate,
     expand_by_generators,
+    gen,
     instantiate,
     is_trivial_pair,
     rewrite_conjugated_relator,

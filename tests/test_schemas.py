@@ -1,8 +1,9 @@
 import dataclasses
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from braidcomm.catalog import catalog
@@ -23,8 +24,9 @@ from braidcomm.schemas import (
     _instances_source,
     schema,
 )
-from braidcomm.words import gen, word
-from oracles import every_schema, instances_by_bindings, instantiate, schema_sets_equal
+from braidcomm.words import word
+from oracles import (every_schema, gen, instances_by_bindings, instantiate, relator,
+                     schema_sets_equal)
 
 
 def test_affine_arithmetic():
@@ -45,7 +47,7 @@ def test_guard_evaluation():
 
 def test_instantiate_crossing_braid_family():
     gvb = simplified_derived("GVB", 5)
-    rel = gvb.relator("braid_ss_1")
+    rel = relator(gvb, "braid_ss_1")
     w = instantiate(rel, {"m": 0, "k": 0})
     assert w == word(gen("a", 0, 0, 1), gen("a", 1, 0, 2), gen("a", 2, 0, 1),
                      (gen("a", 2, 0, 2), -1), (gen("a", 1, 0, 1), -1),
@@ -54,8 +56,8 @@ def test_instantiate_crossing_braid_family():
 
 def test_instantiate_trivial_family_and_guard_rejection():
     gvb = simplified_derived("GVB", 5)
-    assert instantiate(gvb.relator("triv_a"), {"m": 5}) == word(gen("a", 5, 0, 1))
-    comm = catalog("GVB", 5).relator("comm_ss")
+    assert instantiate(relator(gvb, "triv_a"), {"m": 5}) == word(gen("a", 5, 0, 1))
+    comm = relator(catalog("GVB", 5), "comm_ss")
     with pytest.raises(GuardError, match=r"\|i-j\|>1"):
         instantiate(comm, {"i": 2, "j": 3})
     with pytest.raises(GuardError, match="unbound"):
@@ -64,7 +66,7 @@ def test_instantiate_trivial_family_and_guard_rejection():
 
 def test_enumerate_trivial_family_window_one():
     gvb = simplified_derived("GVB", 5)
-    out = enumerate_instances(gvb, gvb.relator("triv_a"), 1)
+    out = enumerate_instances(gvb, relator(gvb, "triv_a"), 1)
     assert out == [word(gen("a", m, 0, 1)) for m in (-1, 0, 1)]
 
 
@@ -79,15 +81,15 @@ def test_enumerate_respects_guards():
 def test_enumerate_companion_recurrence_count():
     # window 1: both integer parameters range over {-1, 0, 1} -> 3 x 3
     gvb = simplified_derived("GVB", 5)
-    out = enumerate_instances(gvb, gvb.relator("braid_rr_1"), 1)
+    out = enumerate_instances(gvb, relator(gvb, "braid_rr_1"), 1)
     assert len(out) == 3 * 3
 
 
 def test_schema_set_comparison():
     gvb = simplified_derived("GVB", 5)
-    assert schema_sets_equal(gvb, [gvb.relator("triv_a")], gvb, [gvb.relator("triv_a")], 2)
-    assert not schema_sets_equal(gvb, [gvb.relator("braid_ss_1")],
-                                 gvb, [gvb.relator("braid_rr_1")], 2)
+    assert schema_sets_equal(gvb, [relator(gvb, "triv_a")], gvb, [relator(gvb, "triv_a")], 2)
+    assert not schema_sets_equal(gvb, [relator(gvb, "braid_ss_1")],
+                                 gvb, [relator(gvb, "braid_rr_1")], 2)
 
 
 def test_schema_set_comparison_modulo_rotation_and_inverse():
@@ -106,7 +108,7 @@ def test_a_presentation_refuses_a_relator_label_used_twice():
     # a quotient adds its relators through the same constructor
     gvb = simplified_derived("GVB", 3)
     with pytest.raises(ValueError, match="relator label 'triv_a' occurs twice"):
-        quotient_by(gvb, [gvb.relator("triv_a")])
+        quotient_by(gvb, [relator(gvb, "triv_a")])
 
 
 def test_a_relator_refuses_a_parameter_listed_twice():
@@ -155,23 +157,63 @@ def test_reduced_cancels_and_merges_equal_adjacent_letters():
     assert schema("x", ("i",), [("a", ["i"], 1), ("a", ["i"], -1)]).template == ()
     merged = schema("x", ("i",), [("a", ["i"], 1), ("a", ["i"], 1)])
     assert merged.template == (("a", (aff("i"),), 2),)
+    i, j = aff("i"), aff("j")
+    # a zero exponent is dropped, and its neighbours meet
+    zero = RelatorSchema("x", ("i", "j"), (("a", (i,), 1), ("b", (j, i), 0), ("a", (i,), 2)))
+    assert zero.template == (("a", (i,), 3),)
+    # a cancellation exposes the next pair, down to the empty template
+    cascade = RelatorSchema("x", ("i", "j"), (("a", (i,), 1), ("a", (j,), 1),
+                                              ("a", (j,), -1), ("a", (i,), -1)))
+    assert cascade.template == ()
+
+
+# schemas with two adjacent letters that one binding makes equal, each
+# with the pair that the refusal names
+REFUSED = {
+    "may_coincide": (("i", "j"), [("a", ["i"], 1), ("a", ["j"], -1)], [],
+                     "a[i] and a[j]^-1"),
+    "band_allows_equal": (("i", "j"), [("a", ["i"], 1), ("a", ["j"], -1)],
+                          [band("i", "j", -1)], "a[i] and a[j]^-1"),
+    "coincide_then_range": (("m", "i", "j"), [("b", ["m", aff("i", 1)], 1),
+                                              ("b", ["m", "j"], -1), ("c", ["m"], 1)], [],
+                            "b[m,i+1] and b[m,j]^-1"),
+    "coincide_leaves_range": (("i", "j"), [("a", ["i"], 1), ("a", ["j"], -1),
+                                           ("a", [aff("i", 1)], 1)], [],
+                              "a[i] and a[j]^-1"),
+    "zero_exponent": (("i", "j"), [("a", ["i"], 1), ("a", [aff("j", 3)], 0),
+                                   ("a", ["j"], -1)], [], "a[i] and a[j]^-1"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(REFUSED))
+def test_a_relator_refuses_adjacent_letters_that_may_coincide(label):
+    params, letters, guards, pair = REFUSED[label]
+    refused = re.escape(f"adjacent letters {pair} of {label} may coincide")
+    with pytest.raises(ValueError, match=refused):
+        schema(label, params, letters, guards)
+    template = tuple((fam, tuple(map(Affine.of, idx)), exp) for fam, idx, exp in letters)
+    with pytest.raises(ValueError, match=refused):
+        RelatorSchema(label, params, template, tuple(guards))
+    accepted = RelatorSchema(label, params, template[:1], tuple(guards))
+    with pytest.raises(ValueError, match=refused):
+        dataclasses.replace(accepted, template=template)
 
 
 def test_strand_validity_filters_instances():
     # at n=4 the a[j] commutations with j >= 4 have no valid instances
     gvb = simplified_derived("GVB", 4)
-    assert enumerate_instances(gvb, gvb.relator("comm_ss_2j"), 2) == []
-    assert enumerate_instances(gvb, gvb.relator("comm_ss_jj"), 2) == []
+    assert enumerate_instances(gvb, relator(gvb, "comm_ss_2j"), 2) == []
+    assert enumerate_instances(gvb, relator(gvb, "comm_ss_jj"), 2) == []
     # and at n=6 the braid family on a[i] needs i+1 <= 5
     gvb6 = simplified_derived("GVB", 6)
-    out = enumerate_instances(gvb6, gvb6.relator("braid_ss_j"), 0)
+    out = enumerate_instances(gvb6, relator(gvb6, "braid_ss_j"), 0)
     assert len(out) == 2  # i in {3, 4}
 
 
 def test_interior_filter():
     gvb = simplified_derived("GVB", 5)
-    full = instance_set(gvb, [gvb.relator("braid_rr_1")], 3)
-    interior = instance_set(gvb, [gvb.relator("braid_rr_1")], 3, interior=1)
+    full = instance_set(gvb, [relator(gvb, "braid_rr_1")], 3)
+    interior = instance_set(gvb, [relator(gvb, "braid_rr_1")], 3, interior=1)
     assert interior < full
     # k+2 <= 1 and k >= -1 force k = -1
     assert len(interior) == 3
@@ -220,19 +262,23 @@ EDGE_CASES = [
              [band("i", "j") if kind == "band" else cmp("i", kind, "j")])
       for kind in GUARD_KINDS),
     schema("leaves_range", ("i",), [("a", ["i"], 1), ("a", [aff("i", 1)], -1)]),
-    schema("may_coincide", ("i", "j"), [("a", ["i"], 1), ("a", ["j"], -1)]),
     schema("band_keeps_apart", ("i", "j"), [("a", ["i"], 1), ("a", ["j"], -1)],
            [band("i", "j", 0)]),
-    schema("band_allows_equal", ("i", "j"), [("a", ["i"], 1), ("a", ["j"], -1)],
+    # the schemas of REFUSED made acceptable: a letter between the two that
+    # may coincide, a constant index or a band guard keeps them apart
+    schema("may_coincide", ("i", "j"), [("a", ["i"], 1), ("c", [0], 1), ("a", ["j"], -1)]),
+    schema("band_allows_equal", ("i", "j"), [("b", ["i", 1], 1), ("b", ["j", 2], -1)],
            [band("i", "j", -1)]),
     schema("coincide_then_range", ("m", "i", "j"),
-           [("b", ["m", aff("i", 1)], 1), ("b", ["m", "j"], -1), ("c", ["m"], 1)]),
+           [("b", ["m", aff("i", 1)], 1), ("b", ["m", "j"], -1), ("c", ["m"], 1)],
+           [band("j", aff("i", 1), 0)]),
     schema("coincide_leaves_range", ("i", "j"),
-           [("a", ["i"], 1), ("a", ["j"], -1), ("a", [aff("i", 1)], 1)]),
-    schema("window_guard", ("m", "k"), [("c", ["m"], 1), ("c", [aff("k", 2)], 1)],
-           [cmp(aff("m", "k"), ">=", 1), band("m", 0, 0)]),
+           [("a", ["i"], 1), ("a", ["j"], -1), ("a", [aff("i", 1)], 1)],
+           [band("i", "j", 0), band("j", aff("i", 1), 0)]),
     schema("zero_exponent", ("i", "j"), [("a", ["i"], 1), ("a", [aff("j", 3)], 0),
-                                         ("a", ["j"], -1)]),
+                                         ("a", ["j"], -1)], [band("i", "j", 0)]),
+    schema("window_guard", ("m", "k"), [("c", ["m"], 1), ("b", [aff("k", 2), 1], 1)],
+           [cmp(aff("m", "k"), ">=", 1), band("m", 0, 0)]),
     schema("undeclared_family", ("i",), [("a", ["i"], 1), ("z", ["i"], 1)]),
     # window coordinates: a constant, outside windows 0 and 1; a strand
     # parameter; bare window parameters, +-m, which never leave the window
@@ -307,11 +353,10 @@ def _unkept_branch(rel) -> str:
 
 
 def test_the_keep_edge_cases_reach_the_normalize_and_range_check_bodies():
-    unkept = {rel.label: _unkept_branch(rel) for rel in EDGE_CASES
-              if rel.label in ("leaves_range", "coincide_leaves_range")}
-    assert "if 1 <= v0+1 <= 3:" in unkept["leaves_range"]
-    assert "_normalize(" in unkept["coincide_leaves_range"]
-    assert "_in_domain(" in unkept["coincide_leaves_range"]
+    # instances are yielded as written, behind their range checks: a schema
+    # whose adjacent letters may coincide is refused when it is built
+    rel = next(rel for rel in EDGE_CASES if rel.label == "leaves_range")
+    assert "if 1 <= v0+1 <= 3:" in _unkept_branch(rel)
 
 
 def test_an_unkept_instance_yields_only_generators_that_may_leave_the_window():
@@ -356,7 +401,11 @@ def toy_schemas(draw):
     for kind in draw(st.lists(st.sampled_from(GUARD_KINDS), max_size=2)):
         x, y = expr(), expr()
         guards.append(band(x, y, draw(st.integers(-1, 2))) if kind == "band" else cmp(x, kind, y))
-    return schema("drawn", params, letters, guards)
+    try:
+        return schema("drawn", params, letters, guards)
+    except ValueError as exc:
+        assert "may coincide" in str(exc)
+        reject()
 
 
 @settings(max_examples=300, deadline=None)
@@ -373,15 +422,15 @@ def test_keep_filters_the_instances_of_drawn_schemas(rel, rng):
 
 
 def test_band_guard_rules_out_the_coincidence_test():
-    # |i-j|>1 keeps a[m+1,k,j] and a[m+1,k,i]^-1 apart, so no instance of
-    # rw_comm_ss can freely reduce and its source never calls normalize
+    # |i-j|>1 keeps a[m+1,k,j] and a[m+1,k,i]^-1 apart, so rw_comm_ss builds
     raw = raw_derived("GVB", 4)
-    source = _instances_source(raw.alphabet(), raw.relator("rw_comm_ss"))
-    assert "not -1 <= v2-v3 <= 1" in source
-    assert "_normalize(" not in source
-    may = schema("may_coincide", ("i", "j"), [("a", ["i"], 1), ("a", ["j"], -1)],
-                 [band("i", "j", -1)])
-    assert "_normalize(" in _instances_source(TOY.alphabet(), may)
+    rel = relator(raw, "rw_comm_ss")
+    assert "not -1 <= v2-v3 <= 1" in _instances_source(raw.alphabet(), rel)
+    # |i-j|>-1 holds for i = j too, so the same letters are refused
+    loose = tuple(dataclasses.replace(g, bound=-1) if g.kind == "band" else g
+                  for g in rel.guards)
+    with pytest.raises(ValueError, match="of rw_comm_ss may coincide"):
+        dataclasses.replace(rel, guards=loose)
 
 
 def test_compiled_enumerator_quotes_names_and_refuses_non_ints():

@@ -10,8 +10,8 @@ from braidcomm import tietze
 from braidcomm.derived import raw_derived, simplified_derived
 from braidcomm.replays import SCRIPTS, simplify
 from braidcomm.tietze import MARGIN, ReplayError, TruncatedPresentation, _Texts, origin_of
-from braidcomm.words import EMPTY, Word, fmt_gen, gen, normalize, word
-from oracles import every_schema, from_schema_by_insert, relators_containing, rename_by_letters
+from braidcomm.words import EMPTY, Word, fmt_gen, normalize, word
+from oracles import every_schema, from_schema_by_insert, gen, relators_containing, rename_by_letters
 
 
 def _gvb3(M=3):

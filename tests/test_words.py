@@ -8,10 +8,10 @@ from braidcomm.tietze import MARGIN
 from braidcomm.words import (
     Alphabet,
     EMPTY,
+    Word,
     WordError,
     canonical_cyclic,
     concat,
-    gen,
     invert,
     normalize,
     substitute,
@@ -23,6 +23,8 @@ from oracles import (
     canonical_cyclic_all_rotations,
     conjugate,
     exponent_sums,
+    gen,
+    in_domain,
     inverse_units,
     naive_reduce,
     reduce_units,
@@ -37,6 +39,13 @@ r1, r2, r3 = gen("r", 1), gen("r", 2), gen("r", 3)
 
 def test_inverse_pair_cancels():
     assert normalize([(s1, 1), (s1, -1)]) == EMPTY
+
+
+def test_a_word_is_built_by_normalize_not_by_its_class():
+    # words come from normalize (raw letters) or _make (reduced ones) only
+    with pytest.raises(TypeError):
+        Word(((s1, 1), (s1, -1)))
+    assert normalize([(s1, 1), (s1, 1)]).letters == ((s1, 2),)
 
 
 def test_empty_sequence_is_identity():
@@ -120,10 +129,10 @@ def test_canonical_cyclic_identifies_rotations_and_inverse():
 def test_alphabet_validation_names_offender():
     alpha = Alphabet()
     alpha.declare("s", ((1, 4),))
-    assert alpha.in_domain(s1)
-    assert not alpha.in_domain(gen("s", 5))
+    assert in_domain(alpha, s1)
+    assert not in_domain(alpha, gen("s", 5))
     with pytest.raises(WordError, match="undeclared"):
-        alpha.in_domain(r1)
+        in_domain(alpha, r1)
 
 
 @pytest.mark.parametrize("window", [3, 4, 5])
