@@ -48,7 +48,7 @@ class IntegerMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntegerMatrix":
-        return IntegerMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return IntegerMatrix([[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)])
 
 
 @dataclass
@@ -174,7 +174,8 @@ class LatticeReduction:
     diagonal entry sitting in it, and ``v`` is a unimodular ncols x ncols
     matrix such that a vector x lies in the row space of the input iff
     ``x @ v`` is divisible entrywise by the pivot diagonal and vanishes on
-    non-pivot columns.
+    non-pivot columns.  A pivot of 1 divides every value, so ``run`` lists
+    the other columns, and :meth:`contains` computes ``x @ v`` only there.
 
     Unit pivots: the shortest live row that holds a +-1, ties to the lower
     row index, pivots on its unit of least column support, ties to the
@@ -311,6 +312,10 @@ class LatticeReduction:
                         vrow[col] -= q * y
             self.pivots[j] = 1
         self._finish_core()
+        if self.track_v:
+            # where x @ v can refuse x: a pivot of 1 divides every coordinate
+            self._refusing = [(j, d) for j in range(self.ncols)
+                              if (d := self.pivots.get(j)) != 1]
         self.done = True
         return self
 
@@ -357,18 +362,9 @@ class LatticeReduction:
         if not self.done:
             raise RuntimeError("contains was asked before run")
         ventries = self.v.entries
-        image = [0] * self.ncols
-        for r, val in vec.items():
-            if val:
-                vrow = ventries[r]
-                for j in range(self.ncols):
-                    image[j] += val * vrow[j]
-        for j, y in enumerate(image):
-            d = self.pivots.get(j)
-            if d is None:
-                if y:
-                    return False
-            elif y % d:
+        for j, d in self._refusing:
+            y = sum(x * ventries[r][j] for r, x in vec.items())
+            if (y % d if d else y):
                 return False
         return True
 

@@ -257,7 +257,7 @@ class AbelianStepAuditor:
         if set(presentation.gens) != self.gens:
             raise AuditError("shadow generator set diverged from the presentation")
         support = self.support
-        if (any(rid not in support[c] for rid, row in rows.items() for c in row)
+        if (any(rid not in support.get(c, ()) for rid, row in rows.items() for c in row)
                 or sum(map(len, support.values())) != sum(map(len, rows.values()))):
             raise AuditError("shadow column support diverged from the rows")
         return AuditReport(script, window, self.steps, self.epochs)

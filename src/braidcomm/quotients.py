@@ -28,8 +28,8 @@ from .derived import simplified_derived
 from .replays import gvb3_quotient_chain, sg3_beta_elimination
 from .schemas import (PresentationSchema, RelatorMatch, RelatorSchema, enumerate_instances,
                       instance_set, match_relators)
-from .tietze import MARGIN, TruncatedPresentation, origin_of
-from .words import Gen, Word, canonical_cyclic, concat, invert, normalize, word
+from .tietze import MARGIN, TruncatedPresentation
+from .words import EMPTY, Gen, Word, canonical_cyclic, concat, invert, normalize
 
 
 class CertificateError(RuntimeError):
@@ -110,14 +110,9 @@ class EdgeReport:
 
 def _gamma_witness_steps(i: int) -> list[tuple[Word, Word]]:
     s_i, s_i1, r_i, r_i1 = ("s", (i,)), ("s", (i + 1,)), ("r", (i,)), ("r", (i + 1,))
-    return [
-        (word((r_i1, -1)),
-         word((s_i, 1), (s_i1, 1), (r_i, -1), (s_i1, -1), (s_i, -1))),
-        (word((s_i, 2)), normalize([])),
-        (word((s_i, -2)), normalize([])),
-        (word((s_i1, 2)), normalize([])),
-        (word((s_i1, -2)), normalize([])),
-    ]
+    solve_r = (normalize([(r_i1, -1)]),
+               normalize([(s_i, 1), (s_i1, 1), (r_i, -1), (s_i1, -1), (s_i, -1)]))
+    return [solve_r] + [(normalize([(g, e)]), EMPTY) for g in (s_i, s_i1) for e in (2, -2)]
 
 
 def verify_diagram_edge(edge: str, n: int) -> EdgeReport:
@@ -131,11 +126,11 @@ def verify_diagram_edge(edge: str, n: int) -> EdgeReport:
     p = TruncatedPresentation.from_schema(combined, 0, name=f"edge-{edge}-n{n}")
     if "kill_r" in added:
         for i in range(1, n):
-            p.eliminate(("r", (i,)), origin_of("kill_r", {"i": i}), step=f"edge {edge}")
+            p.eliminate(("r", (i,)), ("kill_r", (("i", i),)), step=f"edge {edge}")
     if edge == "gamma":
         pool = {canonical_cyclic(w) for w in p.relators.values() if w}
         for i in range(1, n - 1):
-            rid, w = p.current(origin_of("mixed_l", {"i": i}), step="edge gamma")
+            rid, w = p.current(("mixed_l", (("i", i),)), step="edge gamma")
             absorb(w, _gamma_witness_steps(i), pool - {canonical_cyclic(w)})
             p.remove_relator(rid, "rewrites to 1 modulo the rest")
     replayed = {canonical_cyclic(w) for w in p.relators.values() if w}

@@ -45,12 +45,12 @@ from typing import NamedTuple
 from .derived import raw_derived, simplified_derived, simplified_families
 from .schemas import PresentationSchema, RelatorMatch, instance_set, match_relators
 from .tietze import MARGIN, Origin, TruncatedPresentation
-from .words import Gen, word
+from .words import Gen, normalize
 
 
 def _o(label: str, *pairs) -> Origin:
-    """The origin ``tietze.origin_of(label, dict(pairs))``, built without a sort:
-    ``pairs`` are the ``(parameter, value)`` pairs in parameter order."""
+    """The origin ``(label, pairs)``, built without a sort: ``pairs`` are
+    the ``(parameter, value)`` pairs in parameter order."""
     return (label, pairs)
 
 
@@ -358,12 +358,12 @@ def _gvb3_quotient_moves(M: int):
                       ((("b", (m, k, 2)), _o("mixed_r_1", ("k", k), ("m", m)))
                        for m in W for k in W))
     # quotient 1: force a[m,k,1] a[m+1,k,2] = 1
-    yield Adjoin([(word((("a", (m, k, 1)), 1), (("a", (m + 1, k, 2)), 1)),
+    yield Adjoin([(normalize([(("a", (m, k, 1)), 1), (("a", (m + 1, k, 2)), 1)]),
                    _o("w", ("k", k), ("m", m))) for m in W for k in W])
     yield from _sweep("kill a[m,k,2] mod W",
                       ((("a", (m + 1, k, 2)), _o("w", ("k", k), ("m", m))) for k in W for m in W))
     # quotient 2: force a[m+1,k,1] = a[m-1,k,1]
-    yield Adjoin([(word((("a", (m + 1, k, 1)), -1), (("a", (m - 1, k, 1)), 1)),
+    yield Adjoin([(normalize([(("a", (m + 1, k, 1)), -1), (("a", (m - 1, k, 1)), 1)]),
                    _o("v", ("k", k), ("m", m))) for m in W for k in W])
     for k in W:
         yield from _march(M, "a[m,k,1] two-step collapse", lambda m: ("a", (m, k, 1)),

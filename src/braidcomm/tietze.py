@@ -80,17 +80,20 @@ from operator import itemgetter
 # enumerate_bindings is unused here; perfbench/tracing.py patches this name
 from .schemas import PresentationSchema, SharedValues, enumerate_bindings, instances  # noqa: F401
 from .words import (
+    EMPTY,
     Gen,
     Word,
     _join,
+    _Texts,
     canonical_cyclic,
-    delete_generators,
     fmt_gen,
     invert,
     substitute,
     substitute_all,
 )
 
+# a relator's origin: its schema's label and the (parameter, value) pairs
+# of its binding, sorted by parameter, as ``schemas.instances`` yields them
 Origin = tuple
 
 # verdicts read only window coordinates in [-M+MARGIN, M-MARGIN]
@@ -99,24 +102,6 @@ MARGIN = 2
 
 class ReplayError(RuntimeError):
     """A scripted step could not be performed; the message names the step."""
-
-
-class _Texts(dict):
-    """Maps each generator looked up to its text, formatted once; a letter
-    is formatted from its generator's text and exponent.  One table serves
-    one render of a transcript and is dropped with it."""
-
-    __slots__ = ()
-
-    def __missing__(self, g: Gen) -> str:
-        text = self[g] = fmt_gen(g)
-        return text
-
-    def word(self, w: Word) -> str:
-        """``str(w)``, from the table."""
-        if not w.letters:
-            return "1"
-        return " ".join([self[g] if e == 1 else f"{self[g]}^{e}" for g, e in w.letters])
 
 
 # how each kind of transcript record renders as a line, given the _Texts
@@ -132,10 +117,6 @@ _LINES = {
     "derive": lambda t, new, w, used: (
         f"derive {t.word(new)} from {t.word(w)} deleting {{{', '.join(map(t.__getitem__, used))}}}"),
 }
-
-
-def origin_of(label: str, bindings: dict[str, int]) -> Origin:
-    return (label, tuple(sorted(bindings.items())))
 
 
 def _kept_values(schema: PresentationSchema, keep) -> dict[str, set[tuple]]:
@@ -428,7 +409,7 @@ class TruncatedPresentation:
 
         ``doomed`` maps each generator that may be deleted to the origin of
         its one-letter relator, which makes the copy a consequence of
-        present relators.
+        present relators.  Deleting is substituting the empty word.
         """
         src_rid, w = self.current(source, step)
         used = sorted(g for g in w.generators() if g in doomed)
@@ -440,7 +421,7 @@ class TruncatedPresentation:
                     f"{step}: cannot delete {fmt_gen(g)}; {trivial} is not a one-letter relator for it"
                 )
             trivial_rids[g] = rid
-        new = delete_generators(w, set(used))
+        new = substitute_all(w, dict.fromkeys(used, (EMPTY, EMPTY)))
         new_rid = self._insert(new, origin)
         if self.callback is not None:
             self.callback({"kind": "derive", "source_rid": src_rid, "source_word": w,

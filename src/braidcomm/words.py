@@ -28,7 +28,9 @@ off the key its walk ends at; nothing here computes it.
 Display syntax, used in logs, transcripts and presentation files:
 ``s1^2 r3^-1 a[0,1,2]`` -- family letter, bare index for arity one,
 bracketed index tuple otherwise, caret exponent (omitted when 1),
-space-separated.  The empty word prints as ``1``.
+space-separated.  The empty word prints as ``1``.  ``fmt_gen`` spells a
+generator and ``_Texts`` a letter and a word: ``str(w)`` and every
+transcript line spell their words through it.
 """
 
 from __future__ import annotations
@@ -51,10 +53,24 @@ def fmt_gen(g: Gen) -> str:
     return f"{family}[{','.join(str(i) for i in idx)}]"
 
 
-def fmt_letter(g: Gen, exp: int) -> str:
-    if exp == 1:
-        return fmt_gen(g)
-    return f"{fmt_gen(g)}^{exp}"
+class _Texts(dict):
+    """Maps each generator looked up to its text, formatted once; a letter
+    is spelled from its generator's text and exponent.  ``str(w)`` spells
+    a word through a table of its own; a transcript render shares one
+    table between all of its words and drops it when it returns."""
+
+    __slots__ = ()
+
+    def __missing__(self, g: Gen) -> str:
+        text = self[g] = fmt_gen(g)
+        return text
+
+    def word(self, w: "Word") -> str:
+        """The letters of ``w`` spelled from the table, space-separated;
+        ``1`` for the empty word."""
+        if not w.letters:
+            return "1"
+        return " ".join([self[g] if e == 1 else f"{self[g]}^{e}" for g, e in w.letters])
 
 
 def normalize(letters) -> "Word":
@@ -101,9 +117,7 @@ class Word:
         return bool(self.letters)
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(fmt_letter(g, e) for g, e in self.letters)
+        return _Texts().word(self)
 
     def __repr__(self) -> str:
         return f"Word({self})"
@@ -132,17 +146,6 @@ class Word:
 # the slot's own setter: frozen only guards assignment through __setattr__
 _new, _set_letters = object.__new__, Word.letters.__set__
 EMPTY = Word._make(())
-
-
-def word(*letters) -> Word:
-    """Convenience builder: word((gen, exp), ...) or word(gen, ...) for exponent 1."""
-    raw = []
-    for item in letters:
-        if isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], int) and not isinstance(item[0], str):
-            raw.append(item)
-        else:
-            raw.append((item, 1))
-    return normalize(raw)
 
 
 def _join(out: list, piece) -> None:
@@ -241,11 +244,6 @@ def substitute_all(w: Word, images: dict[Gen, tuple[Word, Word]]) -> Word:
     if start < len(letters):
         _join(out, letters[start:])
     return Word._make(tuple(out))
-
-
-def delete_generators(w: Word, doomed) -> Word:
-    """Drop every letter whose generator lies in ``doomed`` and reduce."""
-    return normalize([(g, e) for g, e in w.letters if g not in doomed])
 
 
 def _cyclic_units(w: Word) -> list[tuple[Gen, int]]:

@@ -26,8 +26,11 @@ presentation file, so it lives here as the reference the printed text is
 checked against.
 ``bidegree`` sums the s and r exponents of a word's letters, an
 independent check of the key the rewriting walk ends at.
-``gen`` spells a generator and ``relator`` finds a relator schema by its
-label, two builders that only tests use.
+``gen`` spells a generator, ``word`` a word from letters or bare
+generators, ``origin_of`` a relator's origin from a bindings dict, and
+``relator`` finds a relator schema by its label: builders that only tests
+use.  ``spell_word`` prints a word letter by letter through ``fmt_gen``,
+with no shared table, as ``str(Word)`` must.
 The last helpers (``conjugate``, ``every_schema``, ``unrename``,
 ``schema_sets_equal``, ``cyclically_reduce``, ``is_trivial_pair``,
 ``rewrite_conjugated_relator``, and the matrix helpers ``zero_matrix``,
@@ -43,6 +46,35 @@ from math import gcd
 def gen(family, *indices):
     """The generator ``(family, indices)``."""
     return (family, tuple(indices))
+
+
+def word(*letters):
+    """``normalize`` of the letters, each a ``(generator, exponent)`` pair or
+    a bare generator, read with exponent 1."""
+    from braidcomm.words import normalize
+
+    raw = []
+    for item in letters:
+        if isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], int) and not isinstance(item[0], str):
+            raw.append(item)
+        else:
+            raw.append((item, 1))
+    return normalize(raw)
+
+
+def origin_of(label, bindings):
+    """The origin of the instance of schema ``label`` at ``bindings``: the
+    label and the binding's (parameter, value) pairs, sorted."""
+    return (label, tuple(sorted(bindings.items())))
+
+
+def spell_word(w):
+    """Each letter of ``w`` as ``fmt_gen(g)``, then ``^e`` unless e is 1,
+    space-separated; ``1`` for the empty word."""
+    from braidcomm.words import fmt_gen
+
+    letters = [fmt_gen(g) if e == 1 else f"{fmt_gen(g)}^{e}" for g, e in w.letters]
+    return " ".join(letters) if letters else "1"
 
 
 def relator(pres, label):
@@ -298,7 +330,6 @@ def instances_by_bindings(pres, rel, window):
     guard-satisfying binding, instantiated, kept when all letters of the
     reduced word lie in their declared ranges."""
     from braidcomm.schemas import enumerate_bindings
-    from braidcomm.tietze import origin_of
 
     alphabet = pres.alphabet()
     out = []

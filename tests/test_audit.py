@@ -8,9 +8,9 @@ from braidcomm.abelian import LatticeReduction
 from braidcomm.audit import AbelianStepAuditor, AuditError, audit_script
 from braidcomm.derived import raw_derived, simplified_derived
 from braidcomm.replays import SCRIPTS
-from braidcomm.tietze import TruncatedPresentation, origin_of
-from braidcomm.words import Word, invert, word
-from oracles import gen, run_on_full_start
+from braidcomm.tietze import TruncatedPresentation
+from braidcomm.words import Word, invert
+from oracles import gen, origin_of, run_on_full_start, word
 
 
 def _audited_presentation(M=3):
@@ -439,6 +439,16 @@ def test_finish_fails_on_an_unread_word_it_did_not_read_at_start(forge):
         auditor.unread[rid] = invert(auditor.unread[rid])
     with pytest.raises(AuditError, match="shadow matrix diverged"):
         auditor.finish(presentation, name, 3)
+
+
+def test_finish_reports_a_column_support_lost_whole_as_a_divergence():
+    # a held column with no support set left is refused as any other miscount
+    auditor, p = _audited_presentation()
+    p.eliminate(*ELIMINATE)
+    column = next(c for c, ids in sorted(auditor.support.items()) if ids)
+    del auditor.support[column]
+    with pytest.raises(AuditError, match="shadow column support diverged from the rows"):
+        auditor.finish(p, "demo", 3)
 
 
 def test_finish_refuses_a_presentation_the_audit_did_not_start_on():

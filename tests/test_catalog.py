@@ -2,8 +2,7 @@ import pytest
 
 from braidcomm.catalog import catalog
 from braidcomm.schemas import enumerate_instances, instance_set
-from braidcomm.words import word
-from oracles import bidegree, gen, relator
+from oracles import bidegree, gen, relator, word
 
 
 def _all_instances(pres, window=0):

@@ -192,18 +192,35 @@ def test_bad_window_or_n_exits_two_with_one_error_line(capsys, argv, flag):
 
 
 def test_one_failing_claim_does_not_abort_the_batch(monkeypatch):
-    def broken(window):
-        raise quotients.CertificateError("forged failure")
+    # any Exception a runner raises refutes its claim, not only the expected kinds
+    for error, detail in ((quotients.CertificateError("forged failure"),
+                           "CertificateError: forged failure"),
+                          (RuntimeError("forged failure"), "RuntimeError: forged failure"),
+                          (KeyError("forged"), "KeyError: 'forged'")):
+        def broken(window, error=error):
+            raise error
 
-    claims = [dataclasses.replace(c, runner=broken) if c.id == "ambient-ab:sg:4" else c
+        claims = [dataclasses.replace(c, runner=broken) if c.id == "ambient-ab:sg:4" else c
+                  for c in registry.REGISTRY]
+        monkeypatch.setattr(registry, "REGISTRY", claims)
+        report = registry.run(claim_filter="ambient-ab:sg", window=4)
+        verdicts = {r.claim: (r.verdict, r.detail) for r in report.results}
+        assert verdicts.pop("ambient-ab:sg:4") == ("refuted", detail)
+        assert sorted(verdicts) == ["ambient-ab:sg:3", "ambient-ab:sg:5", "ambient-ab:sg:6"]
+        assert all(verdict == "verified" for verdict, _ in verdicts.values())
+        assert report.exit_status == 1
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, SystemExit])
+def test_an_interrupt_in_a_claim_still_ends_the_batch(monkeypatch, stop):
+    def interrupted(window):
+        raise stop()
+
+    claims = [dataclasses.replace(c, runner=interrupted) if c.id == "ambient-ab:sg:4" else c
               for c in registry.REGISTRY]
     monkeypatch.setattr(registry, "REGISTRY", claims)
-    report = registry.run(claim_filter="ambient-ab:sg", window=4)
-    verdicts = {r.claim: (r.verdict, r.detail) for r in report.results}
-    assert verdicts.pop("ambient-ab:sg:4") == ("refuted", "CertificateError: forged failure")
-    assert sorted(verdicts) == ["ambient-ab:sg:3", "ambient-ab:sg:5", "ambient-ab:sg:6"]
-    assert all(verdict == "verified" for verdict, _ in verdicts.values())
-    assert report.exit_status == 1
+    with pytest.raises(stop):
+        registry.run(claim_filter="ambient-ab:sg", window=4)
 
 
 def test_prerequisites_exist_and_form_no_cycle():

@@ -3,8 +3,7 @@ import pytest
 from braidcomm.catalog import FAMILIES, catalog
 from braidcomm.derived import raw_derived, simplified_derived
 from braidcomm.schemas import band
-from braidcomm.words import word
-from oracles import ParseError, gen, instantiate, parse_presentation, parse_word
+from oracles import ParseError, gen, instantiate, parse_presentation, parse_word, word
 
 
 def test_round_trip_whole_catalog():

@@ -13,9 +13,9 @@ from braidcomm.replays import (
     sgn_fingen,
     simplify,
 )
-from braidcomm.tietze import ReplayError, TruncatedPresentation, origin_of
+from braidcomm.tietze import ReplayError, TruncatedPresentation
 from braidcomm.words import fmt_gen
-from oracles import run_on_full_start
+from oracles import origin_of, run_on_full_start
 
 
 def test_collapse_survivors_at_window_four():

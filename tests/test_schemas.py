@@ -24,9 +24,8 @@ from braidcomm.schemas import (
     _instances_source,
     schema,
 )
-from braidcomm.words import word
 from oracles import (every_schema, gen, instances_by_bindings, instantiate, relator,
-                     schema_sets_equal)
+                     schema_sets_equal, word)
 
 
 def test_affine_arithmetic():
@@ -352,7 +351,7 @@ def _unkept_branch(rel) -> str:
     return rest.split(f"\n{pad}else:\n", 1)[1]
 
 
-def test_the_keep_edge_cases_reach_the_normalize_and_range_check_bodies():
+def test_the_keep_edge_cases_reach_the_range_check_bodies():
     # instances are yielded as written, behind their range checks: a schema
     # whose adjacent letters may coincide is refused when it is built
     rel = next(rel for rel in EDGE_CASES if rel.label == "leaves_range")

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from braidcomm import tietze
+from braidcomm import words
 from braidcomm.derived import raw_derived, simplified_derived
 from braidcomm.replays import SCRIPTS, simplify
-from braidcomm.tietze import MARGIN, ReplayError, TruncatedPresentation, _Texts, origin_of
-from braidcomm.words import EMPTY, Word, fmt_gen, normalize, word
-from oracles import every_schema, from_schema_by_insert, gen, relators_containing, rename_by_letters
+from braidcomm.tietze import MARGIN, ReplayError, TruncatedPresentation
+from braidcomm.words import EMPTY, Word, _Texts, fmt_gen, normalize
+from oracles import (every_schema, from_schema_by_insert, gen, origin_of, relators_containing,
+                     rename_by_letters, spell_word, word)
 
 
 def _gvb3(M=3):
@@ -195,7 +196,7 @@ def test_a_render_table_formats_words_as_str(raw):
     texts = _Texts()  # one table for every word, as in one render
     for letters in raw:
         w = normalize(letters)
-        assert texts.word(w) == str(w)
+        assert texts.word(w) == str(w) == spell_word(w)
 
 
 def test_a_render_formats_each_generator_once(monkeypatch):
@@ -216,7 +217,7 @@ def test_a_render_formats_each_generator_once(monkeypatch):
         calls[g] += 1
         return fmt_gen(g)
 
-    monkeypatch.setattr(tietze, "fmt_gen", counting_fmt_gen)
+    monkeypatch.setattr(words, "fmt_gen", counting_fmt_gen)
     assert p.transcript == expected
     assert gens and calls.keys() == gens
     assert set(calls.values()) == {1}

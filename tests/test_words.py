@@ -16,7 +16,6 @@ from braidcomm.words import (
     normalize,
     substitute,
     substitute_all,
-    word,
 )
 from oracles import (
     bidegree,
@@ -31,6 +30,7 @@ from oracles import (
     substitute_all_by_normalize,
     substitute_by_normalize,
     substitute_units,
+    word,
 )
 
 s1, s2, s3 = gen("s", 1), gen("s", 2), gen("s", 3)
@@ -280,6 +280,15 @@ def test_substitute_all_matches_the_simultaneous_oracle(w, images):
     if len(images) == 1:
         (target, replacement), = images.items()
         assert out == substitute(w, target, replacement)
+
+
+@given(WORDS3, st.sets(THREE))
+@settings(max_examples=150)
+@example(word(s2, (s1, 2), r1, (s1, -1), (r1, -1), s2), {s1})
+def test_deleting_letters_is_substituting_the_empty_word(w, doomed):
+    # derive_collapsed deletes letters this way: the rest, freely reduced
+    out = substitute_all(w, dict.fromkeys(doomed, (EMPTY, EMPTY)))
+    assert out == normalize([(g, e) for g, e in w.letters if g not in doomed])
 
 
 def test_substitute_with_an_empty_replacement_merges_the_seam():
